@@ -45,8 +45,9 @@ fn bench_fig2(c: &mut Criterion) {
 }
 
 fn bench_fig8(c: &mut Criterion) {
-    let pts = fig8::run_fig8(Scale::Quick, SEED);
+    let (pts, rows) = fig8::fig8(Scale::Quick, SEED);
     eprintln!("{}", fig8::sweep_table(&pts).render());
+    eprintln!("{}", fig8::max_table(&rows).render());
     let mut g = c.benchmark_group("fig8");
     g.sample_size(10);
     // One representative point per system rather than the whole sweep.

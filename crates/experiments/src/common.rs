@@ -1,5 +1,5 @@
 //! Shared experiment plumbing: run scales, system wrappers, the
-//! max-throughput search, and output handling.
+//! max-throughput criterion, and output handling.
 
 use lp_sim::SimDur;
 use lp_workload::{PhasedService, RateSchedule, ServiceDist};
@@ -42,14 +42,6 @@ impl Scale {
     /// Warmup excluded from statistics.
     pub fn warmup(self) -> SimDur {
         self.point_duration() / 10
-    }
-
-    /// Number of points in a load sweep.
-    pub fn sweep_points(self) -> usize {
-        match self {
-            Scale::Quick => 4,
-            Scale::Full => 9,
-        }
     }
 
     /// Iterations for sampling microbenchmarks.
@@ -247,27 +239,12 @@ pub fn shinjuku_profiled_quantum(wl: PaperWorkload) -> SimDur {
     }
 }
 
-/// The paper's maximum-throughput criterion: the highest offered load
-/// whose p99 stays below `200 x` the low-load average latency.
-///
-/// `run_at` maps an offered rate to a report. The search walks the
-/// given utilization grid (ascending) and returns the last sustainable
-/// measured throughput.
-pub fn max_throughput(
-    capacity_rps: f64,
-    baseline_avg_us: f64,
-    utils: &[f64],
-    mut run_at: impl FnMut(f64) -> RunReport,
-) -> f64 {
-    let reports: Vec<RunReport> = utils.iter().map(|&u| run_at(u * capacity_rps)).collect();
-    max_throughput_from_reports(baseline_avg_us, &reports)
-}
-
-/// The reduction half of [`max_throughput`], over already-measured
-/// reports (in ascending-utilization order). Split out so the parallel
-/// runner can fan the measurements out first and reduce afterwards —
-/// the criterion itself is pure arithmetic, so the result is identical
-/// either way.
+/// The paper's maximum-throughput criterion: the highest measured
+/// throughput whose p99 stays below `200 x` the low-load average
+/// latency `baseline_avg_us`, over reports in ascending-utilization
+/// order. Pure arithmetic over already-measured reports, so the
+/// parallel runner can fan the measurements out first and reduce
+/// afterwards with an identical result.
 pub fn max_throughput_from_reports(baseline_avg_us: f64, reports: &[RunReport]) -> f64 {
     let bound_us = 200.0 * baseline_avg_us;
     let mut best = 0.0f64;
@@ -296,7 +273,10 @@ mod tests {
     fn scale_parameters() {
         assert!(Scale::Full.point_duration() > Scale::Quick.point_duration());
         assert!(Scale::Quick.warmup() < Scale::Quick.point_duration());
-        assert!(Scale::Full.sweep_points() >= Scale::Quick.sweep_points());
+        assert!(
+            crate::fig8::utilization_grid(Scale::Full).len()
+                >= crate::fig8::utilization_grid(Scale::Quick).len()
+        );
     }
 
     #[test]
@@ -322,7 +302,7 @@ mod tests {
     #[test]
     fn max_throughput_monotone_criterion() {
         // A fake system whose p99 explodes above 70% of capacity.
-        let got = max_throughput(100_000.0, 10.0, &[0.3, 0.5, 0.7, 0.9], |rate| {
+        let fake = |rate: f64| {
             let mut latency = lp_stats::Histogram::new();
             let p99 = if rate > 70_000.0 { 3_000_000 } else { 100_000 };
             latency.record_n(p99, 100);
@@ -352,7 +332,12 @@ mod tests {
                 events_dropped: 0,
                 phases: Default::default(),
             }
-        });
+        };
+        let reports: Vec<RunReport> = [0.3, 0.5, 0.7, 0.9]
+            .iter()
+            .map(|u| fake(u * 100_000.0))
+            .collect();
+        let got = max_throughput_from_reports(10.0, &reports);
         // rate = 70k is not strictly above the knee, so 0.7 is the last
         // sustainable point.
         assert!((got - 70_000.0).abs() < 1.0, "got {got}");

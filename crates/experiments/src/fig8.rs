@@ -35,34 +35,6 @@ pub fn utilization_grid(scale: Scale) -> Vec<f64> {
     }
 }
 
-/// Runs the full Fig. 8 sweep.
-///
-/// All `workload x system x rho` points are independent seeded runs;
-/// the grid fans out through the parallel [`runner`] and comes back in
-/// grid order, byte-identical to the serial loop at any `LP_JOBS`.
-pub fn run_fig8(scale: Scale, seed: u64) -> Vec<SweepPoint> {
-    let mut points: Vec<(PaperWorkload, SystemUnderTest, f64)> = Vec::new();
-    for wl in PaperWorkload::ALL {
-        for sys in SystemUnderTest::ALL {
-            for &rho in &utilization_grid(scale) {
-                points.push((wl, sys, rho));
-            }
-        }
-    }
-    runner::map_points("fig8", &points, |_, &(wl, sys, rho)| {
-        let rate = wl.rate_for(rho, sys.workers());
-        let r = run_system(sys, wl, rate, scale, seed);
-        SweepPoint {
-            system: sys.name(),
-            workload: wl.name(),
-            rho,
-            throughput_rps: r.throughput_rps(),
-            median_us: r.median_us(),
-            p99_us: r.p99_us(),
-        }
-    })
-}
-
 /// The max-throughput summary (the right panel's saturation points).
 #[derive(Debug, Clone, PartialEq)]
 pub struct MaxThroughputRow {
@@ -74,49 +46,54 @@ pub struct MaxThroughputRow {
     pub max_rps: f64,
 }
 
-/// Computes the paper's max-throughput metric for each system ×
-/// workload.
+/// Runs Fig. 8: the latency-vs-load sweep and the max-throughput
+/// summary, both read off one simulated grid.
 ///
-/// The measurement half — the 10%-load baseline plus the whole
-/// utilization grid for every `workload x system` pair — fans out
-/// through the parallel [`runner`] as one flat batch; the saturation
-/// criterion is then reduced serially over the collected reports, so
-/// the rows are identical to the serial walk.
-pub fn run_max_throughput(scale: Scale, seed: u64) -> Vec<MaxThroughputRow> {
+/// Every `workload x system` pair submits its 10%-load baseline ("a
+/// stable system") and then the utilization grid, so each pair owns a
+/// contiguous chunk of `1 + grid` reports. All points fan out through
+/// the parallel [`runner`] as one flat batch and come back in
+/// submission order; the sweep points and the saturation criterion
+/// are then reduced serially over the same reports, so both outputs
+/// are byte-identical to the serial walk at any `LP_JOBS`.
+pub fn fig8(scale: Scale, seed: u64) -> (Vec<SweepPoint>, Vec<MaxThroughputRow>) {
     let utils = utilization_grid(scale);
     let pairs: Vec<(PaperWorkload, SystemUnderTest)> = PaperWorkload::ALL
         .into_iter()
         .flat_map(|wl| SystemUnderTest::ALL.into_iter().map(move |sys| (wl, sys)))
         .collect();
-    // Per pair: the baseline rate first ("a stable system" at 10%
-    // load), then the grid, so each pair owns a contiguous chunk of
-    // `1 + utils.len()` reports.
     let mut points: Vec<(PaperWorkload, SystemUnderTest, f64)> = Vec::new();
     for &(wl, sys) in &pairs {
-        let capacity = wl.rate_for(1.0, sys.workers());
-        points.push((wl, sys, 0.1 * capacity));
+        points.push((wl, sys, 0.1 * wl.rate_for(1.0, sys.workers())));
         for &u in &utils {
-            points.push((wl, sys, u * capacity));
+            points.push((wl, sys, wl.rate_for(u, sys.workers())));
         }
     }
-    let reports = runner::map_points("fig8-max", &points, |_, &(wl, sys, rate)| {
+    let reports = runner::map_points("fig8", &points, |_, &(wl, sys, rate)| {
         run_system(sys, wl, rate, scale, seed)
     });
-    let chunk = 1 + utils.len();
-    pairs
-        .iter()
-        .enumerate()
-        .map(|(i, &(wl, sys))| {
-            let base = &reports[i * chunk];
-            let baseline_avg = base.mean_us().max(wl.mean_service().as_micros_f64());
-            let max = max_throughput_from_reports(baseline_avg, &reports[i * chunk + 1..(i + 1) * chunk]);
-            MaxThroughputRow {
+    let mut sweep = Vec::with_capacity(pairs.len() * utils.len());
+    let mut max = Vec::with_capacity(pairs.len());
+    for (&(wl, sys), chunk) in pairs.iter().zip(reports.chunks(1 + utils.len())) {
+        let (base, grid) = chunk.split_first().expect("baseline report");
+        for (&rho, r) in utils.iter().zip(grid) {
+            sweep.push(SweepPoint {
                 system: sys.name(),
                 workload: wl.name(),
-                max_rps: max,
-            }
-        })
-        .collect()
+                rho,
+                throughput_rps: r.throughput_rps(),
+                median_us: r.median_us(),
+                p99_us: r.p99_us(),
+            });
+        }
+        let baseline_avg = base.mean_us().max(wl.mean_service().as_micros_f64());
+        max.push(MaxThroughputRow {
+            system: sys.name(),
+            workload: wl.name(),
+            max_rps: max_throughput_from_reports(baseline_avg, grid),
+        });
+    }
+    (sweep, max)
 }
 
 /// Renders the sweep as a table.
@@ -159,7 +136,15 @@ pub fn max_table(rows: &[MaxThroughputRow]) -> Table {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::OnceLock;
+
     use super::*;
+
+    /// The quick-scale grid at seed 11, simulated once per test binary.
+    fn grid() -> &'static (Vec<SweepPoint>, Vec<MaxThroughputRow>) {
+        static GRID: OnceLock<(Vec<SweepPoint>, Vec<MaxThroughputRow>)> = OnceLock::new();
+        GRID.get_or_init(|| fig8(Scale::Quick, 11))
+    }
 
     fn p99_of(points: &[SweepPoint], sys: &str, wl: &str, rho: f64) -> f64 {
         points
@@ -173,9 +158,9 @@ mod tests {
     fn libpreemptible_beats_shinjuku_tail_at_high_load_a1() {
         // The paper's headline: ~10x better tail under high load. We
         // assert a conservative >2x at rho=0.8 on the quick scale.
-        let pts = run_fig8(Scale::Quick, 11);
-        let lp = p99_of(&pts, "LibPreemptible", "A1", 0.8);
-        let sj = p99_of(&pts, "Shinjuku", "A1", 0.8);
+        let pts = &grid().0;
+        let lp = p99_of(pts, "LibPreemptible", "A1", 0.8);
+        let sj = p99_of(pts, "Shinjuku", "A1", 0.8);
         assert!(
             sj > 2.0 * lp,
             "Shinjuku p99 {sj} should be >> LibPreemptible {lp}"
@@ -184,10 +169,10 @@ mod tests {
 
     #[test]
     fn no_uintr_ablation_is_worse_at_high_load() {
-        let pts = run_fig8(Scale::Quick, 11);
+        let pts = &grid().0;
         for wl in ["A1", "A2"] {
-            let with = p99_of(&pts, "LibPreemptible", wl, 0.9);
-            let without = p99_of(&pts, "LibPreemptible w/o UINTR", wl, 0.9);
+            let with = p99_of(pts, "LibPreemptible", wl, 0.9);
+            let without = p99_of(pts, "LibPreemptible w/o UINTR", wl, 0.9);
             assert!(
                 without > with,
                 "{wl}: w/o UINTR {without} must exceed with {with}"
@@ -197,9 +182,9 @@ mod tests {
 
     #[test]
     fn libinger_has_the_worst_tail_on_a1() {
-        let pts = run_fig8(Scale::Quick, 11);
-        let li = p99_of(&pts, "Libinger", "A1", 0.8);
-        let lp = p99_of(&pts, "LibPreemptible", "A1", 0.8);
+        let pts = &grid().0;
+        let li = p99_of(pts, "Libinger", "A1", 0.8);
+        let lp = p99_of(pts, "LibPreemptible", "A1", 0.8);
         assert!(li > lp, "Libinger {li} vs LibPreemptible {lp}");
     }
 
@@ -211,7 +196,7 @@ mod tests {
         // criterion to bite sharply (queues need seconds to diverge),
         // so CI asserts the per-worker ordering; the full-scale binary
         // regenerates the paper-scale gap.
-        let rows = run_max_throughput(Scale::Quick, 11);
+        let rows = &grid().1;
         let get = |sys: &str, wl: &str| {
             rows.iter()
                 .find(|r| r.system == sys && r.workload == wl)

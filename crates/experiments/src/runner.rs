@@ -185,15 +185,10 @@ pub fn all_artifacts() -> Vec<Artifact> {
         Artifact {
             name: "fig8",
             run: |scale, seed| {
+                let (sweep, max) = crate::fig8::fig8(scale, seed);
                 ArtifactOutput::new()
-                    .saved(
-                        "fig8_sweep.csv",
-                        crate::fig8::sweep_table(&crate::fig8::run_fig8(scale, seed)),
-                    )
-                    .saved(
-                        "fig8_max.csv",
-                        crate::fig8::max_table(&crate::fig8::run_max_throughput(scale, seed)),
-                    )
+                    .saved("fig8_sweep.csv", crate::fig8::sweep_table(&sweep))
+                    .saved("fig8_max.csv", crate::fig8::max_table(&max))
             },
         },
         Artifact {
