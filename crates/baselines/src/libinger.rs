@@ -17,7 +17,7 @@
 
 use lp_sim::SimDur;
 
-use libpreemptible::policy::RoundRobin;
+use libpreemptible::policies::RoundRobin;
 use libpreemptible::report::RunReport;
 use libpreemptible::runtime::{run, PreemptMech, RuntimeConfig, WorkloadSpec};
 
@@ -57,7 +57,7 @@ pub fn run_libinger(cfg: LibingerConfig, spec: WorkloadSpec) -> RunReport {
     // functions, not LibPreemptible's short-jobs-first two-level
     // scheduler: round-robin between fresh and preempted work is the
     // faithful policy.
-    let mut report = run(rt, Box::new(RoundRobin::fixed(cfg.quantum)), spec);
+    let mut report = run(rt, Box::new(RoundRobin::new(cfg.quantum)), spec);
     report.system = format!("Libinger (q={})", cfg.quantum);
     report
 }

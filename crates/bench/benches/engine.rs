@@ -6,9 +6,8 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
-use libpreemptible::{run, FcfsPreempt, RuntimeConfig, ServiceSource, WorkloadSpec};
+use libpreemptible::{run, Fifo, RuntimeConfig, ServiceSource, WorkloadSpec};
 use lp_sim::obs::{Event, Observer, TimedEvent};
-use lp_sim::trace::TraceRing;
 use lp_sim::{EventQueue, SimDur, SimTime};
 use lp_stats::Histogram;
 use lp_workload::{PhasedService, RateSchedule, ServiceDist, Zipf};
@@ -206,7 +205,7 @@ fn bench_workload(c: &mut Criterion) {
 fn bench_tracing(c: &mut Criterion) {
     let mut g = c.benchmark_group("tracing");
     g.throughput(Throughput::Elements(100_000));
-    // The typed ring (hot-path emission: counter bump + Copy store)...
+    // The typed ring (hot-path emission: counter bump + Copy store).
     g.bench_function("typed_ring_emit_100k", |b| {
         let mut obs = Observer::new(4_096);
         b.iter(|| {
@@ -217,19 +216,6 @@ fn bench_tracing(c: &mut Criterion) {
                 );
             }
             black_box(obs.metrics().snapshot().counters.len())
-        })
-    });
-    // ...versus the legacy string ring it replaced (per-push format!).
-    g.bench_function("string_ring_push_100k", |b| {
-        let mut ring = TraceRing::new(4_096);
-        b.iter(|| {
-            for i in 0..100_000u64 {
-                ring.push(
-                    SimTime::from_nanos(i),
-                    format!("preempt fiber {} on worker {} (ran 10000ns)", i, i % 8),
-                );
-            }
-            black_box(ring.len())
         })
     });
     // Counters only — the always-on production configuration.
@@ -291,7 +277,7 @@ fn bench_runtime(c: &mut Criterion) {
             let duration = SimDur::from_secs_f64(10_000.0 / rate);
             let r = run(
                 RuntimeConfig::default(),
-                Box::new(FcfsPreempt::fixed(SimDur::micros(5))),
+                Box::new(Fifo::new(SimDur::micros(5))),
                 WorkloadSpec {
                     source: ServiceSource::Phased(PhasedService::constant(dist)),
                     arrivals: RateSchedule::Constant(rate),

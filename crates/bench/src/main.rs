@@ -35,7 +35,7 @@
 use std::time::Instant;
 
 use libpreemptible::runtime::AdmissionConfig;
-use libpreemptible::{run, FcfsPreempt, RunReport, RuntimeConfig, ServiceSource, WorkloadSpec};
+use libpreemptible::{run, Fifo, RunReport, RuntimeConfig, ServiceSource, WorkloadSpec};
 use lp_experiments::runner::{self, ArtifactOutput};
 use lp_experiments::{Scale, DEFAULT_SEED};
 use lp_sim::fault::{FaultKind, FaultPlan};
@@ -131,7 +131,7 @@ fn probe_run(faults: FaultPlan, admission: AdmissionConfig, attribution: bool) -
             attribution,
             ..RuntimeConfig::default()
         },
-        Box::new(FcfsPreempt::fixed(SimDur::micros(10))),
+        Box::new(Fifo::new(SimDur::micros(10))),
         WorkloadSpec {
             source: ServiceSource::Phased(PhasedService::constant(ServiceDist::workload_b())),
             arrivals: RateSchedule::Constant(300_000.0),

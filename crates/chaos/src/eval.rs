@@ -7,7 +7,7 @@
 //! scores at any job count, which is what lets the search fan out and
 //! the corpus replay byte-identically.
 
-use libpreemptible::policy::FcfsPreempt;
+use libpreemptible::policies::Fifo;
 use libpreemptible::runtime::{
     run, AdmissionConfig, PreemptMech, RuntimeConfig, ServiceSource, WorkloadSpec,
 };
@@ -136,7 +136,7 @@ pub fn evaluate_report(
     };
     run(
         RuntimeConfig { trace_capacity, ..runtime_config(plan, cfg, hardened) },
-        Box::new(FcfsPreempt::fixed(SimDur::micros(cfg.quantum_us))),
+        Box::new(Fifo::new(SimDur::micros(cfg.quantum_us))),
         spec,
     )
 }

@@ -5,7 +5,7 @@ use lp_sim::SimDur;
 use lp_workload::{PhasedService, RateSchedule, ServiceDist};
 
 use libpreemptible::adaptive::{AdaptiveConfig, QuantumController};
-use libpreemptible::policy::FcfsPreempt;
+use libpreemptible::policies::AdaptiveQuantum;
 use libpreemptible::report::RunReport;
 use libpreemptible::runtime::{run, PreemptMech, RuntimeConfig, ServiceSource, WorkloadSpec};
 use lp_baselines::{run_libinger, run_shinjuku, LibingerConfig, ShinjukuConfig};
@@ -202,7 +202,7 @@ pub fn run_system_spec(
                 control_period,
                 ..RuntimeConfig::default()
             };
-            run(cfg, Box::new(FcfsPreempt::adaptive(ctl)), spec)
+            run(cfg, Box::new(AdaptiveQuantum::new(ctl)), spec)
         }
         SystemUnderTest::Shinjuku => {
             let quantum = shinjuku_profiled_quantum(wl);

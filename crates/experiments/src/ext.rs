@@ -16,7 +16,7 @@ use lp_sim::SimDur;
 use lp_stats::Table;
 use lp_workload::{PhasedService, RateSchedule, ServiceDist};
 
-use libpreemptible::policy::FcfsPreempt;
+use libpreemptible::policies::Fifo;
 use libpreemptible::runtime::{run, RuntimeConfig, ServiceSource, WorkloadSpec};
 
 use crate::common::Scale;
@@ -117,7 +117,7 @@ pub fn run_min_quantum(scale: Scale, seed: u64) -> Vec<MinQuantumRow> {
                     seed,
                     ..RuntimeConfig::default()
                 },
-                Box::new(FcfsPreempt::fixed(SimDur::micros(q))),
+                Box::new(Fifo::new(SimDur::micros(q))),
                 WorkloadSpec {
                     source: ServiceSource::Phased(PhasedService::constant(dist.clone())),
                     arrivals: RateSchedule::Constant(rate),
@@ -167,7 +167,7 @@ pub fn run_hw_offload(scale: Scale, seed: u64) -> (f64, f64) {
             seed,
             ..RuntimeConfig::default()
         },
-        Box::new(FcfsPreempt::fixed(SimDur::micros(5))),
+        Box::new(Fifo::new(SimDur::micros(5))),
         mk_spec(),
     );
     let offload = run(
@@ -178,7 +178,7 @@ pub fn run_hw_offload(scale: Scale, seed: u64) -> (f64, f64) {
             timer_cores: 0,
             ..RuntimeConfig::default()
         },
-        Box::new(FcfsPreempt::fixed(SimDur::micros(5))),
+        Box::new(Fifo::new(SimDur::micros(5))),
         mk_spec(),
     );
     (base.p99_us(), offload.p99_us())

@@ -12,7 +12,7 @@ use lp_sim::SimDur;
 use lp_stats::Table;
 use lp_workload::{ColocatedWorkload, RateSchedule};
 
-use libpreemptible::policy::{ClassQuantum, FcfsPreempt, NonPreemptive};
+use libpreemptible::policies::{ClassQuantum, Fifo};
 use libpreemptible::sched::SchedPolicy;
 use libpreemptible::runtime::{run, PreemptMech, RuntimeConfig, ServiceSource, WorkloadSpec};
 
@@ -87,7 +87,7 @@ pub fn run_left(scale: Scale, seed: u64) -> Vec<ColocPoint> {
     runner::map_points("fig13-left", &points, |_, &(k, preemptive)| {
         if preemptive {
             run_point(
-                Box::new(FcfsPreempt::fixed(SimDur::micros(30))),
+                Box::new(Fifo::new(SimDur::micros(30))),
                 "LC-Lib (q=30us)".into(),
                 PreemptMech::Uintr,
                 k * 1_000.0,
@@ -96,7 +96,7 @@ pub fn run_left(scale: Scale, seed: u64) -> Vec<ColocPoint> {
             )
         } else {
             run_point(
-                Box::new(NonPreemptive),
+                Box::new(Fifo::new(SimDur::MAX)),
                 "LC-Base (no preemption)".into(),
                 PreemptMech::None,
                 k * 1_000.0,
@@ -120,7 +120,7 @@ pub fn run_right(scale: Scale, seed: u64) -> Vec<ColocPoint> {
         .collect();
     runner::map_points("fig13-right", &points, |_, &q| match q {
         None => run_point(
-            Box::new(NonPreemptive),
+            Box::new(Fifo::new(SimDur::MAX)),
             "no preemption".into(),
             PreemptMech::None,
             55_000.0,
@@ -128,10 +128,8 @@ pub fn run_right(scale: Scale, seed: u64) -> Vec<ColocPoint> {
             seed,
         ),
         Some(q) => run_point(
-            Box::new(ClassQuantum {
-                lc_quantum: SimDur::MAX, // LC requests are ~1us; never preempted
-                be_quantum: SimDur::micros(q),
-            }),
+            // LC requests are ~1us; never preempted.
+            Box::new(ClassQuantum::new(SimDur::MAX, SimDur::micros(q))),
             format!("preemptive q={q}us"),
             PreemptMech::Uintr,
             55_000.0,

@@ -10,9 +10,10 @@ use lp_stats::Table;
 use lp_workload::{ColocatedWorkload, RateSchedule};
 
 use libpreemptible::adaptive::{AdaptiveConfig, QuantumController};
-use libpreemptible::policy::FcfsPreempt;
+use libpreemptible::policies::{AdaptiveQuantum, Fifo};
 use libpreemptible::report::RunReport;
 use libpreemptible::runtime::{run, RuntimeConfig, ServiceSource, WorkloadSpec};
+use libpreemptible::sched::SchedPolicy;
 
 use crate::common::Scale;
 use crate::runner;
@@ -80,9 +81,9 @@ pub fn run_fig14(scale: Scale, seed: u64) -> Vec<Fig14Row> {
     // through the parallel runner.
     let labels: [&'static str; 3] = ["constant 50us", "constant 10us", "adaptive [10,50]us"];
     runner::map_points("fig14", &labels, |id, &label| {
-        let policy = match id.index {
-            0 => FcfsPreempt::fixed(SimDur::micros(50)),
-            1 => FcfsPreempt::fixed(SimDur::micros(10)),
+        let policy: Box<dyn SchedPolicy> = match id.index {
+            0 => Box::new(Fifo::new(SimDur::micros(50))),
+            1 => Box::new(Fifo::new(SimDur::micros(10))),
             _ => {
                 let mut cfg = AdaptiveConfig::paper_defaults(110_000.0);
                 cfg.period = control_period;
@@ -91,10 +92,10 @@ pub fn run_fig14(scale: Scale, seed: u64) -> Vec<Fig14Row> {
                 cfg.k1 = SimDur::micros(10);
                 cfg.k2 = SimDur::micros(10);
                 cfg.k3 = SimDur::micros(10);
-                FcfsPreempt::adaptive(QuantumController::new(cfg, SimDur::micros(50)))
+                Box::new(AdaptiveQuantum::new(QuantumController::new(cfg, SimDur::micros(50))))
             }
         };
-        let r = run(mk_cfg(), Box::new(policy), mk_spec());
+        let r = run(mk_cfg(), policy, mk_spec());
         // Split frames into spike/base windows by the schedule.
         let in_spike = |start_ns: u64| {
             let into = SimDur::nanos(start_ns) % cycle;

@@ -10,9 +10,10 @@ use lp_stats::Table;
 use lp_workload::RateSchedule;
 
 use libpreemptible::adaptive::{AdaptiveConfig, QuantumController};
-use libpreemptible::policy::FcfsPreempt;
+use libpreemptible::policies::{AdaptiveQuantum, Fifo};
 use libpreemptible::report::RunReport;
 use libpreemptible::runtime::{run, RuntimeConfig, ServiceSource, WorkloadSpec};
+use libpreemptible::sched::SchedPolicy;
 
 use crate::common::{PaperWorkload, Scale};
 use crate::runner;
@@ -64,17 +65,17 @@ pub fn run_fig9(scale: Scale, seed: u64) -> Vec<Fig9Row> {
     // the closure and the grid fans out through the parallel runner.
     let labels: [&'static str; 3] = ["static 5us", "static 50us", "adaptive (Alg. 1)"];
     runner::map_points("fig9", &labels, |id, &label| {
-        let policy = match id.index {
-            0 => FcfsPreempt::fixed(SimDur::micros(5)),
-            1 => FcfsPreempt::fixed(SimDur::micros(50)),
+        let policy: Box<dyn SchedPolicy> = match id.index {
+            0 => Box::new(Fifo::new(SimDur::micros(5))),
+            1 => Box::new(Fifo::new(SimDur::micros(50))),
             _ => {
                 let mut cfg =
                     AdaptiveConfig::paper_defaults(PaperWorkload::C.rate_for(1.0, workers));
                 cfg.period = control_period;
-                FcfsPreempt::adaptive(QuantumController::new(cfg, SimDur::micros(20)))
+                Box::new(AdaptiveQuantum::new(QuantumController::new(cfg, SimDur::micros(20))))
             }
         };
-        let r = run(mk_cfg(), Box::new(policy), mk_spec());
+        let r = run(mk_cfg(), policy, mk_spec());
         Fig9Row {
             policy: label.to_string(),
             slo_violation_frac: r.slo_violations(SLO),

@@ -16,7 +16,7 @@ use lp_sim::SimDur;
 use lp_stats::Table;
 use lp_workload::{PhasedService, RateSchedule, ServiceDist};
 
-use libpreemptible::policy::FcfsPreempt;
+use libpreemptible::policies::Fifo;
 use libpreemptible::report::RunReport;
 use libpreemptible::runtime::{run, PreemptMech, RuntimeConfig, ServiceSource, WorkloadSpec};
 
@@ -94,7 +94,7 @@ pub fn run_figr(scale: Scale, seed: u64) -> Vec<FigRRow> {
         };
         let r = run(
             mk_cfg(mech, faults),
-            Box::new(FcfsPreempt::fixed(SimDur::micros(20))),
+            Box::new(Fifo::new(SimDur::micros(20))),
             mk_spec(),
         );
         FigRRow {

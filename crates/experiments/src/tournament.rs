@@ -1,17 +1,18 @@
-//! The policy tournament — every zoo policy vs every paper workload,
-//! ranked into a byte-reproducible leaderboard.
+//! The policy tournament — the zoo's general-purpose policies vs every
+//! paper workload, ranked into a byte-reproducible leaderboard.
 //!
 //! Not a figure of the paper: the paper evaluates one scheduling
 //! policy (adaptive-quantum FCFS). The tournament exists to keep the
-//! [`SchedPolicy`] framework honest — each policy in
-//! `crates/preemptible/src/policies/` runs the §V-A workloads A1, A2
-//! and B at ρ = 0.75 on 4 workers under UINTR preemption, and the
-//! results are ranked by mean per-workload p99 rank. Output is a
-//! markdown leaderboard plus a JSON artifact, both byte-identical at
-//! any `LP_JOBS` (pinned by a test below, and by the `tournament` CI
-//! job). Omitted from the `all` binary's paper-order artifact list on
-//! purpose; regenerate with
-//! `cargo run --release -p lp-experiments --bin tournament`.
+//! [`SchedPolicy`] framework honest — each policy in [`POLICIES`] runs
+//! the §V-A workloads A1, A2 and B at ρ = 0.75 on 4 workers under
+//! UINTR preemption, and the results are ranked by mean per-workload
+//! p99 rank. Output is a markdown leaderboard plus a JSON artifact,
+//! both byte-identical at any `LP_JOBS` (pinned by a test below, and
+//! by the `tournament` CI job). Omitted from the `all` binary's
+//! paper-order artifact list on purpose; regenerate with
+//! `cargo run --release -p lp-experiments --bin tournament`. The two
+//! zoo policies that exist for one figure's baseline (`RoundRobin` for
+//! Libinger, `ClassQuantum` for Fig. 13-right) are not entrants.
 //!
 //! Adding a policy: implement [`SchedPolicy`], add a factory arm to
 //! [`make_policy`] and its name to [`POLICIES`] — the sweep, ranking
@@ -54,9 +55,9 @@ pub const SLO: SimDur = SimDur::micros(100);
 const WORKERS: usize = 4;
 
 /// Builds a tournament entrant by name. The adaptive-quantum entrant
-/// is tuned exactly like the figure modules tune the legacy policy
-/// (paper defaults against saturation throughput, controller period =
-/// the runtime's control period).
+/// is tuned exactly like the figure modules tune it (paper defaults
+/// against saturation throughput, controller period = the runtime's
+/// control period).
 pub fn make_policy(
     name: &str,
     max_load_rps: f64,

@@ -13,7 +13,7 @@ use lp_sim::fault::{FaultKind, FaultPlan};
 use lp_sim::SimDur;
 use lp_workload::{PhasedService, RateSchedule, ServiceDist};
 
-use libpreemptible::policy::FcfsPreempt;
+use libpreemptible::policies::Fifo;
 use libpreemptible::runtime::{run, PreemptMech, RuntimeConfig, ServiceSource, WorkloadSpec};
 
 use crate::common::Scale;
@@ -40,7 +40,7 @@ pub fn fig2_trace(scale: Scale, seed: u64) -> String {
         trace_capacity: 1 << 18,
         ..RuntimeConfig::default()
     };
-    run(cfg, Box::new(FcfsPreempt::fixed(SimDur::micros(25))), spec).events_jsonl()
+    run(cfg, Box::new(Fifo::new(SimDur::micros(25))), spec).events_jsonl()
 }
 
 /// The Fig. R shape: constant 400 us service on 4 workers under a
@@ -65,5 +65,5 @@ pub fn figr_trace(scale: Scale, seed: u64) -> String {
         trace_capacity: 1 << 18,
         ..RuntimeConfig::default()
     };
-    run(cfg, Box::new(FcfsPreempt::fixed(SimDur::micros(20))), spec).events_jsonl()
+    run(cfg, Box::new(Fifo::new(SimDur::micros(20))), spec).events_jsonl()
 }

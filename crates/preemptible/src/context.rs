@@ -188,25 +188,22 @@ impl ContextPool {
         Some(id)
     }
 
-    /// Takes the parked context at position `pos` of the parked list
-    /// (positions as yielded by [`ContextPool::iter_parked`]); used by
-    /// policies that order resumes with their own key.
-    pub fn take_parked_at(&mut self, pos: usize) -> Option<ContextId> {
-        let id = self.running_list.remove(pos)?;
-        debug_assert_eq!(self.states[id.0], SlotState::Parked);
-        self.states[id.0] = SlotState::Active;
-        Some(id)
-    }
-
-    /// Takes the parked context with the smallest remaining work
-    /// (used by the SRPT policy).
-    pub fn take_parked_srpt(&mut self) -> Option<ContextId> {
+    /// Takes the parked context with the smallest `key`; ties go to the
+    /// one parked earliest. Used by policies that order resumes with
+    /// their own key.
+    pub fn take_parked_min_by_key(
+        &mut self,
+        mut key: impl FnMut(ContextId, &Context) -> u64,
+    ) -> Option<ContextId> {
+        // `min_by_key` returns the first of equal minima.
         let (pos, _) = self
             .running_list
             .iter()
+            .map(|&id| key(id, &self.slots[id.0]))
             .enumerate()
-            .min_by_key(|(_, id)| self.slots[id.0].remaining)?;
+            .min_by_key(|&(_, k)| k)?;
         let id = self.running_list.remove(pos).expect("index in range");
+        debug_assert_eq!(self.states[id.0], SlotState::Parked);
         self.states[id.0] = SlotState::Active;
         Some(id)
     }
@@ -272,11 +269,6 @@ impl ContextPool {
     /// The configured capacity.
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// Iterates over parked contexts (oldest first) without removing.
-    pub fn iter_parked(&self) -> impl Iterator<Item = (ContextId, &Context)> + '_ {
-        self.running_list.iter().map(move |&id| (id, &self.slots[id.0]))
     }
 
     /// Earliest arrival time among live (active or parked) contexts,
@@ -358,7 +350,7 @@ mod tests {
     }
 
     #[test]
-    fn srpt_takes_shortest_remaining() {
+    fn keyed_take_picks_the_smallest_key() {
         let mut p = pool();
         let a = alloc(&mut p, 1); // work 2us
         let b = alloc(&mut p, 9); // work 10us
@@ -366,8 +358,24 @@ mod tests {
         p.get_mut(b).remaining = SimDur::micros(3);
         p.park(a);
         p.park(b);
-        assert_eq!(p.take_parked_srpt(), Some(b));
-        assert_eq!(p.take_parked_srpt(), Some(a));
+        let srpt = |_: ContextId, c: &Context| c.remaining.as_nanos();
+        assert_eq!(p.take_parked_min_by_key(srpt), Some(b));
+        assert_eq!(p.take_parked_min_by_key(srpt), Some(a));
+        assert_eq!(p.take_parked_min_by_key(srpt), None);
+    }
+
+    #[test]
+    fn keyed_take_breaks_ties_oldest_first() {
+        let mut p = pool();
+        let (a, b, c) = (alloc(&mut p, 1), alloc(&mut p, 2), alloc(&mut p, 3));
+        // Parked out of allocation order: the parked list is c, a, b.
+        p.park(c);
+        p.park(a);
+        p.park(b);
+        let flat = |_: ContextId, _: &Context| 0u64;
+        assert_eq!(p.take_parked_min_by_key(flat), Some(c));
+        assert_eq!(p.take_parked_min_by_key(flat), Some(a));
+        assert_eq!(p.take_parked_min_by_key(flat), Some(b));
     }
 
     #[test]
@@ -405,16 +413,5 @@ mod tests {
         p.release(a);
         let _c = alloc(&mut p, 3);
         assert_eq!(p.peak_live(), 2);
-    }
-
-    #[test]
-    fn iter_parked_preserves_order() {
-        let mut p = pool();
-        let a = alloc(&mut p, 7);
-        let b = alloc(&mut p, 8);
-        p.park(b);
-        p.park(a);
-        let order: Vec<u64> = p.iter_parked().map(|(_, c)| c.request).collect();
-        assert_eq!(order, vec![8, 7]);
     }
 }

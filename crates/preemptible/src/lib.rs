@@ -13,21 +13,21 @@
 //! |---|---|
 //! | `fn_launch` / `fn_resume` / `fn_completed` + context pool | [`context::ContextPool`] (allocate / park / take_parked / release) |
 //! | LibUtimer (`utimer_init/register/arm_deadline`) | [`utimer::UtimerRegistry`], [`utimer::TimingWheel`] |
-//! | scheduling policies on the library API | [`sched::SchedPolicy`] (select_cpu / enqueue / dispatch / time_slice), the [`policies`] zoo, and the legacy [`policy::Policy`] adapter |
+//! | scheduling policies on the library API | [`sched::SchedPolicy`] (select_cpu / enqueue / dispatch / time_slice) and the [`policies`] zoo |
 //! | Algorithm 1 (adaptive time quantum) | [`adaptive::QuantumController`] |
 //! | the runtime: dispatcher + workers + timer core | [`runtime::run`] |
 //!
 //! ## Quickstart
 //!
 //! ```
-//! use libpreemptible::{run, FcfsPreempt, RuntimeConfig, ServiceSource, WorkloadSpec};
+//! use libpreemptible::{run, Fifo, RuntimeConfig, ServiceSource, WorkloadSpec};
 //! use lp_sim::SimDur;
 //! use lp_workload::{PhasedService, RateSchedule, ServiceDist};
 //!
 //! // 4 workers + 1 timer core, UINTR preemption, 5 us quantum.
 //! let report = run(
 //!     RuntimeConfig::default(),
-//!     Box::new(FcfsPreempt::fixed(SimDur::micros(5))),
+//!     Box::new(Fifo::new(SimDur::micros(5))),
 //!     WorkloadSpec {
 //!         source: ServiceSource::Phased(PhasedService::constant(ServiceDist::workload_a1())),
 //!         arrivals: RateSchedule::Constant(100_000.0),
@@ -44,7 +44,6 @@
 pub mod adaptive;
 pub mod context;
 pub mod policies;
-pub mod policy;
 pub mod report;
 pub mod retry;
 pub mod runtime;
@@ -53,10 +52,8 @@ pub mod utimer;
 
 pub use adaptive::{AdaptiveConfig, QuantumController};
 pub use context::{Context, ContextId, ContextPool};
-pub use policies::{AdaptiveQuantum, Edf, Fifo, Mlfq, Srpt, Vruntime};
-pub use policy::{
-    ClassQuantum, FcfsPreempt, NextTask, NonPreemptive, Policy, QuantumSource, ResumeOrder,
-    RoundRobin, SrptOracle,
+pub use policies::{
+    AdaptiveQuantum, ClassQuantum, Edf, FcfsPreempt, Fifo, Mlfq, RoundRobin, Srpt, Vruntime,
 };
 pub use sched::{Dispatch, Enqueue, ResumeSel, SchedCtx, SchedPolicy, TaskView};
 pub use report::RunReport;

@@ -12,10 +12,8 @@ use crate::sched::{Dispatch, ResumeSel, SchedCtx, SchedPolicy, TaskView};
 /// Adaptive-quantum scheduling: dispatch is plain preemptive FCFS, but
 /// the slice is re-derived every control window by
 /// [`QuantumController`] from the window's load, queue length and
-/// service-time dispersion. Behaviorally identical to the legacy
-/// `FcfsPreempt::adaptive(..)` construction — the controller, the
-/// window cadence and the decision sequence are all unchanged — so the
-/// paper's Fig. 8/9 numbers are reproduced exactly.
+/// service-time dispersion. This is the policy behind LibPreemptible's
+/// Fig. 8, 9 and 14 numbers.
 #[derive(Debug, Clone)]
 pub struct AdaptiveQuantum {
     ctl: QuantumController,
@@ -78,9 +76,6 @@ impl SchedPolicy for AdaptiveQuantum {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::FcfsPreempt;
-    use crate::runtime::{run, RuntimeConfig, ServiceSource, WorkloadSpec};
-    use lp_workload::{PhasedService, RateSchedule, ServiceDist};
 
     #[test]
     fn controller_reacts_to_windows_through_the_trait() {
@@ -98,37 +93,5 @@ mod tests {
             service_scv: 140.0,
         });
         assert_ne!(SchedPolicy::quantum_hint(&p, 0), SimDur::micros(20));
-    }
-
-    /// The refactor's no-regression guarantee: the zoo policy and the
-    /// legacy `FcfsPreempt::adaptive` construction drive the runtime
-    /// through byte-identical schedules.
-    #[test]
-    fn matches_the_legacy_adaptive_policy_exactly() {
-        let spec = || WorkloadSpec {
-            source: ServiceSource::Phased(PhasedService::constant(ServiceDist::workload_a1())),
-            arrivals: RateSchedule::Constant(400_000.0),
-            duration: SimDur::millis(20),
-            warmup: SimDur::millis(2),
-        };
-        let cfg = || RuntimeConfig {
-            workers: 4,
-            control_period: SimDur::millis(2),
-            trace_capacity: 1 << 14,
-            ..RuntimeConfig::default()
-        };
-        let mk_ctl = || {
-            QuantumController::new(
-                AdaptiveConfig::paper_defaults(800_000.0),
-                SimDur::micros(20),
-            )
-        };
-        let legacy = run(cfg(), Box::new(FcfsPreempt::adaptive(mk_ctl())), spec());
-        let zoo = run(cfg(), Box::new(AdaptiveQuantum::new(mk_ctl())), spec());
-        assert_eq!(legacy.completions, zoo.completions);
-        assert_eq!(legacy.preemptions, zoo.preemptions);
-        assert_eq!(legacy.latency.p99(), zoo.latency.p99());
-        assert_eq!(legacy.final_quantum, zoo.final_quantum);
-        assert_eq!(legacy.events_jsonl(), zoo.events_jsonl());
     }
 }

@@ -64,33 +64,20 @@ impl SchedPolicy for Edf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policies::fixture::ctx;
     use lp_sim::obs::Observer;
     use lp_sim::SimTime;
 
     fn task(arrived_ns: u64, class: u8) -> TaskView {
-        TaskView {
-            request: arrived_ns,
-            fiber: 0,
-            arrived: SimTime::from_nanos(arrived_ns),
-            remaining: SimDur::micros(100),
-            total: SimDur::micros(100),
-            preemptions: 0,
-            class,
-        }
+        let arrived = SimTime::from_nanos(arrived_ns);
+        TaskView { arrived, class, ..crate::policies::fixture::task(arrived_ns) }
     }
 
     #[test]
     fn parked_work_preempts_new_arrivals() {
         let mut obs = Observer::counters_only();
         let mut p = Edf::new(SimDur::micros(10), SimDur::micros(50), SimDur::millis(1));
-        let mut ctx = SchedCtx {
-            now: SimTime::ZERO,
-            queue_depths: &[],
-            runnable: 4,
-            parked: 1,
-            window: None,
-            obs: &mut obs,
-        };
+        let mut ctx = ctx(4, 1, &mut obs);
         assert_eq!(p.dispatch(0, &mut ctx), Dispatch::Parked(ResumeSel::MinKey));
         ctx.parked = 0;
         assert_eq!(p.dispatch(0, &mut ctx), Dispatch::New);

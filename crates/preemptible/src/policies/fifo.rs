@@ -17,9 +17,25 @@ pub struct Fifo {
 }
 
 impl Fifo {
-    /// A FIFO policy granting every task the same `slice`.
+    /// A FIFO policy granting every task the same `slice`. A slice of
+    /// [`SimDur::MAX`] is non-preemptive FCFS (run-to-completion): the
+    /// `LC-Base` baseline of Fig. 13 and the no-preemption point of
+    /// Fig. 2.
     pub fn new(slice: SimDur) -> Self {
         Fifo { slice }
+    }
+}
+
+/// The pre-zoo name of cFCFS-P with a fixed slice. It exists only
+/// because the `perfbench` benchmark still calls it; everything else
+/// builds [`Fifo`] directly.
+#[derive(Debug, Clone, Copy)]
+pub struct FcfsPreempt;
+
+impl FcfsPreempt {
+    /// Same as [`Fifo::new`].
+    pub fn fixed(slice: SimDur) -> Fifo {
+        Fifo::new(slice)
     }
 }
 
@@ -50,19 +66,8 @@ impl SchedPolicy for Fifo {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policies::fixture::{ctx, task};
     use lp_sim::obs::Observer;
-    use lp_sim::SimTime;
-
-    fn ctx<'a>(runnable: usize, parked: usize, obs: &'a mut Observer) -> SchedCtx<'a> {
-        SchedCtx {
-            now: SimTime::ZERO,
-            queue_depths: &[],
-            runnable,
-            parked,
-            window: None,
-            obs,
-        }
-    }
 
     #[test]
     fn prefers_new_then_parked_then_idles() {
@@ -80,15 +85,7 @@ mod tests {
     fn slice_is_fixed_for_every_task_and_class() {
         let mut obs = Observer::counters_only();
         let mut p = Fifo::new(SimDur::micros(7));
-        let mut t = TaskView {
-            request: 1,
-            fiber: 0,
-            arrived: SimTime::ZERO,
-            remaining: SimDur::micros(500),
-            total: SimDur::micros(500),
-            preemptions: 3,
-            class: 0,
-        };
+        let mut t = TaskView { remaining: SimDur::micros(500), preemptions: 3, ..task(1) };
         assert_eq!(p.time_slice(&t, &mut ctx(0, 0, &mut obs)), SimDur::micros(7));
         t.class = 1;
         assert_eq!(p.time_slice(&t, &mut ctx(0, 0, &mut obs)), SimDur::micros(7));

@@ -83,45 +83,22 @@ impl SchedPolicy for Mlfq {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policies::fixture::{ctx, task};
     use lp_sim::obs::Observer;
-    use lp_sim::SimTime;
-
-    fn task(request: u64) -> TaskView {
-        TaskView {
-            request,
-            fiber: 0,
-            arrived: SimTime::ZERO,
-            remaining: SimDur::micros(100),
-            total: SimDur::micros(100),
-            preemptions: 0,
-            class: 0,
-        }
-    }
-
-    fn ctx(obs: &mut Observer) -> SchedCtx<'_> {
-        SchedCtx {
-            now: SimTime::ZERO,
-            queue_depths: &[],
-            runnable: 0,
-            parked: 0,
-            window: None,
-            obs,
-        }
-    }
 
     #[test]
     fn each_demotion_doubles_the_slice_up_to_the_last_level() {
         let mut obs = Observer::counters_only();
         let mut p = Mlfq::new(SimDur::micros(5), 3);
         let t = task(9);
-        assert_eq!(p.time_slice(&t, &mut ctx(&mut obs)), SimDur::micros(5));
+        assert_eq!(p.time_slice(&t, &mut ctx(0, 0, &mut obs)), SimDur::micros(5));
         p.task_preempted(&t, SimDur::micros(5));
-        assert_eq!(p.time_slice(&t, &mut ctx(&mut obs)), SimDur::micros(10));
+        assert_eq!(p.time_slice(&t, &mut ctx(0, 0, &mut obs)), SimDur::micros(10));
         p.task_preempted(&t, SimDur::micros(10));
-        assert_eq!(p.time_slice(&t, &mut ctx(&mut obs)), SimDur::micros(20));
+        assert_eq!(p.time_slice(&t, &mut ctx(0, 0, &mut obs)), SimDur::micros(20));
         // Bottom level: no further demotion.
         p.task_preempted(&t, SimDur::micros(20));
-        assert_eq!(p.time_slice(&t, &mut ctx(&mut obs)), SimDur::micros(20));
+        assert_eq!(p.time_slice(&t, &mut ctx(0, 0, &mut obs)), SimDur::micros(20));
     }
 
     #[test]

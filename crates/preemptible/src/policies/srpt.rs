@@ -8,9 +8,8 @@ use crate::sched::{Dispatch, ResumeSel, SchedCtx, SchedPolicy, TaskView};
 /// SRPT over the parked set: resume whichever preempted task is
 /// closest to finishing. Mean-latency-optimal in theory; only possible
 /// here because the simulation knows true remaining work (a real
-/// system would estimate it). Behaviorally identical to the legacy
-/// [`SrptOracle`](crate::policy::SrptOracle), but expressed through the
-/// generic [`ResumeSel::MinKey`] path instead of a bespoke pool method.
+/// system would estimate it). Expressed through the generic
+/// [`ResumeSel::MinKey`] path, so ties resume the oldest parked task.
 #[derive(Debug, Clone)]
 pub struct Srpt {
     slice: SimDur,
@@ -54,18 +53,10 @@ impl SchedPolicy for Srpt {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lp_sim::SimTime;
 
     fn task(remaining_us: u64) -> TaskView {
-        TaskView {
-            request: remaining_us,
-            fiber: 0,
-            arrived: SimTime::ZERO,
-            remaining: SimDur::micros(remaining_us),
-            total: SimDur::micros(500),
-            preemptions: 1,
-            class: 0,
-        }
+        let remaining = SimDur::micros(remaining_us);
+        TaskView { remaining, ..crate::policies::fixture::task(remaining_us) }
     }
 
     #[test]

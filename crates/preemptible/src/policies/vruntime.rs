@@ -68,19 +68,7 @@ impl SchedPolicy for Vruntime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lp_sim::SimTime;
-
-    fn task(request: u64) -> TaskView {
-        TaskView {
-            request,
-            fiber: 0,
-            arrived: SimTime::ZERO,
-            remaining: SimDur::micros(100),
-            total: SimDur::micros(100),
-            preemptions: 0,
-            class: 0,
-        }
-    }
+    use crate::policies::fixture::task;
 
     #[test]
     fn vruntime_accumulates_and_orders_resumes() {

@@ -831,19 +831,10 @@ impl LibPreemptibleSystem {
             Dispatch::Parked(sel) => {
                 let id = match sel {
                     ResumeSel::Fifo => self.pool.take_parked(),
-                    ResumeSel::Srpt => self.pool.take_parked_srpt(),
                     ResumeSel::MinKey => {
-                        // Smallest policy key wins; `min_by_key` keeps
-                        // the first (oldest) on ties.
                         let policy = &self.policy;
-                        let pos = self
-                            .pool
-                            .iter_parked()
-                            .map(|(id, c)| policy.resume_key(&task_view(id, c)))
-                            .enumerate()
-                            .min_by_key(|&(_, key)| key)
-                            .map(|(pos, _)| pos);
-                        pos.and_then(|p| self.pool.take_parked_at(p))
+                        self.pool
+                            .take_parked_min_by_key(|id, c| policy.resume_key(&task_view(id, c)))
                     }
                 };
                 if let Some(id) = id { self.start_task(worker, id, true, ctx) }
@@ -1582,7 +1573,7 @@ impl Model for LibPreemptibleSystem {
 /// Runs LibPreemptible on the given workload and returns the report.
 ///
 /// ```
-/// use libpreemptible::{run, FcfsPreempt, RuntimeConfig, ServiceSource, WorkloadSpec};
+/// use libpreemptible::{run, Fifo, RuntimeConfig, ServiceSource, WorkloadSpec};
 /// use lp_sim::SimDur;
 /// use lp_workload::{PhasedService, RateSchedule, ServiceDist};
 ///
@@ -1593,7 +1584,7 @@ impl Model for LibPreemptibleSystem {
 ///     duration: SimDur::millis(50),
 ///     warmup: SimDur::millis(5),
 /// };
-/// let report = run(cfg, Box::new(FcfsPreempt::fixed(SimDur::micros(10))), spec);
+/// let report = run(cfg, Box::new(Fifo::new(SimDur::micros(10))), spec);
 /// assert!(report.is_conserved());
 /// assert!(report.completions > 1_000);
 /// ```
@@ -1683,7 +1674,7 @@ pub fn run(cfg: RuntimeConfig, policy: Box<dyn SchedPolicy>, spec: WorkloadSpec)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{FcfsPreempt, NonPreemptive};
+    use crate::policies::Fifo;
     use lp_workload::ServiceDist;
 
     fn spec(rate: f64, ms: u64) -> WorkloadSpec {
@@ -1709,7 +1700,7 @@ mod tests {
         // 4 workers x 5us mean: capacity 800k rps. Offer 100k.
         let r = run(
             small_cfg(PreemptMech::Uintr),
-            Box::new(FcfsPreempt::fixed(SimDur::micros(10))),
+            Box::new(Fifo::new(SimDur::micros(10))),
             spec(100_000.0, 100),
         );
         assert!(r.is_conserved(), "{r:?}");
@@ -1726,7 +1717,7 @@ mod tests {
         let mk = || {
             run(
                 small_cfg(PreemptMech::Uintr),
-                Box::new(FcfsPreempt::fixed(SimDur::micros(10))),
+                Box::new(Fifo::new(SimDur::micros(10))),
                 spec(200_000.0, 50),
             )
         };
@@ -1750,7 +1741,7 @@ mod tests {
         };
         let r = run(
             small_cfg(PreemptMech::Uintr),
-            Box::new(FcfsPreempt::fixed(SimDur::micros(10))),
+            Box::new(Fifo::new(SimDur::micros(10))),
             spec,
         );
         // 100us tasks with a 10us quantum: many preemptions each.
@@ -1767,7 +1758,7 @@ mod tests {
     fn nonpreemptive_never_preempts() {
         let r = run(
             small_cfg(PreemptMech::None),
-            Box::new(NonPreemptive),
+            Box::new(Fifo::new(SimDur::MAX)),
             spec(100_000.0, 50),
         );
         assert_eq!(r.preemptions, 0);
@@ -1787,12 +1778,12 @@ mod tests {
         };
         let pre = run(
             small_cfg(PreemptMech::Uintr),
-            Box::new(FcfsPreempt::fixed(SimDur::micros(5))),
+            Box::new(Fifo::new(SimDur::micros(5))),
             mk_spec(),
         );
         let non = run(
             small_cfg(PreemptMech::None),
-            Box::new(NonPreemptive),
+            Box::new(Fifo::new(SimDur::MAX)),
             mk_spec(),
         );
         assert!(pre.is_conserved() && non.is_conserved());
@@ -1814,12 +1805,12 @@ mod tests {
         };
         let uintr = run(
             small_cfg(PreemptMech::Uintr),
-            Box::new(FcfsPreempt::fixed(SimDur::micros(5))),
+            Box::new(Fifo::new(SimDur::micros(5))),
             mk_spec(),
         );
         let signal = run(
             small_cfg(PreemptMech::TimerCoreSignal),
-            Box::new(FcfsPreempt::fixed(SimDur::micros(5))),
+            Box::new(Fifo::new(SimDur::micros(5))),
             mk_spec(),
         );
         assert!(
@@ -1838,7 +1829,7 @@ mod tests {
                 pool_capacity: 512,
                 ..small_cfg(PreemptMech::Uintr)
             },
-            Box::new(FcfsPreempt::fixed(SimDur::micros(10))),
+            Box::new(Fifo::new(SimDur::micros(10))),
             spec(1_600_000.0, 30),
         );
         assert!(r.is_conserved());
@@ -1860,7 +1851,7 @@ mod tests {
                     faults,
                     ..small_cfg(PreemptMech::Uintr)
                 },
-                Box::new(FcfsPreempt::fixed(SimDur::micros(10))),
+                Box::new(Fifo::new(SimDur::micros(10))),
                 spec(300_000.0, 50),
             )
         };
@@ -1895,7 +1886,7 @@ mod tests {
                 faults: FaultPlan::only(FaultKind::IpiDrop, 1.0),
                 ..small_cfg(PreemptMech::Uintr)
             },
-            Box::new(FcfsPreempt::fixed(SimDur::micros(20))),
+            Box::new(Fifo::new(SimDur::micros(20))),
             spec,
         );
         assert!(r.is_conserved(), "{r:?}");
@@ -1933,7 +1924,7 @@ mod tests {
                 faults: plan,
                 ..small_cfg(PreemptMech::Uintr)
             },
-            Box::new(FcfsPreempt::fixed(SimDur::micros(20))),
+            Box::new(Fifo::new(SimDur::micros(20))),
             spec,
         );
         assert!(r.is_conserved(), "{r:?}");
@@ -1953,7 +1944,7 @@ mod tests {
         // every completion.
         let r = run(
             small_cfg(PreemptMech::Uintr),
-            Box::new(FcfsPreempt::fixed(SimDur::micros(10))),
+            Box::new(Fifo::new(SimDur::micros(10))),
             spec(300_000.0, 50),
         );
         assert_eq!(r.phases.end_to_end.count(), r.completions);
@@ -1983,7 +1974,7 @@ mod tests {
         let mk = |attribution: bool| {
             run(
                 RuntimeConfig { attribution, ..small_cfg(PreemptMech::Uintr) },
-                Box::new(FcfsPreempt::fixed(SimDur::micros(10))),
+                Box::new(Fifo::new(SimDur::micros(10))),
                 spec(300_000.0, 50),
             )
         };
@@ -2005,7 +1996,7 @@ mod tests {
                 trace_capacity: 64,
                 ..small_cfg(PreemptMech::Uintr)
             },
-            Box::new(FcfsPreempt::fixed(SimDur::micros(10))),
+            Box::new(Fifo::new(SimDur::micros(10))),
             spec(300_000.0, 50),
         );
         assert_eq!(r.events.len(), 64);
@@ -2013,7 +2004,7 @@ mod tests {
         // Untraced and generously-traced runs report zero drops.
         let untraced = run(
             small_cfg(PreemptMech::Uintr),
-            Box::new(FcfsPreempt::fixed(SimDur::micros(10))),
+            Box::new(Fifo::new(SimDur::micros(10))),
             spec(300_000.0, 50),
         );
         assert_eq!(untraced.events_dropped, 0);
@@ -2023,7 +2014,7 @@ mod tests {
     fn worker_time_accounting_sums_sanely() {
         let r = run(
             small_cfg(PreemptMech::Uintr),
-            Box::new(FcfsPreempt::fixed(SimDur::micros(10))),
+            Box::new(Fifo::new(SimDur::micros(10))),
             spec(400_000.0, 100),
         );
         for (i, w) in r.per_worker.iter().enumerate() {

@@ -76,7 +76,6 @@ pub mod par;
 mod queue;
 pub mod rng;
 mod time;
-pub mod trace;
 mod wheel;
 
 pub use engine::{Ctx, Model, Simulation};

@@ -337,8 +337,8 @@ impl Event {
 }
 
 impl fmt::Display for Event {
-    /// Human-oriented one-line rendering, used for the legacy string
-    /// [`TraceRing`](crate::trace::TraceRing) view of the typed stream.
+    /// Human-oriented one-line rendering of the event, for logs and
+    /// the `trace_dump` example's filtered life-cycle view.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
             Event::UipiSent { worker, vector } => {

@@ -13,11 +13,9 @@
 //!   never drift from the event stream.
 //!
 //! Event logs export as deterministic JSONL ([`TimedEvent::write_jsonl`]
-//! / [`TimedEvent::parse_jsonl`]) — same seed, same bytes — and render
-//! into the legacy human-readable string
-//! [`TraceRing`] via
-//! [`Observer::render_legacy`]. The full event schema is documented in
-//! `docs/TRACING.md`.
+//! / [`TimedEvent::parse_jsonl`]) — same seed, same bytes — and each
+//! [`Event`] also renders as one human-readable line through `Display`.
+//! The full event schema is documented in `docs/TRACING.md`.
 //!
 //! ```
 //! use lp_sim::obs::{Counter, Event, Observer};
@@ -48,7 +46,6 @@ pub use perfetto::chrome_trace;
 pub use ring::EventRing;
 
 use crate::time::SimTime;
-use crate::trace::TraceRing;
 
 /// The per-run observability hub: a typed event ring, the always-on
 /// metrics registry, and the tail-attribution accountant, all fed
@@ -147,20 +144,6 @@ impl Observer {
         }
         out
     }
-
-    /// Renders the typed stream into the legacy string
-    /// [`TraceRing`] — the human-oriented `dump()` view predating the
-    /// typed schema, kept as a rendering of it.
-    pub fn render_legacy(&self) -> TraceRing {
-        if !self.ring.is_enabled() {
-            return TraceRing::disabled();
-        }
-        let mut ring = TraceRing::new(self.ring.capacity());
-        for te in self.events() {
-            ring.push(te.at, te.ev.to_string());
-        }
-        ring
-    }
 }
 
 #[cfg(test)]
@@ -208,19 +191,5 @@ mod tests {
             .collect();
         let original: Vec<TimedEvent> = o.events().copied().collect();
         assert_eq!(parsed, original);
-    }
-
-    #[test]
-    fn legacy_rendering_matches_stream() {
-        let mut o = Observer::new(4);
-        o.emit(t(1_000), Event::TimerPoll { expired: 1 });
-        o.emit(t(2_000), Event::SpuriousPreempt { worker: 2 });
-        let legacy = o.render_legacy();
-        assert_eq!(legacy.len(), 2);
-        let dump = legacy.dump();
-        assert!(dump.contains("timer core poll: 1 deadline(s) expired"), "{dump}");
-        assert!(dump.contains("spurious preemption at worker 2"), "{dump}");
-        // Disabled observer renders a disabled ring.
-        assert!(!Observer::counters_only().render_legacy().is_enabled());
     }
 }

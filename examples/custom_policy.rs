@@ -16,7 +16,7 @@
 //! example, `policy_placement`, shows the `select_cpu` placement hook.
 
 use libpreemptible::sched::{Dispatch, ResumeSel, SchedCtx, SchedPolicy, TaskView};
-use libpreemptible::{run, FcfsPreempt, RuntimeConfig, ServiceSource, WorkloadSpec};
+use libpreemptible::{run, Fifo, RuntimeConfig, ServiceSource, WorkloadSpec};
 use lp_sim::SimDur;
 use lp_stats::WindowSummary;
 use lp_workload::{PhasedService, RateSchedule, ServiceDist};
@@ -39,7 +39,7 @@ impl SchedPolicy for TailAgingPolicy {
         if ctx.runnable > 0 {
             Dispatch::New
         } else if ctx.parked > 0 {
-            Dispatch::Parked(ResumeSel::Srpt)
+            Dispatch::Parked(ResumeSel::MinKey)
         } else {
             Dispatch::Idle
         }
@@ -47,6 +47,11 @@ impl SchedPolicy for TailAgingPolicy {
 
     fn time_slice(&mut self, _task: &TaskView, _ctx: &mut SchedCtx<'_>) -> SimDur {
         self.quantum
+    }
+
+    fn resume_key(&self, task: &TaskView) -> u64 {
+        // MinKey resumes the smallest key: least remaining work first.
+        task.remaining.as_nanos()
     }
 
     fn quantum_hint(&self, _class: u8) -> SimDur {
@@ -79,7 +84,7 @@ fn main() {
     };
 
     let custom = run(cfg(), Box::new(TailAgingPolicy { quantum: SimDur::micros(50) }), spec());
-    let fcfs = run(cfg(), Box::new(FcfsPreempt::fixed(SimDur::micros(25))), spec());
+    let fcfs = run(cfg(), Box::new(Fifo::new(SimDur::micros(25))), spec());
 
     println!("workload A2 at {:.0} kRPS, 4 workers\n", rate / 1_000.0);
     for r in [&fcfs, &custom] {

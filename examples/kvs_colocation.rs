@@ -11,7 +11,9 @@
 //! reproducing the trade-off of Fig. 14 from library-user code.
 
 use libpreemptible::adaptive::{AdaptiveConfig, QuantumController};
-use libpreemptible::{run, FcfsPreempt, RuntimeConfig, ServiceSource, WorkloadSpec};
+use libpreemptible::{
+    run, AdaptiveQuantum, Fifo, RuntimeConfig, SchedPolicy, ServiceSource, WorkloadSpec,
+};
 use lp_sim::SimDur;
 use lp_workload::{ColocatedWorkload, RateSchedule};
 
@@ -45,7 +47,7 @@ fn main() {
         a.period = control;
         a.t_min = SimDur::micros(10);
         a.t_max = SimDur::micros(50);
-        FcfsPreempt::adaptive(QuantumController::new(a, SimDur::micros(50)))
+        Box::new(AdaptiveQuantum::new(QuantumController::new(a, SimDur::micros(50))))
     };
 
     println!("MICA (98% LC) + zlib (2% BE), bursty 40->110 kRPS, 1 worker\n");
@@ -53,13 +55,14 @@ fn main() {
         "{:<22} {:>13} {:>12} {:>13} {:>14}",
         "policy", "LC mean (us)", "LC p99 (us)", "BE p99 (us)", "final quantum"
     );
-    for (label, policy) in [
-        ("no preemption", FcfsPreempt::fixed(SimDur::MAX)),
-        ("fixed 50us", FcfsPreempt::fixed(SimDur::micros(50))),
-        ("fixed 10us", FcfsPreempt::fixed(SimDur::micros(10))),
+    let policies: [(&str, Box<dyn SchedPolicy>); 4] = [
+        ("no preemption", Box::new(Fifo::new(SimDur::MAX))),
+        ("fixed 50us", Box::new(Fifo::new(SimDur::micros(50)))),
+        ("fixed 10us", Box::new(Fifo::new(SimDur::micros(10)))),
         ("adaptive 10-50us", adaptive),
-    ] {
-        let r = run(cfg(), Box::new(policy), spec());
+    ];
+    for (label, policy) in policies {
+        let r = run(cfg(), policy, spec());
         assert!(r.is_conserved());
         let lc = r.class_latency(0);
         let be = r.class_latency(1);

@@ -95,7 +95,7 @@ fn colocated(policy: Box<dyn SchedPolicy>) -> RunReport {
 
 fn main() {
     let pinned = colocated(Box::new(BePinned { slice: SimDur::micros(10) }));
-    let jsq = colocated(Box::new(libpreemptible::FcfsPreempt::fixed(SimDur::micros(10))));
+    let jsq = colocated(Box::new(libpreemptible::Fifo::new(SimDur::micros(10))));
 
     let explicit = pinned
         .events

@@ -10,9 +10,7 @@
 //! take 500 us), first without preemption, then with a 5 us quantum,
 //! and prints both latency profiles.
 
-use libpreemptible::{
-    run, FcfsPreempt, NonPreemptive, PreemptMech, RuntimeConfig, ServiceSource, WorkloadSpec,
-};
+use libpreemptible::{run, Fifo, PreemptMech, RuntimeConfig, ServiceSource, WorkloadSpec};
 use lp_sim::SimDur;
 use lp_workload::{PhasedService, RateSchedule, ServiceDist};
 
@@ -34,12 +32,12 @@ fn main() {
             mech: PreemptMech::None,
             ..RuntimeConfig::default()
         },
-        Box::new(NonPreemptive),
+        Box::new(Fifo::new(SimDur::MAX)),
         spec(),
     );
     let preemptive = run(
         RuntimeConfig::default(),
-        Box::new(FcfsPreempt::fixed(SimDur::micros(5))),
+        Box::new(Fifo::new(SimDur::micros(5))),
         spec(),
     );
 

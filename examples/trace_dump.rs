@@ -1,6 +1,6 @@
 //! Trace dump: capture the typed cross-layer event trace of a short
-//! run and print it three ways — raw JSONL, the legacy human-readable
-//! rendering, and the metrics registry snapshot.
+//! run and print it three ways — raw JSONL, each event's human-readable
+//! `Display` line, and the metrics registry snapshot.
 //!
 //! ```text
 //! cargo run --release --example trace_dump
@@ -10,7 +10,7 @@
 //! enabled by setting [`RuntimeConfig::trace_capacity`]; the metrics
 //! counters are collected on every run regardless.
 
-use libpreemptible::{run, FcfsPreempt, RuntimeConfig, ServiceSource, WorkloadSpec};
+use libpreemptible::{run, Fifo, RuntimeConfig, ServiceSource, WorkloadSpec};
 use lp_sim::obs::{Event, TimedEvent};
 use lp_sim::SimDur;
 use lp_workload::{PhasedService, RateSchedule, ServiceDist};
@@ -32,7 +32,7 @@ fn main() {
         trace_capacity: 4096,
         ..RuntimeConfig::default()
     };
-    let report = run(cfg, Box::new(FcfsPreempt::fixed(SimDur::micros(10))), spec);
+    let report = run(cfg, Box::new(Fifo::new(SimDur::micros(10))), spec);
 
     println!("== events (JSONL, one per line) ==");
     let jsonl = report.events_jsonl();

@@ -14,7 +14,7 @@
 
 use libpreemptible::adaptive::{AdaptiveConfig, QuantumController};
 use libpreemptible::{
-    run, FcfsPreempt, NonPreemptive, PreemptMech, RuntimeConfig, ServiceSource, WorkloadSpec,
+    run, AdaptiveQuantum, Fifo, PreemptMech, RuntimeConfig, ServiceSource, WorkloadSpec,
 };
 use lp_sim::SimDur;
 use lp_workload::{EmpiricalDist, PhasedService, RateSchedule, ServiceDist};
@@ -72,7 +72,7 @@ fn main() {
             mech: PreemptMech::None,
             ..RuntimeConfig::default()
         },
-        Box::new(NonPreemptive),
+        Box::new(Fifo::new(SimDur::MAX)),
         spec(),
     );
     let adaptive = {
@@ -84,7 +84,7 @@ fn main() {
                 control_period: SimDur::millis(5),
                 ..RuntimeConfig::default()
             },
-            Box::new(FcfsPreempt::adaptive(QuantumController::new(
+            Box::new(AdaptiveQuantum::new(QuantumController::new(
                 cfg,
                 SimDur::micros(20),
             ))),

@@ -13,7 +13,7 @@
 
 use libpreemptible::retry::{Backoff, Tier};
 use libpreemptible::runtime::{run, AdmissionConfig, RuntimeConfig};
-use libpreemptible::{FcfsPreempt, RunReport};
+use libpreemptible::{Fifo, RunReport};
 use lp_chaos::{corpus, evaluate, runtime_config, CorpusEntry};
 use lp_sim::obs::Event;
 use lp_sim::SimDur;
@@ -120,7 +120,7 @@ fn corpus_plans_drive_legal_tier_transitions() {
         let workers = cfg.workers;
         let r = run(
             cfg,
-            Box::new(FcfsPreempt::fixed(SimDur::micros(entry.cfg.quantum_us))),
+            Box::new(Fifo::new(SimDur::micros(entry.cfg.quantum_us))),
             spec,
         );
         assert!(r.is_conserved(), "{}: stranded fibers", entry.name);
@@ -193,7 +193,7 @@ fn healthy_run(admission: AdmissionConfig) -> RunReport {
             admission,
             ..RuntimeConfig::default()
         },
-        Box::new(FcfsPreempt::fixed(SimDur::micros(20))),
+        Box::new(Fifo::new(SimDur::micros(20))),
         WorkloadSpec {
             source: ServiceSource::Phased(PhasedService::constant(ServiceDist::Constant(
                 SimDur::micros(400),

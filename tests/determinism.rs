@@ -9,18 +9,21 @@
 //! parallel measurements) are read.
 //!
 //! The Fig. 8 grid is computed once per job count and shared by the
-//! sweep and max-throughput tests. Both are also pinned across
-//! commits: the FNV-1a-64 digests and lengths of the quick-scale
-//! `fig8_sweep.csv` and `fig8_max.csv` at [`SEED`] are constants here,
-//! so a change that moves a single byte of the headline figure fails
-//! until the constants are updated on purpose.
+//! sweep and max-throughput tests. Every quick-scale CSV of the `all`
+//! run list is also pinned across commits: the FNV-1a-64 digests and
+//! lengths of `fig8_sweep.csv` and `fig8_max.csv` at [`SEED`] are
+//! constants in the Fig. 8 tests, and the other thirteen CSVs are
+//! constants in [`QUICK_ALL_PINS`], checked by one run of
+//! `runner::all_artifacts()` minus `fig8` at `LP_JOBS=2`. A change that
+//! moves a single byte of any reproduced figure fails until the
+//! constants are updated on purpose.
 //!
 //! `runner::with_jobs` pins the job count per call, so these tests are
 //! independent of the environment and of each other.
 
 use std::sync::OnceLock;
 
-use lp_experiments::runner::with_jobs;
+use lp_experiments::runner::{self, with_jobs};
 use lp_experiments::{fig2, fig8, Scale};
 
 const SEED: u64 = 2024;
@@ -106,4 +109,38 @@ fn fig8_max_throughput_reduction_is_byte_identical_across_job_counts() {
         (0xf5fa_6797_4eb8_6c14, 409),
         "fig8_max.csv digest moved"
     );
+}
+
+/// `(file, FNV-1a-64, byte length)` of every quick-scale CSV that
+/// `runner::all_artifacts()` saves besides the two Fig. 8 files, at
+/// [`SEED`].
+const QUICK_ALL_PINS: [(&str, u64, usize); 13] = [
+    ("table1.csv", 0x85d1_9023_0921_f036, 229),
+    ("fig1_left.csv", 0x9d89_7cf8_3d6d_0845, 119),
+    ("fig1_right.csv", 0x7f9e_d5ab_42b4_a2d7, 191),
+    ("fig2.csv", 0xc96e_4984_edb9_8400, 460),
+    ("fig9.csv", 0xe80a_2015_4db3_41ae, 145),
+    ("fig9_trace.csv", 0x028b_5ee6_0184_d3a1, 333),
+    ("fig10.csv", 0x72d4_e0e5_245a_8b83, 152),
+    ("table4.csv", 0x9451_b134_3fe6_e130, 255),
+    ("fig11.csv", 0xe203_4f0a_bb60_38e0, 913),
+    ("fig12.csv", 0x944d_88fc_4ff2_1af6, 184),
+    ("fig13_left.csv", 0x0a7e_5a04_2379_cf70, 214),
+    ("fig13_right.csv", 0x4e5f_8bcb_ed63_ec92, 164),
+    ("fig14.csv", 0x76a4_b607_70f8_6d7a, 159),
+];
+
+#[test]
+fn quick_all_csvs_are_pinned_across_commits() {
+    let artifacts: Vec<_> = runner::all_artifacts()
+        .into_iter()
+        .filter(|a| a.name != "fig8")
+        .collect();
+    let outputs = with_jobs(2, || runner::run_artifacts(&artifacts, Scale::Quick, SEED));
+    let got: Vec<(&str, u64, usize)> = outputs
+        .iter()
+        .flat_map(|(_, out)| &out.csvs)
+        .map(|(file, csv)| (*file, fnv1a64(csv.as_bytes()), csv.len()))
+        .collect();
+    assert_eq!(got, QUICK_ALL_PINS, "a quick-scale `all` CSV digest moved");
 }

@@ -9,7 +9,7 @@
 //! and (c) with faults disabled, be byte-identical to a run that never
 //! heard of fault injection.
 
-use libpreemptible::{run, FcfsPreempt, PreemptMech, RunReport, RuntimeConfig, ServiceSource, WorkloadSpec};
+use libpreemptible::{run, Fifo, PreemptMech, RunReport, RuntimeConfig, ServiceSource, WorkloadSpec};
 use lp_sim::fault::{FaultKind, FaultPlan};
 use lp_sim::obs::Event;
 use lp_sim::SimDur;
@@ -41,7 +41,7 @@ fn faulty_run(mech: PreemptMech, faults: FaultPlan) -> RunReport {
             faults,
             ..RuntimeConfig::default()
         },
-        Box::new(FcfsPreempt::fixed(SimDur::micros(20))),
+        Box::new(Fifo::new(SimDur::micros(20))),
         preempt_heavy_spec(60),
     )
 }

@@ -10,9 +10,7 @@
 //!    same increments by construction, not a parallel bookkeeping;
 //! 3. the JSONL export is lossless and byte-deterministic per seed.
 
-use libpreemptible::{
-    run, FcfsPreempt, PreemptMech, RunReport, RuntimeConfig, ServiceSource, WorkloadSpec,
-};
+use libpreemptible::{run, Fifo, PreemptMech, RunReport, RuntimeConfig, ServiceSource, WorkloadSpec};
 use lp_hw::TimeClass;
 use lp_sim::obs::{Event, TimedEvent};
 use lp_sim::SimDur;
@@ -41,7 +39,7 @@ fn traced_cfg(mech: PreemptMech) -> RuntimeConfig {
 fn traced_run(mech: PreemptMech) -> RunReport {
     run(
         traced_cfg(mech),
-        Box::new(FcfsPreempt::fixed(SimDur::micros(10))),
+        Box::new(Fifo::new(SimDur::micros(10))),
         preempt_heavy_spec(),
     )
 }
@@ -223,7 +221,7 @@ fn jsonl_round_trips_and_is_deterministic() {
             seed: 7,
             ..traced_cfg(PreemptMech::Uintr)
         },
-        Box::new(FcfsPreempt::fixed(SimDur::micros(10))),
+        Box::new(Fifo::new(SimDur::micros(10))),
         preempt_heavy_spec(),
     );
     assert_ne!(ja, c.events_jsonl());
@@ -236,7 +234,7 @@ fn tracing_disabled_still_counts() {
             trace_capacity: 0,
             ..traced_cfg(PreemptMech::Uintr)
         },
-        Box::new(FcfsPreempt::fixed(SimDur::micros(10))),
+        Box::new(Fifo::new(SimDur::micros(10))),
         preempt_heavy_spec(),
     );
     assert!(r.events.is_empty());
@@ -257,7 +255,7 @@ fn trace_does_not_change_the_schedule() {
             trace_capacity: 0,
             ..traced_cfg(PreemptMech::Uintr)
         },
-        Box::new(FcfsPreempt::fixed(SimDur::micros(10))),
+        Box::new(Fifo::new(SimDur::micros(10))),
         preempt_heavy_spec(),
     );
     assert_eq!(traced.arrivals, untraced.arrivals);

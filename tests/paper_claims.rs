@@ -4,7 +4,7 @@
 
 use libpreemptible::adaptive::{AdaptiveConfig, QuantumController};
 use libpreemptible::{
-    run, FcfsPreempt, NonPreemptive, PreemptMech, RuntimeConfig, ServiceSource, WorkloadSpec,
+    run, AdaptiveQuantum, Fifo, PreemptMech, RuntimeConfig, ServiceSource, WorkloadSpec,
 };
 use lp_baselines::{run_shinjuku, ShinjukuConfig};
 use lp_sim::SimDur;
@@ -31,7 +31,7 @@ fn libpreemptible_tail_beats_shinjuku_under_high_load() {
             control_period: SimDur::millis(5),
             ..RuntimeConfig::default()
         },
-        Box::new(FcfsPreempt::adaptive(QuantumController::new(
+        Box::new(AdaptiveQuantum::new(QuantumController::new(
             {
                 let mut a = AdaptiveConfig::paper_defaults(dist.rate_for_utilization(1.0, 4));
                 a.period = SimDur::millis(5);
@@ -77,7 +77,7 @@ fn no_uintr_ablation_degrades_tail() {
                 mech,
                 ..RuntimeConfig::default()
             },
-            Box::new(FcfsPreempt::fixed(SimDur::micros(5))),
+            Box::new(Fifo::new(SimDur::micros(5))),
             spec(dist.clone(), rate, 120),
         )
     };
@@ -103,7 +103,7 @@ fn end_to_end_determinism() {
                 seed,
                 ..RuntimeConfig::default()
             },
-            Box::new(FcfsPreempt::fixed(SimDur::micros(10))),
+            Box::new(Fifo::new(SimDur::micros(10))),
             spec(dist.clone(), rate, 60),
         )
     };
@@ -135,9 +135,9 @@ fn request_conservation_everywhere() {
         ] {
             let rate = dist.rate_for_utilization(rho, 4);
             let policy: Box<dyn libpreemptible::SchedPolicy> = if mech == PreemptMech::None {
-                Box::new(NonPreemptive)
+                Box::new(Fifo::new(SimDur::MAX))
             } else {
-                Box::new(FcfsPreempt::fixed(SimDur::micros(10)))
+                Box::new(Fifo::new(SimDur::micros(10)))
             };
             let r = run(
                 RuntimeConfig {
@@ -178,7 +178,7 @@ fn three_microsecond_quantum_functions() {
             workers: 4,
             ..RuntimeConfig::default()
         },
-        Box::new(FcfsPreempt::fixed(SimDur::micros(3))),
+        Box::new(Fifo::new(SimDur::micros(3))),
         spec(dist.clone(), dist.rate_for_utilization(0.6, 4), 60),
     );
     assert!(r.is_conserved());
@@ -202,7 +202,7 @@ fn controller_tracks_workload_character() {
                 control_period: SimDur::millis(2),
                 ..RuntimeConfig::default()
             },
-            Box::new(FcfsPreempt::adaptive(QuantumController::new(
+            Box::new(AdaptiveQuantum::new(QuantumController::new(
                 a,
                 SimDur::micros(20),
             ))),

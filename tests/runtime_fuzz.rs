@@ -2,7 +2,7 @@
 //! and workloads must always conserve requests, stay deterministic,
 //! and keep accounting sane.
 
-use libpreemptible::policy::{FcfsPreempt, NonPreemptive, RoundRobin, SrptOracle};
+use libpreemptible::policies::{Fifo, RoundRobin, Srpt};
 use libpreemptible::sched::SchedPolicy;
 use libpreemptible::{run, PreemptMech, RuntimeConfig, ServiceSource, WorkloadSpec};
 use lp_hw::TimeClass;
@@ -59,13 +59,13 @@ fn build(case: &FuzzCase) -> (RuntimeConfig, Box<dyn SchedPolicy>, WorkloadSpec)
     };
     let q = SimDur::micros(case.quantum_us);
     let policy: Box<dyn SchedPolicy> = if mech == PreemptMech::None {
-        Box::new(NonPreemptive)
+        Box::new(Fifo::new(SimDur::MAX))
     } else {
         match case.policy {
-            0 => Box::new(FcfsPreempt::fixed(q)),
-            1 => Box::new(RoundRobin::fixed(q)),
-            2 => Box::new(SrptOracle::fixed(q)),
-            _ => Box::new(NonPreemptive),
+            0 => Box::new(Fifo::new(q)),
+            1 => Box::new(RoundRobin::new(q)),
+            2 => Box::new(Srpt::new(q)),
+            _ => Box::new(Fifo::new(SimDur::MAX)),
         }
     };
     let dist = match case.dist {
