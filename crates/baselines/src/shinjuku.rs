@@ -22,15 +22,14 @@
 use std::collections::VecDeque;
 
 use lp_hw::{CoreClock, HwCosts, TimeClass};
-use lp_sim::obs::{Event, Observer};
+use lp_sim::obs::Event;
 use lp_sim::rng::{rng, streams};
 use lp_sim::{Ctx, EventId, Model, SimDur, SimTime, Simulation};
-use lp_stats::{Histogram, TimeSeries, WindowStats};
 use lp_workload::ArrivalGen;
 use rand::rngs::SmallRng;
 
-use libpreemptible::report::RunReport;
-use libpreemptible::runtime::{ServiceSource, WorkloadSpec};
+use libpreemptible::report::{Ledger, RunEnd, RunReport};
+use libpreemptible::runtime::WorkloadSpec;
 
 /// Shinjuku configuration.
 #[derive(Debug, Clone)]
@@ -41,32 +40,13 @@ pub struct ShinjukuConfig {
     /// The static preemption quantum; [`SimDur::MAX`] disables
     /// preemption.
     pub quantum: SimDur,
-    /// Hardware cost model.
-    pub hw: HwCosts,
-    /// Dispatcher loop iteration time (how often it checks quanta and
-    /// idle workers).
-    pub loop_granularity: SimDur,
-    /// Dispatcher cost to hand one request to a worker.
-    pub dispatch_cost: SimDur,
-    /// Receiver-side cost of taking a posted IPI and trampolining back
-    /// to the dispatcher-provided context (Shinjuku's interposition
-    /// layer).
-    pub preempt_receiver_cost: SimDur,
     /// Master seed.
     pub seed: u64,
-    /// Bound on queued requests (beyond it arrivals drop, modeling
-    /// finite rings).
-    pub queue_capacity: usize,
-    /// Record time series at this frame width.
-    pub series_frame: Option<SimDur>,
     /// Keep the last N typed trace events (0 disables the ring; see
     /// `docs/TRACING.md`). The baseline emits the same lifecycle
     /// vocabulary as the runtime so traces and attribution compare
     /// apples to apples.
     pub trace_capacity: usize,
-    /// Tail attribution (see [`RunReport::phases`]); always-on, the
-    /// off switch exists only for overhead measurement.
-    pub attribution: bool,
 }
 
 impl Default for ShinjukuConfig {
@@ -74,20 +54,29 @@ impl Default for ShinjukuConfig {
         ShinjukuConfig {
             workers: 5,
             quantum: SimDur::micros(5),
-            hw: HwCosts::default(),
-            loop_granularity: SimDur::nanos(120),
-            dispatch_cost: SimDur::nanos(220),
-            // The Shinjuku paper reports ~2 us end-to-end per preemption
-            // (interrupt entry + interposition trampoline).
-            preempt_receiver_cost: SimDur::nanos(1_800),
             seed: 1,
-            queue_capacity: 65_536,
-            series_frame: None,
             trace_capacity: 0,
-            attribution: true,
         }
     }
 }
+
+/// Dispatcher loop iteration time (how often it checks quanta and idle
+/// workers).
+const LOOP_GRANULARITY: SimDur = SimDur::nanos(120);
+/// Dispatcher cost to hand one request to a worker.
+const DISPATCH_COST: SimDur = SimDur::nanos(220);
+/// Receiver-side cost of taking a posted IPI and trampolining back to
+/// the dispatcher-provided context (Shinjuku's interposition layer).
+/// The Shinjuku paper reports ~2 us end-to-end per preemption
+/// (interrupt entry + interposition trampoline).
+const PREEMPT_RECEIVER_COST: SimDur = SimDur::nanos(1_800);
+/// Bound on queued requests (beyond it arrivals drop, modeling finite
+/// rings).
+const QUEUE_CAPACITY: usize = 65_536;
+/// Time-series frame width: the baseline records no series.
+const SERIES_FRAME: Option<SimDur> = None;
+/// Tail attribution (see [`RunReport::phases`]) is always on.
+const ATTRIBUTION: bool = true;
 
 #[derive(Debug)]
 enum Ev {
@@ -124,7 +113,8 @@ enum WState {
         task: Task,
         started: SimTime,
         finish_ev: EventId,
-        check_ev: EventId,
+        /// The dispatcher's quantum check; `None` without preemption.
+        check_ev: Option<EventId>,
     },
 }
 
@@ -136,6 +126,8 @@ struct Worker {
 
 struct ShinjukuSystem {
     cfg: ShinjukuConfig,
+    /// Hardware cost model.
+    hw: HwCosts,
     spec: WorkloadSpec,
     queue: VecDeque<Task>,
     workers: Vec<Worker>,
@@ -146,18 +138,9 @@ struct ShinjukuSystem {
     hw_rng: SmallRng,
     assign_pending: bool,
 
-    /// Same cross-layer event/metrics/attribution hub as the runtime.
-    obs: Observer,
-
-    arrivals: u64,
-    completions: u64,
-    dropped: u64,
-    preemptions: u64,
-    spurious: u64,
-    window: WindowStats,
-    latency: Histogram,
-    latency_by_class: Vec<Histogram>,
-    latency_series: Vec<TimeSeries>,
+    /// Same request ledger and event/metrics/attribution hub as the
+    /// runtime.
+    ledger: Ledger,
 }
 
 impl ShinjukuSystem {
@@ -169,10 +152,15 @@ impl ShinjukuSystem {
                 clock: CoreClock::new(),
             })
             .collect();
-        let mut obs = Observer::new(cfg.trace_capacity);
-        obs.set_attribution_enabled(cfg.attribution);
         ShinjukuSystem {
-            obs,
+            ledger: Ledger::new(
+                cfg.trace_capacity,
+                ATTRIBUTION,
+                spec.warmup,
+                SERIES_FRAME,
+                None,
+            ),
+            hw: HwCosts::default(),
             arrivals_gen: ArrivalGen::new(spec.arrivals.clone(), rng(cfg.seed, streams::ARRIVALS)),
             service_rng: rng(cfg.seed, streams::SERVICE),
             hw_rng: rng(cfg.seed, streams::HW_JITTER),
@@ -181,25 +169,13 @@ impl ShinjukuSystem {
             dispatcher: CoreClock::new(),
             dispatcher_free_at: SimTime::ZERO,
             assign_pending: false,
-            arrivals: 0,
-            completions: 0,
-            dropped: 0,
-            preemptions: 0,
-            spurious: 0,
-            window: WindowStats::new(),
-            latency: Histogram::new(),
-            latency_by_class: (0..2).map(|_| Histogram::new()).collect(),
-            latency_series: match cfg.series_frame {
-                Some(f) => (0..2).map(|_| TimeSeries::new(f.as_nanos())).collect(),
-                None => vec![],
-            },
             cfg,
             spec,
         }
     }
 
     fn jitter(&mut self, base: SimDur) -> SimDur {
-        lp_hw::jitter::sample(&mut self.hw_rng, base, self.cfg.hw.jitter_sigma)
+        lp_hw::jitter::sample(&mut self.hw_rng, base, self.hw.jitter_sigma)
     }
 
     /// Schedules an Assign if work and an idle worker exist and none is
@@ -212,28 +188,11 @@ impl ShinjukuSystem {
             self.assign_pending = true;
             // The dispatcher notices at its loop granularity and
             // serializes on its own core.
-            let notice = ctx.now() + self.jitter(self.cfg.loop_granularity);
+            let notice = ctx.now() + self.jitter(LOOP_GRANULARITY);
             let start = self.dispatcher_free_at.max(notice);
-            self.dispatcher_free_at = start + self.cfg.dispatch_cost;
-            self.dispatcher
-                .charge(TimeClass::Dispatch, self.cfg.dispatch_cost);
+            self.dispatcher_free_at = start + DISPATCH_COST;
+            self.dispatcher.charge(TimeClass::Dispatch, DISPATCH_COST);
             ctx.at(self.dispatcher_free_at, Ev::Assign);
-        }
-    }
-
-    fn record_completion(&mut self, arrived: SimTime, class: u8, now: SimTime) {
-        self.completions += 1;
-        self.window.on_completion(now.since(arrived).as_nanos());
-        if arrived < SimTime::ZERO + self.spec.warmup {
-            return;
-        }
-        let lat = now.since(arrived);
-        self.latency.record(lat.as_nanos());
-        if let Some(h) = self.latency_by_class.get_mut(class as usize) {
-            h.record(lat.as_nanos());
-        }
-        if let Some(ts) = self.latency_series.get_mut(class as usize) {
-            ts.record(now.as_nanos(), lat.as_micros_f64());
         }
     }
 
@@ -241,8 +200,8 @@ impl ShinjukuSystem {
         let now = ctx.now();
         // Handoff: worker observes the assignment (cacheline transfer)
         // and switches onto the request context.
-        let start = now + self.cfg.hw.fcontext_switch;
-        self.obs.emit(
+        let start = now + self.hw.fcontext_switch;
+        self.ledger.obs.emit(
             now,
             Event::SwitchBegin {
                 worker: worker as u16,
@@ -250,7 +209,7 @@ impl ShinjukuSystem {
                 resumed: task.preempted,
             },
         );
-        self.obs.emit(
+        self.ledger.obs.emit(
             start,
             Event::TaskStart {
                 worker: worker as u16,
@@ -263,21 +222,17 @@ impl ShinjukuSystem {
         let seq = self.workers[worker].seq;
         let finish_ev = ctx.at(start + task.remaining, Ev::Finish { worker, seq });
         // The dispatcher will notice quantum expiry at loop granularity.
-        let check_ev = if self.cfg.quantum != SimDur::MAX {
-            let poll = self.cfg.loop_granularity.as_nanos().max(1);
+        let check_ev = (self.cfg.quantum != SimDur::MAX).then(|| {
+            let poll = LOOP_GRANULARITY.as_nanos().max(1);
             let expiry = (start + self.cfg.quantum).as_nanos().div_ceil(poll) * poll;
             ctx.at(
                 SimTime::from_nanos(expiry),
                 Ev::QuantumCheck { worker, seq },
             )
-        } else {
-            // Dummy id: schedule nothing by reusing finish (never
-            // cancelled separately). Use a no-op far-future event.
-            finish_ev
-        };
+        });
         self.workers[worker]
             .clock
-            .charge(TimeClass::Dispatch, self.cfg.hw.fcontext_switch);
+            .charge(TimeClass::Dispatch, self.hw.fcontext_switch);
         self.workers[worker].state = WState::Running {
             task,
             started: start,
@@ -294,31 +249,16 @@ impl Model for ShinjukuSystem {
         match ev {
             Ev::Arrival => {
                 let now = ctx.now();
-                self.arrivals += 1;
-                self.window.on_arrival();
-                let (class, service) = match &self.spec.source {
-                    ServiceSource::Phased(p) => (0u8, p.sample(now, &mut self.service_rng)),
-                    ServiceSource::Colocated(c) => {
-                        let (cl, s) = c.sample(&mut self.service_rng);
-                        (
-                            match cl {
-                                lp_workload::JobClass::LatencyCritical => 0,
-                                lp_workload::JobClass::BestEffort => 1,
-                            },
-                            s,
-                        )
-                    }
-                };
-                self.obs.emit(now, Event::Arrival { class });
-                if self.queue.len() >= self.cfg.queue_capacity {
-                    self.dropped += 1;
-                    self.obs.emit(now, Event::Drop { class });
+                let (class, service) = self.spec.source.sample(now, &mut self.service_rng);
+                self.ledger.arrived(now, class);
+                if self.queue.len() >= QUEUE_CAPACITY {
+                    self.ledger.dropped(now, class);
                 } else {
                     self.queue.push_back(Task {
                         arrived: now,
                         remaining: service,
                         class,
-                        fiber: (self.arrivals - 1).min(u64::from(u32::MAX)) as u32,
+                        fiber: (self.ledger.arrivals() - 1).min(u64::from(u32::MAX)) as u32,
                         preempted: false,
                     });
                     self.kick_dispatcher(ctx);
@@ -363,20 +303,15 @@ impl Model for ShinjukuSystem {
                     return;
                 };
                 let now = ctx.now();
-                ctx.cancel(check_ev);
+                if let Some(ev) = check_ev {
+                    ctx.cancel(ev);
+                }
                 self.workers[worker]
                     .clock
                     .charge(TimeClass::Work, now.saturating_since(started));
                 self.workers[worker].seq += 1;
-                self.obs.emit(
-                    now,
-                    Event::TaskFinish {
-                        worker: worker as u16,
-                        fiber: task.fiber,
-                        latency_ns: now.since(task.arrived).as_nanos(),
-                    },
-                );
-                self.record_completion(task.arrived, task.class, now);
+                self.ledger
+                    .finished(now, worker as u16, task.fiber, task.arrived, task.class);
                 self.kick_dispatcher(ctx);
             }
             Ev::QuantumCheck { worker, seq } => {
@@ -385,17 +320,16 @@ impl Model for ShinjukuSystem {
                 }
                 // The dispatcher observed an overrun: send the posted
                 // IPI from the dispatcher core.
-                let icr = self.jitter(self.cfg.hw.apic_icr_write);
+                let icr = self.jitter(self.hw.apic_icr_write);
                 self.dispatcher.charge(TimeClass::Preemption, icr);
-                let delivery = self.jitter(self.cfg.hw.ipi_delivery);
+                let delivery = self.jitter(self.hw.ipi_delivery);
                 ctx.at(ctx.now() + icr + delivery, Ev::PreemptArrive { worker, seq });
             }
             Ev::PreemptArrive { worker, seq } => {
                 let now = ctx.now();
-                let recv = self.cfg.preempt_receiver_cost + self.cfg.hw.fcontext_switch;
+                let recv = PREEMPT_RECEIVER_COST + self.hw.fcontext_switch;
                 if self.workers[worker].seq != seq {
-                    self.spurious += 1;
-                    self.obs.emit(now, Event::SpuriousPreempt { worker: worker as u16 });
+                    self.ledger.spurious(now, worker as u16);
                     self.workers[worker].clock.charge(TimeClass::Preemption, recv);
                     return;
                 }
@@ -420,26 +354,12 @@ impl Model for ShinjukuSystem {
                 task.remaining = task.remaining.saturating_sub(executed);
                 if task.remaining.is_zero() {
                     // The IPI raced completion: treat as completed.
-                    self.obs.emit(
-                        now,
-                        Event::TaskFinish {
-                            worker: worker as u16,
-                            fiber: task.fiber,
-                            latency_ns: now.since(task.arrived).as_nanos(),
-                        },
-                    );
-                    self.record_completion(task.arrived, task.class, now);
+                    self.ledger
+                        .finished(now, worker as u16, task.fiber, task.arrived, task.class);
                 } else {
-                    task.remaining += self.cfg.hw.switch_pollution;
-                    self.preemptions += 1;
-                    self.obs.emit(
-                        now,
-                        Event::Preempt {
-                            worker: worker as u16,
-                            fiber: task.fiber,
-                            ran_ns: executed.as_nanos(),
-                        },
-                    );
+                    task.remaining += self.hw.switch_pollution;
+                    self.ledger
+                        .preempted(now, worker as u16, task.fiber, executed);
                     task.preempted = true;
                     // cFCFS: preempted work re-enters at the tail.
                     self.queue.push_back(task);
@@ -493,61 +413,35 @@ pub fn run_shinjuku(cfg: ShinjukuConfig, spec: WorkloadSpec) -> RunReport {
     let mut sim = Simulation::with_capacity(model, queue_hint);
     sim.schedule_at(SimTime::ZERO, Ev::Arrival);
     sim.run_until(SimTime::ZERO + duration);
-    let mut m = sim.into_model();
-    let per_worker: Vec<CoreClock> = m.workers.iter().map(|w| w.clock.clone()).collect();
-    let mut cores = CoreClock::new();
-    for w in &per_worker {
-        cores.merge(w);
-    }
-    cores.merge(&m.dispatcher);
-    let in_flight = m.queue.len() as u64
-        + m.workers
-            .iter()
-            .filter(|w| matches!(w.state, WState::Running { .. }))
-            .count() as u64;
-    let end = SimTime::ZERO + duration;
-    let oldest_inflight_ns = m
-        .queue
+    let m = sim.into_model();
+    let running: Vec<SimTime> = m
+        .workers
         .iter()
-        .map(|t| t.arrived)
-        .chain(m.workers.iter().filter_map(|w| match &w.state {
+        .filter_map(|w| match &w.state {
             WState::Running { task, .. } => Some(task.arrived),
             _ => None,
-        }))
-        .map(|t| end.saturating_since(t).as_nanos())
-        .max()
-        .unwrap_or(0);
-    RunReport {
+        })
+        .collect();
+    let end = RunEnd {
         system: name,
         offered_rps: offered,
         duration,
-        arrivals: m.arrivals,
-        completions: m.completions,
-        dropped: m.dropped,
-        in_flight,
-        oldest_inflight_ns,
-        latency: m.latency,
-        latency_by_class: m.latency_by_class,
-        preemptions: m.preemptions,
-        spurious_preemptions: m.spurious,
-        cores,
-        per_worker,
+        in_flight: (m.queue.len() + running.len()) as u64,
+        oldest_arrival: m.queue.iter().map(|t| t.arrived).chain(running).min(),
+        per_worker: m.workers.into_iter().map(|w| w.clock).collect(),
+        dispatcher: m.dispatcher.clone(),
+        // The dispatcher core plays the timer core's part.
         timer_core: m.dispatcher,
-        latency_series: m.latency_series,
-        qps_series: None,
         quantum_series: None,
-        slo_series: None,
         final_quantum: SimDur::ZERO,
-        metrics: m.obs.snapshot(),
-        events_dropped: m.obs.ring().overwritten(),
-        events: m.obs.take_events(),
-        phases: m.obs.take_phases(),
-    }
+    };
+    m.ledger.into_report(end)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use libpreemptible::runtime::ServiceSource;
     use lp_workload::{PhasedService, RateSchedule, ServiceDist};
 
     fn spec(rate: f64, ms: u64, dist: ServiceDist) -> WorkloadSpec {

@@ -337,7 +337,7 @@ mod tests {
             hardened_objective: 456_789,
             hardened_worst_ns: 400_000,
         };
-        let json = to_json(&[entry.clone()]);
+        let json = to_json(std::slice::from_ref(&entry));
         let parsed = from_json(&json).expect("parse");
         assert_eq!(parsed, vec![entry]);
         // Re-serializing parsed entries reproduces the bytes exactly.

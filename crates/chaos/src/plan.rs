@@ -200,11 +200,11 @@ impl ChaosPlan {
             }
             ChaosPlan::Overlay(cs) => {
                 let kept = Self::remove_from_children(cs, k);
-                (!kept.is_empty()).then(|| ChaosPlan::Overlay(kept))
+                (!kept.is_empty()).then_some(ChaosPlan::Overlay(kept))
             }
             ChaosPlan::Sequence(cs) => {
                 let kept = Self::remove_from_children(cs, k);
-                (!kept.is_empty()).then(|| ChaosPlan::Sequence(kept))
+                (!kept.is_empty()).then_some(ChaosPlan::Sequence(kept))
             }
         }
     }

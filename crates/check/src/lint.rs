@@ -1375,7 +1375,7 @@ pub enum Event {
         let vs = event_enum_variants(&stripped.code);
         assert_eq!(vs.len(), 4);
         assert_eq!(vs[0], ("UipiSent".to_string(), 2, true, false));
-        assert_eq!(vs[1].2, true, "slot counts as an identity");
+        assert!(vs[1].2, "slot counts as an identity");
         assert_eq!(vs[3], ("Rogue".to_string(), 5, false, false));
         // The rule: only the undeclared worker-less variant fires, and
         // only in the vocabulary file.

@@ -311,7 +311,7 @@ impl World {
     }
 
     /// Fingerprint for the PoR memo: everything the future depends on.
-    fn fingerprint(&self) -> ((bool, bool, u64), u8, u64, u64, u64) {
+    fn fingerprint(&self) -> Fingerprint {
         let u = self.dom.upid(self.h).expect("receiver registered");
         let rs = match self.recv_state {
             ReceiverState::RunningUifSet => 0u8,
@@ -477,11 +477,15 @@ impl World {
 // Exploration.
 // ---------------------------------------------------------------------------
 
+/// A world's PoR fingerprint: the UPID state key, the receiver state,
+/// and the sent, drained and live counts.
+type Fingerprint = ((bool, bool, u64), u8, u64, u64, u64);
+
 struct Explorer<'a> {
     sc: &'a Scenario,
     mode: Mode,
     report: ScenarioReport,
-    memo: BTreeSet<(Vec<usize>, ((bool, bool, u64), u8, u64, u64, u64))>,
+    memo: BTreeSet<(Vec<usize>, Fingerprint)>,
     trace: Vec<String>,
 }
 

@@ -398,12 +398,14 @@ impl<'a> Analyzer<'a> {
                     pending_dispatch.entry(worker).or_default().push(idx);
                     continue;
                 }
-                Event::TaskStart { worker, resumed, .. } => {
-                    if !resumed {
-                        if let Some(q) = pending_dispatch.get_mut(&worker) {
-                            if !q.is_empty() {
-                                incoming.push((q.remove(0), EdgeKind::DispatchRun));
-                            }
+                Event::TaskStart {
+                    worker,
+                    resumed: false,
+                    ..
+                } => {
+                    if let Some(q) = pending_dispatch.get_mut(&worker) {
+                        if !q.is_empty() {
+                            incoming.push((q.remove(0), EdgeKind::DispatchRun));
                         }
                     }
                 }

@@ -41,13 +41,16 @@ const RESUME_CANCEL: usize = 1;
 /// Cancellation token unwound through a cancelled fiber.
 struct Cancelled;
 
+/// A fiber's body, boxed until its first entry.
+type FiberFn = Box<dyn FnOnce(&Yielder)>;
+
 struct Inner {
     /// Caller's saved stack pointer while the fiber runs.
     caller_sp: UnsafeCell<StackPointer>,
     /// Fiber's saved stack pointer while suspended.
     fiber_sp: UnsafeCell<StackPointer>,
     /// The closure, present until first entry.
-    func: UnsafeCell<Option<Box<dyn FnOnce(&Yielder)>>>,
+    func: UnsafeCell<Option<FiberFn>>,
     /// Deadline for the current slice (checked at preemption points).
     deadline: Cell<Option<Instant>>,
     /// Set when the next resume should unwind the fiber.

@@ -1,7 +1,9 @@
-//! Run reports: everything an experiment reads off a finished run.
+//! Run reports: everything an experiment reads off a finished run, and
+//! the [`Ledger`] every simulated system records request outcomes
+//! through.
 
 use lp_hw::{CoreClock, TimeClass};
-use lp_sim::obs::{Exemplar, MetricsSnapshot, PhaseStats, TimedEvent};
+use lp_sim::obs::{Counter, Event, Exemplar, MetricsSnapshot, Observer, PhaseStats, TimedEvent};
 use lp_sim::{SimDur, SimTime};
 use lp_stats::{Histogram, TimeSeries};
 
@@ -182,6 +184,196 @@ impl RunReport {
             .map(|c| c.fraction(TimeClass::Work, end))
             .sum();
         total / self.per_worker.len() as f64
+    }
+}
+
+/// Request classes with their own latency histogram and series
+/// (0 = latency-critical, 1 = best-effort).
+const CLASSES: usize = 2;
+
+/// The one record path for request outcomes, shared by the runtime and
+/// the baselines.
+///
+/// Each outcome method emits its typed [`Event`] through the owned
+/// [`Observer`] and, for completions, records the post-warmup latency
+/// views. The report totals are the observer's counters, so the event
+/// stream, the metrics and [`RunReport`] cannot disagree.
+/// [`into_report`](Self::into_report) builds the report.
+#[derive(Debug)]
+pub struct Ledger {
+    /// The run's event ring, metrics registry and phase accountant.
+    /// Events that are not request outcomes are emitted through it
+    /// directly.
+    pub obs: Observer,
+    /// Completions of requests that arrived before this instant stay
+    /// out of the latency views.
+    warmup_end: SimTime,
+    slo: Option<SimDur>,
+    latency: Histogram,
+    latency_by_class: Vec<Histogram>,
+    latency_series: Vec<TimeSeries>,
+    qps_series: Option<TimeSeries>,
+    slo_series: Option<TimeSeries>,
+}
+
+/// What only the model knows when its run ends: its label and load,
+/// its core clocks, and the requests it never finished.
+#[derive(Debug)]
+pub struct RunEnd {
+    /// The system that produced the run.
+    pub system: String,
+    /// Offered load in requests/second.
+    pub offered_rps: f64,
+    /// Measured run length.
+    pub duration: SimDur,
+    /// Requests still queued or running.
+    pub in_flight: u64,
+    /// Arrival instant of the oldest of them.
+    pub oldest_arrival: Option<SimTime>,
+    /// Per-worker clocks.
+    pub per_worker: Vec<CoreClock>,
+    /// The dispatcher's clock; counted in [`RunReport::cores`] only.
+    pub dispatcher: CoreClock,
+    /// The timer core's clock.
+    pub timer_core: CoreClock,
+    /// The quantum over time, for runs that record it.
+    pub quantum_series: Option<TimeSeries>,
+    /// The quantum at the end of the run.
+    pub final_quantum: SimDur,
+}
+
+impl Ledger {
+    /// A ledger keeping the last `trace_capacity` events, with tail
+    /// attribution on or off, latency views from `warmup` on, series at
+    /// `series_frame` width, and SLO-violation tracking against `slo`.
+    pub fn new(
+        trace_capacity: usize,
+        attribution: bool,
+        warmup: SimDur,
+        series_frame: Option<SimDur>,
+        slo: Option<SimDur>,
+    ) -> Self {
+        let mut obs = Observer::new(trace_capacity);
+        obs.set_attribution_enabled(attribution);
+        let series = || series_frame.map(|f| TimeSeries::new(f.as_nanos()));
+        Ledger {
+            obs,
+            warmup_end: SimTime::ZERO + warmup,
+            slo,
+            latency: Histogram::new(),
+            latency_by_class: (0..CLASSES).map(|_| Histogram::new()).collect(),
+            latency_series: (0..CLASSES).filter_map(|_| series()).collect(),
+            qps_series: series(),
+            slo_series: slo.and(series()),
+        }
+    }
+
+    /// Requests arrived so far. The runtime and the baselines derive
+    /// request ids from it.
+    pub fn arrivals(&self) -> u64 {
+        self.obs.metrics().get(Counter::Arrivals)
+    }
+
+    /// A request of `class` arrived.
+    pub fn arrived(&mut self, now: SimTime, class: u8) {
+        if let Some(ts) = self.qps_series.as_mut() {
+            ts.record(now.as_nanos(), 1.0);
+        }
+        self.obs.emit(now, Event::Arrival { class });
+    }
+
+    /// A request of `class` was dropped for lack of room.
+    pub fn dropped(&mut self, now: SimTime, class: u8) {
+        self.obs.emit(now, Event::Drop { class });
+    }
+
+    /// Admission control shed a request of `class` at backlog `queued`.
+    pub fn shed(&mut self, now: SimTime, class: u8, queued: u32) {
+        self.obs.emit(now, Event::Shed { class, queued });
+    }
+
+    /// `fiber`, a request of `class` that arrived at `arrived`, ran to
+    /// completion on `worker`.
+    pub fn finished(&mut self, now: SimTime, worker: u16, fiber: u32, arrived: SimTime, class: u8) {
+        let lat = now.since(arrived);
+        self.obs.emit(
+            now,
+            Event::TaskFinish {
+                worker,
+                fiber,
+                latency_ns: lat.as_nanos(),
+            },
+        );
+        if arrived < self.warmup_end {
+            return;
+        }
+        self.latency.record(lat.as_nanos());
+        if let Some(h) = self.latency_by_class.get_mut(class as usize) {
+            h.record(lat.as_nanos());
+        }
+        if let Some(ts) = self.latency_series.get_mut(class as usize) {
+            ts.record(now.as_nanos(), lat.as_micros_f64());
+        }
+        if let (Some(slo), Some(ts)) = (self.slo, self.slo_series.as_mut()) {
+            ts.record(now.as_nanos(), if lat > slo { 1.0 } else { 0.0 });
+        }
+    }
+
+    /// `fiber` was switched out on `worker` after running `ran`.
+    pub fn preempted(&mut self, now: SimTime, worker: u16, fiber: u32, ran: SimDur) {
+        self.obs.emit(
+            now,
+            Event::Preempt {
+                worker,
+                fiber,
+                ran_ns: ran.as_nanos(),
+            },
+        );
+    }
+
+    /// A preemption reached `worker` with nothing to switch out.
+    pub fn spurious(&mut self, now: SimTime, worker: u16) {
+        self.obs.emit(now, Event::SpuriousPreempt { worker });
+    }
+
+    /// The run's report: the totals read off the counters, the latency
+    /// views, the merged core clocks, and the trace.
+    pub fn into_report(mut self, end: RunEnd) -> RunReport {
+        let m = self.obs.metrics();
+        let mut cores = CoreClock::new();
+        for w in &end.per_worker {
+            cores.merge(w);
+        }
+        cores.merge(&end.dispatcher);
+        let stop = SimTime::ZERO + end.duration;
+        RunReport {
+            system: end.system,
+            offered_rps: end.offered_rps,
+            duration: end.duration,
+            arrivals: m.get(Counter::Arrivals),
+            completions: m.get(Counter::TaskFinishes),
+            dropped: m.get(Counter::Drops) + m.get(Counter::Sheds),
+            in_flight: end.in_flight,
+            oldest_inflight_ns: end
+                .oldest_arrival
+                .map_or(0, |t| stop.saturating_since(t).as_nanos()),
+            latency: self.latency,
+            latency_by_class: self.latency_by_class,
+            preemptions: m.get(Counter::Preemptions),
+            spurious_preemptions: m.get(Counter::SpuriousPreemptions),
+            cores,
+            per_worker: end.per_worker,
+            timer_core: end.timer_core,
+            latency_series: self.latency_series,
+            qps_series: self.qps_series,
+            quantum_series: end.quantum_series,
+            slo_series: self.slo_series,
+            final_quantum: end.final_quantum,
+            metrics: self.obs.snapshot(),
+            events_dropped: self.obs.ring().overwritten(),
+            events: self.obs.take_events(),
+            phases: self.obs.take_phases(),
+        }
     }
 }
 

@@ -254,7 +254,10 @@ impl RetryMachine {
                     return RetryOutput::Fast;
                 }
                 self.degraded_sends += 1;
-                if self.degraded_sends % u64::from(self.probe_every) == 0 {
+                if self
+                    .degraded_sends
+                    .is_multiple_of(u64::from(self.probe_every))
+                {
                     self.probe_for = Some(seq);
                     RetryOutput::Probe
                 } else {

@@ -28,15 +28,15 @@ use lp_hw::uintr::{ReceiverState, SendOutcome, UintrDomain, Uitt};
 use lp_hw::{CoreClock, HwCosts, TimeClass};
 use lp_kernel::{KernelCosts, KernelTimer, SignalPath};
 use lp_sim::fault::{CoreFault, FaultInjector, FaultPlan, IpiFault, TimerFault};
-use lp_sim::obs::{Event, Observer};
+use lp_sim::obs::Event;
 use lp_sim::rng::{rng, streams};
 use lp_sim::{Ctx, EventId, Model, SimDur, SimTime, Simulation};
-use lp_stats::{Histogram, TimeSeries, WindowStats, WindowSummary};
+use lp_stats::{TimeSeries, WindowStats, WindowSummary};
 use lp_workload::{ArrivalGen, ColocatedWorkload, JobClass, PhasedService, RateSchedule};
 use rand::rngs::SmallRng;
 
 use crate::context::{Context, ContextId, ContextPool};
-use crate::report::RunReport;
+use crate::report::{Ledger, RunEnd, RunReport};
 use crate::sched::{Dispatch, Enqueue, ResumeSel, SchedCtx, SchedPolicy, TaskView};
 use crate::retry::{RetryInput, RetryMachine, RetryOutput, Tier, WatchdogConfig};
 use crate::utimer::{SlotId, UtimerRegistry};
@@ -74,7 +74,8 @@ pub enum ServiceSource {
 }
 
 impl ServiceSource {
-    fn sample(&self, t: SimTime, rng: &mut SmallRng) -> (u8, SimDur) {
+    /// Draws the class and service time of a request arriving at `t`.
+    pub fn sample(&self, t: SimTime, rng: &mut SmallRng) -> (u8, SimDur) {
         match self {
             ServiceSource::Phased(p) => (0, p.sample(t, rng)),
             ServiceSource::Colocated(c) => {
@@ -160,10 +161,6 @@ pub struct RuntimeConfig {
     pub kernel: KernelCosts,
     /// Context-pool capacity (requests beyond it are dropped).
     pub pool_capacity: usize,
-    /// Dispatcher per-request processing cost.
-    pub dispatch_cost: SimDur,
-    /// Worker-side scheduling-decision cost per pick.
-    pub pick_cost: SimDur,
     /// Allow idle workers to steal from the longest sibling queue.
     pub work_stealing: bool,
     /// Master seed; every stochastic component derives a substream.
@@ -208,8 +205,6 @@ impl Default for RuntimeConfig {
             hw: HwCosts::default(),
             kernel: KernelCosts::default(),
             pool_capacity: 16_384,
-            dispatch_cost: SimDur::nanos(180),
-            pick_cost: SimDur::nanos(60),
             work_stealing: true,
             seed: 1,
             control_period: SimDur::millis(100),
@@ -223,6 +218,11 @@ impl Default for RuntimeConfig {
         }
     }
 }
+
+/// Dispatcher per-request processing cost.
+const DISPATCH_COST: SimDur = SimDur::nanos(180);
+/// Worker-side scheduling-decision cost per pick (and again per steal).
+const PICK_COST: SimDur = SimDur::nanos(60);
 
 /// Events of the runtime model. Public only because [`Model::Event`]
 /// must name it; not part of the supported API.
@@ -261,7 +261,6 @@ enum WState {
     Idle,
     Running {
         ctx: ContextId,
-        class: u8,
         started: SimTime,
         finish_ev: EventId,
     },
@@ -371,27 +370,14 @@ pub struct LibPreemptibleSystem {
     dispatcher_clock: CoreClock,
     rr_cursor: usize,
 
-    /// Cross-layer typed event trace + metrics registry.
-    obs: Observer,
-
-    // Counters (whole run).
-    arrivals: u64,
-    completions: u64,
-    dropped: u64,
-    preemptions: u64,
-    spurious: u64,
-
-    // Post-warmup stats.
+    /// Request outcomes, latency views, and the cross-layer typed
+    /// event trace + metrics registry.
+    ledger: Ledger,
+    /// The controller's window statistics (whole run).
     window: WindowStats,
-    latency: Histogram,
-    latency_by_class: Vec<Histogram>,
-    latency_series: Vec<TimeSeries>,
-    qps_series: Option<TimeSeries>,
-    quantum_series: Option<TimeSeries>,
-    slo_series: Option<TimeSeries>,
+    /// The quantum at every control tick.
+    quantum_series: TimeSeries,
 }
-
-const MAX_CLASSES: usize = 2;
 
 /// Copies the policy-visible, read-only view out of a live context.
 fn task_view(id: ContextId, c: &Context) -> TaskView {
@@ -434,10 +420,7 @@ impl LibPreemptibleSystem {
                 }
             })
             .collect();
-        let series = |frame: Option<SimDur>| frame.map(|f| TimeSeries::new(f.as_nanos()));
         let armed_for = vec![None; cfg.workers];
-        let mut obs = Observer::new(cfg.trace_capacity);
-        obs.set_attribution_enabled(cfg.attribution);
         LibPreemptibleSystem {
             arrivals_gen: ArrivalGen::new(spec.arrivals.clone(), rng(cfg.seed, streams::ARRIVALS)),
             service_rng: rng(cfg.seed, streams::SERVICE),
@@ -460,21 +443,17 @@ impl LibPreemptibleSystem {
             dispatch_queue: VecDeque::new(),
             dispatcher_clock: CoreClock::new(),
             rr_cursor: 0,
-            obs,
-            arrivals: 0,
-            completions: 0,
-            dropped: 0,
-            preemptions: 0,
-            spurious: 0,
+            ledger: Ledger::new(
+                cfg.trace_capacity,
+                cfg.attribution,
+                spec.warmup,
+                cfg.series_frame,
+                cfg.slo,
+            ),
             window: WindowStats::new(),
-            latency: Histogram::new(),
-            latency_by_class: (0..MAX_CLASSES).map(|_| Histogram::new()).collect(),
-            latency_series: (0..MAX_CLASSES)
-                .filter_map(|_| series(cfg.series_frame))
-                .collect(),
-            qps_series: series(cfg.series_frame),
-            quantum_series: series(cfg.series_frame.or(Some(cfg.control_period))),
-            slo_series: cfg.slo.and(series(cfg.series_frame)),
+            quantum_series: TimeSeries::new(
+                cfg.series_frame.unwrap_or(cfg.control_period).as_nanos(),
+            ),
             depth_scratch: Vec::with_capacity(cfg.workers),
             last_window: None,
             workers,
@@ -493,10 +472,6 @@ impl LibPreemptibleSystem {
 
     fn jitter(&mut self, base: SimDur) -> SimDur {
         lp_hw::jitter::sample(&mut self.hw_rng, base, self.cfg.hw.jitter_sigma)
-    }
-
-    fn past_warmup(&self, arrived: SimTime) -> bool {
-        arrived >= SimTime::ZERO + self.spec.warmup
     }
 
     /// Picks the shortest local queue (ties broken by a rotating
@@ -566,7 +541,7 @@ impl LibPreemptibleSystem {
             PreemptMech::Uintr | PreemptMech::TimerCoreSignal => {
                 let slot = self.workers[worker].slot;
                 self.registry
-                    .arm_observed(slot, start + q, start, &mut self.obs);
+                    .arm_observed(slot, start + q, start, &mut self.ledger.obs);
                 self.armed_for[slot.index()] = Some((worker, seq));
                 self.update_timer_check(ctx);
                 // utimer_arm_deadline is one cache-line write (which
@@ -579,20 +554,20 @@ impl LibPreemptibleSystem {
                     .as_mut()
                     .and_then(|i| i.timer_at(start.as_nanos()));
                 if let Some(f) = fault {
-                    self.obs.emit(
+                    self.ledger.obs.emit(
                         start,
                         Event::FaultInjected { worker: worker as u16, kind: f.kind() as u8 },
                     );
                 }
                 let w = &mut self.workers[worker];
-                w.ktimer.arm_observed(q, worker as u16, start, &mut self.obs);
+                w.ktimer.arm_observed(q, worker as u16, start, &mut self.ledger.obs);
                 // The hardware timer fires regardless of whether the
                 // expiry turns out stale: record it at the fire instant.
                 let actual = w.ktimer.sample_expiry_with_fault_observed(
                     fault,
                     worker as u16,
                     start,
-                    &mut self.obs,
+                    &mut self.ledger.obs,
                 );
                 let cost = w.ktimer.arm_cost();
                 match actual {
@@ -630,7 +605,7 @@ impl LibPreemptibleSystem {
         match self.cfg.mech {
             PreemptMech::Uintr | PreemptMech::TimerCoreSignal => {
                 let slot = self.workers[worker].slot;
-                self.registry.disarm_observed(slot, ctx.now(), &mut self.obs);
+                self.registry.disarm_observed(slot, ctx.now(), &mut self.ledger.obs);
                 self.armed_for[slot.index()] = None;
                 self.update_timer_check(ctx);
             }
@@ -653,44 +628,35 @@ impl LibPreemptibleSystem {
         }
     }
 
-    fn record_completion(&mut self, arrived: SimTime, class: u8, service: SimDur, now: SimTime) {
-        self.completions += 1;
-        self.window.on_completion(now.since(arrived).as_nanos());
-        self.window.on_service_sample(service.as_nanos());
-        if !self.past_warmup(arrived) {
-            return;
-        }
-        let lat = now.since(arrived);
-        self.latency.record(lat.as_nanos());
-        if let Some(h) = self.latency_by_class.get_mut(class as usize) {
-            h.record(lat.as_nanos());
-        }
-        if let Some(ts) = self.latency_series.get_mut(class as usize) {
-            ts.record(now.as_nanos(), lat.as_micros_f64());
-        }
-        if let (Some(slo), Some(ts)) = (self.cfg.slo, self.slo_series.as_mut()) {
-            ts.record(now.as_nanos(), if lat > slo { 1.0 } else { 0.0 });
-        }
+    /// Retires the finished context `id` of `worker`: records the
+    /// completion and tells the policy.
+    fn finish_task(&mut self, worker: usize, id: ContextId, now: SimTime) {
+        let tv = task_view(id, self.pool.get(id));
+        self.pool.release(id);
+        self.ledger
+            .finished(now, worker as u16, tv.fiber, tv.arrived, tv.class);
+        self.window.on_completion(now.since(tv.arrived).as_nanos());
+        self.window.on_service_sample(tv.total.as_nanos());
+        self.policy.task_finished(&tv);
     }
 
     fn start_task(&mut self, worker: usize, id: ContextId, resumed: bool, ctx: &mut Ctx<'_, Ev>) {
         let now = ctx.now();
-        let (class, remaining, tv) = {
+        let (remaining, tv) = {
             let c = self.pool.get(id);
-            (c.class, c.remaining, task_view(id, c))
+            (c.remaining, task_view(id, c))
         };
         debug_assert!(!remaining.is_zero(), "starting a completed context");
         let switch = self.cfg.hw.fcontext_switch;
-        let pick = self.cfg.pick_cost;
         self.workers[worker]
             .clock
-            .charge_observed(TimeClass::Dispatch, pick + switch, &mut self.obs);
+            .charge_observed(TimeClass::Dispatch, PICK_COST + switch, &mut self.ledger.obs);
         // The switch toward this fiber begins now; `TaskStart` (stamped
         // at the actual start instant) closes the window and carries
         // its duration, so the phase accountant charges pick +
         // fcontext-switch (+ arming) to `preempt_switch` from that one
         // event.
-        self.obs.emit(
+        self.ledger.obs.emit(
             now,
             Event::SwitchBegin {
                 worker: worker as u16,
@@ -698,7 +664,7 @@ impl LibPreemptibleSystem {
                 resumed,
             },
         );
-        let mut start = now + pick + switch;
+        let mut start = now + PICK_COST + switch;
 
         self.workers[worker].seq += 1;
         self.fill_depths();
@@ -710,12 +676,12 @@ impl LibPreemptibleSystem {
                 runnable: queued,
                 parked: self.pool.parked(),
                 window: self.last_window.as_ref(),
-                obs: &mut self.obs,
+                obs: &mut self.ledger.obs,
             };
             self.policy.time_slice(&tv, &mut sctx)
         };
         if q != SimDur::MAX && self.cfg.mech != PreemptMech::None {
-            self.obs.emit(
+            self.ledger.obs.emit(
                 start,
                 Event::SliceGranted {
                     worker: worker as u16,
@@ -728,7 +694,7 @@ impl LibPreemptibleSystem {
         if !arm_extra.is_zero() {
             self.workers[worker]
                 .clock
-                .charge_observed(TimeClass::Kernel, arm_extra, &mut self.obs);
+                .charge_observed(TimeClass::Kernel, arm_extra, &mut self.ledger.obs);
             start += arm_extra;
         }
 
@@ -738,7 +704,7 @@ impl LibPreemptibleSystem {
         {
             // The core stalls mid-slice: the fiber burns `stall` extra
             // on-CPU time and no preemption can land inside the window.
-            self.obs.emit(
+            self.ledger.obs.emit(
                 start,
                 Event::FaultInjected {
                     worker: worker as u16,
@@ -756,11 +722,10 @@ impl LibPreemptibleSystem {
         });
         self.workers[worker].state = WState::Running {
             ctx: id,
-            class,
             started: start,
             finish_ev,
         };
-        self.obs.emit(
+        self.ledger.obs.emit(
             start,
             Event::TaskStart {
                 worker: worker as u16,
@@ -796,7 +761,7 @@ impl LibPreemptibleSystem {
                 runnable: new_waiting,
                 parked: self.pool.parked(),
                 window: self.last_window.as_ref(),
-                obs: &mut self.obs,
+                obs: &mut self.ledger.obs,
             };
             self.policy.dispatch(worker, &mut sctx)
         };
@@ -818,8 +783,8 @@ impl LibPreemptibleSystem {
                             // Stealing touches a remote queue: extra cost.
                             self.workers[worker].clock.charge_observed(
                                 TimeClass::Dispatch,
-                                self.cfg.pick_cost,
-                                &mut self.obs,
+                                PICK_COST,
+                                &mut self.ledger.obs,
                             );
                             self.workers[v].local.pop_back().expect("victim non-empty")
                         }
@@ -845,7 +810,7 @@ impl LibPreemptibleSystem {
 
     fn deliver_preemptions(&mut self, ctx: &mut Ctx<'_, Ev>) {
         let now = ctx.now();
-        let fired = self.registry.expired_observed(now, &mut self.obs);
+        let fired = self.registry.expired_observed(now, &mut self.ledger.obs);
         let mut issue_at = now;
         for slot in fired {
             let Some((worker, seq)) = self.armed_for[slot.index()].take() else {
@@ -866,8 +831,11 @@ impl LibPreemptibleSystem {
                             // its probe turns.
                             let issue = self.jitter(self.cfg.hw.senduipi_issue);
                             issue_at += issue;
-                            self.timer_clock
-                                .charge_observed(TimeClass::Preemption, issue, &mut self.obs);
+                            self.timer_clock.charge_observed(
+                                TimeClass::Preemption,
+                                issue,
+                                &mut self.ledger.obs,
+                            );
                             let probe = verdict == RetryOutput::Probe;
                             self.send_preempt_uipi(worker, seq, issue_at, 0, probe, ctx);
                         }
@@ -899,7 +867,7 @@ impl LibPreemptibleSystem {
         repair: bool,
         ctx: &mut Ctx<'_, Ev>,
     ) {
-        self.obs.emit(
+        self.ledger.obs.emit(
             at,
             Event::PreemptIssued {
                 worker: worker as u16,
@@ -910,7 +878,7 @@ impl LibPreemptibleSystem {
         );
         let fault = self.injector.as_mut().and_then(|i| i.ipi_at(at.as_nanos()));
         if let Some(f) = fault {
-            self.obs.emit(
+            self.ledger.obs.emit(
                 at,
                 Event::FaultInjected { worker: worker as u16, kind: f.kind() as u8 },
             );
@@ -931,7 +899,7 @@ impl LibPreemptibleSystem {
                 fault,
                 worker as u16,
                 at,
-                &mut self.obs,
+                &mut self.ledger.obs,
             )
             .expect("live UPID");
         if outcome == SendOutcome::NotifiedRunning {
@@ -943,7 +911,12 @@ impl LibPreemptibleSystem {
             // lands; stamp the delivery event there so the trace
             // reads in causal order.
             self.uintr
-                .acknowledge_observed(entry.upid, worker as u16, at + delivery, &mut self.obs)
+                .acknowledge_observed(
+                    entry.upid,
+                    worker as u16,
+                    at + delivery,
+                    &mut self.ledger.obs,
+                )
                 .expect("live UPID");
             ctx.at(at + delivery, Ev::PreemptArrive { worker, seq, uintr: true });
         }
@@ -965,7 +938,7 @@ impl LibPreemptibleSystem {
         attempt: u32,
         ctx: &mut Ctx<'_, Ev>,
     ) {
-        self.obs.emit(
+        self.ledger.obs.emit(
             at,
             Event::PreemptIssued {
                 worker: worker as u16,
@@ -976,7 +949,7 @@ impl LibPreemptibleSystem {
         );
         let fault = self.injector.as_mut().and_then(|i| i.signal_at(at.as_nanos()));
         if let Some(f) = fault {
-            self.obs.emit(
+            self.ledger.obs.emit(
                 at,
                 Event::FaultInjected { worker: worker as u16, kind: f.kind() as u8 },
             );
@@ -999,18 +972,18 @@ impl LibPreemptibleSystem {
         }
         if let Some(d) =
             self.signal_path
-                .deliver_with_fault_observed(at, fault, worker as u16, &mut self.obs)
+                .deliver_with_fault_observed(at, fault, worker as u16, &mut self.ledger.obs)
         {
             if self.cfg.mech.needs_timer_core() {
                 self.timer_clock
-                    .charge_observed(TimeClass::Preemption, d.sender_busy, &mut self.obs);
+                    .charge_observed(TimeClass::Preemption, d.sender_busy, &mut self.ledger.obs);
             } else {
                 // No timer core: the kernel's send work lands on the
                 // victim's own core.
                 self.workers[worker].clock.charge_observed(
                     TimeClass::Kernel,
                     d.sender_busy,
-                    &mut self.obs,
+                    &mut self.ledger.obs,
                 );
             }
             ctx.at(d.handler_start, Ev::PreemptArrive { worker, seq, uintr: false });
@@ -1094,7 +1067,7 @@ impl LibPreemptibleSystem {
         let can_degrade = self.cfg.mech == PreemptMech::Uintr;
         match self.workers[worker].retry.step(RetryInput::Lost { seq, can_degrade }) {
             RetryOutput::Degrade { losses } => {
-                self.obs.emit(
+                self.ledger.obs.emit(
                     now,
                     Event::MechDegraded {
                         worker: worker as u16,
@@ -1109,7 +1082,7 @@ impl LibPreemptibleSystem {
                 // degrade. Announce the pressure (admission control
                 // keys off it) and re-send over UINTR with SN repair,
                 // exactly like `Retry { uintr: true }`.
-                self.obs.emit(
+                self.ledger.obs.emit(
                     now,
                     Event::MechBrownout {
                         worker: worker as u16,
@@ -1117,7 +1090,7 @@ impl LibPreemptibleSystem {
                     },
                 );
                 let delay = self.cfg.watchdog.backoff.delay(attempt);
-                self.obs.emit(
+                self.ledger.obs.emit(
                     now,
                     Event::PreemptRetry {
                         worker: worker as u16,
@@ -1130,7 +1103,7 @@ impl LibPreemptibleSystem {
             }
             RetryOutput::Retry { uintr } => {
                 let delay = self.cfg.watchdog.backoff.delay(attempt);
-                self.obs.emit(
+                self.ledger.obs.emit(
                     now,
                     Event::PreemptRetry {
                         worker: worker as u16,
@@ -1173,7 +1146,7 @@ impl LibPreemptibleSystem {
         let w_seq = self.workers[worker].seq;
         let current = w_seq == seq && matches!(self.workers[worker].state, WState::Running { .. });
         if current {
-            self.obs.emit(
+            self.ledger.obs.emit(
                 now,
                 Event::PreemptLanded { worker: worker as u16, seq, uintr },
             );
@@ -1182,7 +1155,7 @@ impl LibPreemptibleSystem {
             // fabric healed.
             let verdict = self.workers[worker].retry.step(RetryInput::Landed { seq, uintr });
             if verdict == RetryOutput::Recovered {
-                self.obs.emit(now, Event::MechRecovered { worker: worker as u16 });
+                self.ledger.obs.emit(now, Event::MechRecovered { worker: worker as u16 });
             }
         }
         match &mut self.workers[worker].state {
@@ -1198,11 +1171,11 @@ impl LibPreemptibleSystem {
                 debug_assert!(started_at <= now);
                 let executed = now.saturating_since(started_at);
                 let w = &mut self.workers[worker];
-                w.clock.charge_observed(TimeClass::Work, executed, &mut self.obs);
+                w.clock.charge_observed(TimeClass::Work, executed, &mut self.ledger.obs);
                 w.clock.charge_observed(
                     TimeClass::Preemption,
                     recv_cost + self.cfg.hw.fcontext_switch,
-                    &mut self.obs,
+                    &mut self.ledger.obs,
                 );
                 w.seq += 1;
                 w.state = WState::Idle;
@@ -1220,34 +1193,15 @@ impl LibPreemptibleSystem {
                     if c.remaining.is_zero() {
                         // Preemption landed exactly at completion:
                         // treat as completed.
-                        let (arrived, class, total) = (c.arrived, c.class, c.total);
-                        let tv = task_view(id, self.pool.get(id));
-                        self.pool.release(id);
-                        self.obs.emit(
-                            now,
-                            Event::TaskFinish {
-                                worker: worker as u16,
-                                fiber: id.index() as u32,
-                                latency_ns: now.since(arrived).as_nanos(),
-                            },
-                        );
-                        self.record_completion(arrived, class, total, now);
-                        self.policy.task_finished(&tv);
+                        self.finish_task(worker, id, now);
                     } else {
                         // Cache/TLB pollution: the resumed computation
                         // will take a bit longer.
                         let c = self.pool.get_mut(id);
                         c.remaining += self.cfg.hw.switch_pollution;
                         self.pool.park(id);
-                        self.preemptions += 1;
-                        self.obs.emit(
-                            now,
-                            Event::Preempt {
-                                worker: worker as u16,
-                                fiber: id.index() as u32,
-                                ran_ns: executed.as_nanos(),
-                            },
-                        );
+                        self.ledger
+                            .preempted(now, worker as u16, id.index() as u32, executed);
                         let tv = task_view(id, self.pool.get(id));
                         self.policy.task_preempted(&tv, executed);
                     }
@@ -1269,7 +1223,6 @@ impl LibPreemptibleSystem {
                 // now executes. Shift the current run (start and
                 // finish) by the handler cost so executed-time math
                 // stays consistent.
-                self.spurious += 1;
                 *started += recv_cost;
                 ctx.cancel(*finish_ev);
                 let (id, started_at) = (*running_ctx, *started);
@@ -1278,21 +1231,20 @@ impl LibPreemptibleSystem {
                     worker,
                     seq: w_seq,
                 });
-                self.obs.emit(now, Event::SpuriousPreempt { worker: worker as u16 });
+                self.ledger.spurious(now, worker as u16);
                 self.workers[worker].clock.charge_observed(
                     TimeClass::Preemption,
                     recv_cost,
-                    &mut self.obs,
+                    &mut self.ledger.obs,
                 );
             }
             WState::Idle => {
                 // Spurious delivery to an idle worker: handler cost only.
-                self.spurious += 1;
-                self.obs.emit(now, Event::SpuriousPreempt { worker: worker as u16 });
+                self.ledger.spurious(now, worker as u16);
                 self.workers[worker].clock.charge_observed(
                     TimeClass::Preemption,
                     recv_cost,
-                    &mut self.obs,
+                    &mut self.ledger.obs,
                 );
             }
         }
@@ -1339,32 +1291,17 @@ impl LibPreemptibleSystem {
         if self.workers[worker].seq != seq {
             return; // cancelled-but-raced finish; ignore
         }
-        let WState::Running { ctx: id, class, started, .. } = self.workers[worker].state else {
+        let WState::Running { ctx: id, started, .. } = self.workers[worker].state else {
             return;
         };
         let now = ctx.now();
         let executed = now.saturating_since(started);
         self.workers[worker]
             .clock
-            .charge_observed(TimeClass::Work, executed, &mut self.obs);
+            .charge_observed(TimeClass::Work, executed, &mut self.ledger.obs);
         self.disarm_deadline(worker, ctx);
-        let (arrived, total) = {
-            let c = self.pool.get(id);
-            (c.arrived, c.total)
-        };
         self.pool.get_mut(id).remaining = SimDur::ZERO;
-        let tv = task_view(id, self.pool.get(id));
-        self.pool.release(id);
-        self.obs.emit(
-            now,
-            Event::TaskFinish {
-                worker: worker as u16,
-                fiber: id.index() as u32,
-                latency_ns: now.since(arrived).as_nanos(),
-            },
-        );
-        self.record_completion(arrived, class, total, now);
-        self.policy.task_finished(&tv);
+        self.finish_task(worker, id, now);
         let w = &mut self.workers[worker];
         w.seq += 1;
         w.state = WState::Idle;
@@ -1398,13 +1335,9 @@ impl Model for LibPreemptibleSystem {
         match ev {
             Ev::Arrival => {
                 let now = ctx.now();
-                self.arrivals += 1;
                 self.window.on_arrival();
-                if let Some(ts) = self.qps_series.as_mut() {
-                    ts.record(now.as_nanos(), 1.0);
-                }
                 let (class, service) = self.spec.source.sample(now, &mut self.service_rng);
-                self.obs.emit(now, Event::Arrival { class });
+                self.ledger.arrived(now, class);
                 self.dispatch_queue.push_back(PendingReq {
                     arrived: now,
                     class,
@@ -1412,10 +1345,9 @@ impl Model for LibPreemptibleSystem {
                 });
                 // Dispatcher serializes request handling.
                 let start = self.dispatch_free_at.max(now);
-                let cost = self.cfg.dispatch_cost;
                 self.dispatcher_clock
-                    .charge_observed(TimeClass::Dispatch, cost, &mut self.obs);
-                self.dispatch_free_at = start + cost;
+                    .charge_observed(TimeClass::Dispatch, DISPATCH_COST, &mut self.ledger.obs);
+                self.dispatch_free_at = start + DISPATCH_COST;
                 ctx.at(self.dispatch_free_at, Ev::Dispatched);
 
                 // Next arrival while the run lasts.
@@ -1440,14 +1372,10 @@ impl Model for LibPreemptibleSystem {
                             // pool-exhaustion drop, but carries its own
                             // typed event so overload behaviour is
                             // attributable in traces.
-                            self.dropped += 1;
-                            self.obs.emit(
-                                ctx.now(),
-                                Event::Shed { class: req.class, queued },
-                            );
+                            self.ledger.shed(ctx.now(), req.class, queued);
                             return;
                         }
-                        self.obs.emit(
+                        self.ledger.obs.emit(
                             ctx.now(),
                             Event::Admitted { class: req.class, queued },
                         );
@@ -1455,7 +1383,7 @@ impl Model for LibPreemptibleSystem {
                 }
                 match self
                     .pool
-                    .allocate(self.arrivals, req.arrived, req.service, req.class)
+                    .allocate(self.ledger.arrivals(), req.arrived, req.service, req.class)
                 {
                     Ok(id) => {
                         let now = ctx.now();
@@ -1469,7 +1397,7 @@ impl Model for LibPreemptibleSystem {
                                 runnable: queued,
                                 parked: self.pool.parked(),
                                 window: self.last_window.as_ref(),
-                                obs: &mut self.obs,
+                                obs: &mut self.ledger.obs,
                             };
                             let choice = self.policy.select_cpu(&tv, &mut sctx);
                             let enq = self.policy.enqueue(&tv, &mut sctx);
@@ -1479,7 +1407,7 @@ impl Model for LibPreemptibleSystem {
                             Some(w) if w < self.workers.len() => (w, true),
                             _ => (self.shortest_queue(), false),
                         };
-                        self.obs.emit(
+                        self.ledger.obs.emit(
                             now,
                             Event::PolicyDispatch { worker: w as u16, explicit },
                         );
@@ -1492,10 +1420,7 @@ impl Model for LibPreemptibleSystem {
                             ctx.immediately(Ev::Pick { worker: w });
                         }
                     }
-                    Err(_) => {
-                        self.dropped += 1;
-                        self.obs.emit(ctx.now(), Event::Drop { class: req.class });
-                    }
+                    Err(_) => self.ledger.dropped(ctx.now(), req.class),
                 }
             }
             Ev::Pick { worker } => self.handle_pick(worker, ctx),
@@ -1509,7 +1434,7 @@ impl Model for LibPreemptibleSystem {
                     && matches!(self.workers[worker].state, WState::Running { .. })
                 {
                     let now = ctx.now();
-                    self.obs.emit(
+                    self.ledger.obs.emit(
                         now,
                         Event::PreemptIssued {
                             worker: worker as u16,
@@ -1520,7 +1445,7 @@ impl Model for LibPreemptibleSystem {
                     );
                     let fault = self.injector.as_mut().and_then(|i| i.signal_at(now.as_nanos()));
                     if let Some(f) = fault {
-                        self.obs.emit(
+                        self.ledger.obs.emit(
                             now,
                             Event::FaultInjected { worker: worker as u16, kind: f.kind() as u8 },
                         );
@@ -1533,12 +1458,12 @@ impl Model for LibPreemptibleSystem {
                         now,
                         fault,
                         worker as u16,
-                        &mut self.obs,
+                        &mut self.ledger.obs,
                     ) {
                         self.workers[worker].clock.charge_observed(
                             TimeClass::Kernel,
                             d.sender_busy,
-                            &mut self.obs,
+                            &mut self.ledger.obs,
                         );
                         ctx.at(d.handler_start, Ev::PreemptArrive { worker, seq, uintr: false });
                     }
@@ -1553,13 +1478,11 @@ impl Model for LibPreemptibleSystem {
             Ev::ControlTick => {
                 let now = ctx.now();
                 let summary = self.window.roll(now.as_nanos());
-                self.policy.on_window_observed(&summary, now, &mut self.obs);
+                self.policy.on_window_observed(&summary, now, &mut self.ledger.obs);
                 self.last_window = Some(summary);
-                if let Some(ts) = self.quantum_series.as_mut() {
-                    let q = self.policy.quantum_hint(0);
-                    if q != SimDur::MAX {
-                        ts.record(now.as_nanos(), q.as_micros_f64());
-                    }
+                let q = self.policy.quantum_hint(0);
+                if q != SimDur::MAX {
+                    self.quantum_series.record(now.as_nanos(), q.as_micros_f64());
                 }
                 let next = now + self.cfg.control_period;
                 if next < SimTime::ZERO + self.spec.duration {
@@ -1615,14 +1538,8 @@ pub fn run(cfg: RuntimeConfig, policy: Box<dyn SchedPolicy>, spec: WorkloadSpec)
     sim.schedule_at(SimTime::ZERO + control_period, Ev::ControlTick);
     sim.run_until(SimTime::ZERO + duration);
 
-    let mut m = sim.into_model();
-    let mut cores = CoreClock::new();
-    let per_worker: Vec<CoreClock> = m.workers.iter().map(|w| w.clock.clone()).collect();
-    for w in &per_worker {
-        cores.merge(w);
-    }
-    cores.merge(&m.dispatcher_clock);
-    let mut timer_core = m.timer_clock.clone();
+    let m = sim.into_model();
+    let mut timer_core = m.timer_clock;
     if timer_cores > 0 {
         // The dedicated timer core is busy-polling whenever it is not
         // issuing SENDUIPIs.
@@ -1632,43 +1549,24 @@ pub fn run(cfg: RuntimeConfig, policy: Box<dyn SchedPolicy>, spec: WorkloadSpec)
             total.saturating_sub(timer_core.total_charged()),
         );
     }
-    let in_flight =
-        m.pool.live() as u64 + m.dispatch_queue.len() as u64;
-    let end = SimTime::ZERO + duration;
-    let oldest_inflight_ns = m
-        .pool
-        .oldest_live_arrival()
-        .into_iter()
-        .chain(m.dispatch_queue.iter().map(|p| p.arrived))
-        .map(|t| end.saturating_since(t).as_nanos())
-        .max()
-        .unwrap_or(0);
-    RunReport {
+    let end = RunEnd {
         system: system_name,
         offered_rps: offered,
         duration,
-        arrivals: m.arrivals,
-        completions: m.completions,
-        dropped: m.dropped,
-        in_flight,
-        oldest_inflight_ns,
-        latency: m.latency,
-        latency_by_class: m.latency_by_class,
-        preemptions: m.preemptions,
-        spurious_preemptions: m.spurious,
-        cores,
-        per_worker,
+        in_flight: m.pool.live() as u64 + m.dispatch_queue.len() as u64,
+        oldest_arrival: m
+            .pool
+            .oldest_live_arrival()
+            .into_iter()
+            .chain(m.dispatch_queue.iter().map(|p| p.arrived))
+            .min(),
+        per_worker: m.workers.into_iter().map(|w| w.clock).collect(),
+        dispatcher: m.dispatcher_clock,
         timer_core,
-        latency_series: m.latency_series,
-        qps_series: m.qps_series,
-        quantum_series: m.quantum_series,
-        slo_series: m.slo_series,
+        quantum_series: Some(m.quantum_series),
         final_quantum: m.policy.quantum_hint(0),
-        metrics: m.obs.snapshot(),
-        events_dropped: m.obs.ring().overwritten(),
-        events: m.obs.take_events(),
-        phases: m.obs.take_phases(),
-    }
+    };
+    m.ledger.into_report(end)
 }
 
 #[cfg(test)]

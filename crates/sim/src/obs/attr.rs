@@ -191,11 +191,7 @@ impl PhaseHistogram {
 
     /// Exact mean (integer division), or 0 when empty.
     pub fn mean_ns(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.sum_ns / self.count
-        }
+        self.sum_ns.checked_div(self.count).unwrap_or(0)
     }
 
     /// Upper bound of the bucket containing the nearest-rank `q`

@@ -86,9 +86,9 @@ impl Table {
         let _ = writeln!(out, "{}", "-".repeat(total));
         for row in &self.rows {
             let mut line = String::new();
-            for i in 0..ncols {
+            for (i, &w) in widths.iter().enumerate() {
                 let cell = row.get(i).map(String::as_str).unwrap_or("");
-                let _ = write!(line, "{:<w$}  ", cell, w = widths[i]);
+                let _ = write!(line, "{:<w$}  ", cell);
             }
             let _ = writeln!(out, "{}", line.trim_end());
         }

@@ -149,7 +149,7 @@ mod tests {
     fn hill_flags_exponential_as_light() {
         // Exponential quantiles: -ln(1-u)
         let s: Vec<f64> = (1..=5_000)
-            .map(|i| -((1.0 - i as f64 / 5_001.0) as f64).ln())
+            .map(|i| -(1.0 - i as f64 / 5_001.0).ln())
             .collect();
         let fit = hill_estimator(&s, 250).unwrap();
         assert!(!fit.is_heavy(), "exponential misclassified: {:?}", fit);

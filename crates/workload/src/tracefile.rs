@@ -52,7 +52,7 @@ impl EmpiricalDist {
             let us: f64 = line
                 .parse()
                 .map_err(|_| format!("bad service-time line: {line:?}"))?;
-            if !(us > 0.0) {
+            if us.is_nan() || us <= 0.0 {
                 return Err(format!("non-positive service time: {line:?}"));
             }
             samples.push(SimDur::from_micros_f64(us).max(SimDur::nanos(1)));

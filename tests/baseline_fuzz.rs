@@ -1,5 +1,7 @@
 //! Property-based fuzzing of the baseline systems.
 
+mod oracle;
+
 use lp_baselines::{run_libinger, run_shinjuku, LibingerConfig, ShinjukuConfig};
 use lp_sim::SimDur;
 use lp_workload::{PhasedService, RateSchedule, ServiceDist};
@@ -19,7 +21,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Shinjuku conserves requests across quanta, loads, and worker
-    /// counts — including overload and quantum = infinity.
+    /// counts — including overload and quantum = infinity — and, traced
+    /// in full, records the totals its trace recounts.
     #[test]
     fn shinjuku_conserves(
         workers in 1usize..8,
@@ -29,19 +32,20 @@ proptest! {
         seed in 0u64..500,
     ) {
         let d = dist(which);
-        let rate = d.rate_for_utilization(rho_pct as f64 / 100.0, workers);
+        let rate = d.rate_for_utilization(rho_pct as f64 / 100.0, workers).max(1_000.0);
         let quantum = if quantum_us == 0 { SimDur::MAX } else { SimDur::micros(quantum_us) };
+        let duration = SimDur::millis(8);
         let r = run_shinjuku(
             ShinjukuConfig {
                 workers,
                 quantum,
                 seed,
-                ..ShinjukuConfig::default()
+                trace_capacity: oracle::ring_for(rate, duration, workers, quantum),
             },
             WorkloadSpec {
                 source: ServiceSource::Phased(PhasedService::constant(d)),
-                arrivals: RateSchedule::Constant(rate.max(1_000.0)),
-                duration: SimDur::millis(8),
+                arrivals: RateSchedule::Constant(rate),
+                duration,
                 warmup: SimDur::millis(1),
             },
         );
@@ -52,6 +56,8 @@ proptest! {
         if r.completions > 0 {
             prop_assert!(r.latency.p99() >= r.latency.median());
         }
+        let record = oracle::check_record_path(&r);
+        prop_assert!(record.is_ok(), "{}", record.unwrap_err());
     }
 
     /// Libinger conserves requests and its preemption count respects

@@ -18,13 +18,30 @@
 //! moves a single byte of any reproduced figure fails until the
 //! constants are updated on purpose.
 //!
+//! Below the figures, [`run_reports_are_pinned_across_commits`] pins
+//! whole [`RunReport`]s: every field of one small run per system and
+//! mechanism (totals, histograms, series, core clocks, metrics, trace
+//! and tail attribution) is folded into one digest per run, so a
+//! refactor of the record path cannot move a byte of any report.
+//!
 //! `runner::with_jobs` pins the job count per call, so these tests are
 //! independent of the environment and of each other.
 
+use std::fmt::Write as _;
 use std::sync::OnceLock;
 
+use libpreemptible::adaptive::{AdaptiveConfig, QuantumController};
+use libpreemptible::runtime::AdmissionConfig;
+use libpreemptible::{
+    run, AdaptiveQuantum, Fifo, PreemptMech, RunReport, RuntimeConfig, SchedPolicy, ServiceSource,
+    WorkloadSpec,
+};
+use lp_baselines::{run_libinger, run_shinjuku, LibingerConfig, ShinjukuConfig};
 use lp_experiments::runner::{self, with_jobs};
 use lp_experiments::{fig2, fig8, Scale};
+use lp_sim::fault::{FaultKind, FaultPlan};
+use lp_sim::SimDur;
+use lp_workload::{ColocatedWorkload, PhasedService, RateSchedule, ServiceDist};
 
 const SEED: u64 = 2024;
 
@@ -143,4 +160,193 @@ fn quick_all_csvs_are_pinned_across_commits() {
         .map(|(file, csv)| (*file, fnv1a64(csv.as_bytes()), csv.len()))
         .collect();
     assert_eq!(got, QUICK_ALL_PINS, "a quick-scale `all` CSV digest moved");
+}
+
+/// FNV-1a-64 of every field of `r`: the totals, every latency
+/// histogram (overall and per class), every series frame, the core
+/// clocks, the metrics and events JSONL, and the phase attribution.
+fn report_digest(r: &RunReport) -> u64 {
+    let mut s = String::new();
+    let _ = writeln!(
+        s,
+        "{}|{:?}|{:?}|{}|{}|{}|{}|{}|{}|{}|{:?}|{}",
+        r.system,
+        r.offered_rps,
+        r.duration,
+        r.arrivals,
+        r.completions,
+        r.dropped,
+        r.in_flight,
+        r.oldest_inflight_ns,
+        r.preemptions,
+        r.spurious_preemptions,
+        r.final_quantum,
+        r.events_dropped,
+    );
+    let _ = writeln!(s, "{:?}\n{:?}", r.latency, r.latency_by_class);
+    let _ = writeln!(s, "{:?}\n{:?}", r.latency_series, r.qps_series);
+    let _ = writeln!(s, "{:?}\n{:?}", r.quantum_series, r.slo_series);
+    let _ = writeln!(s, "{:?}\n{:?}\n{:?}", r.cores, r.per_worker, r.timer_core);
+    s.push_str(&r.metrics.to_jsonl());
+    s.push('\n');
+    s.push_str(&r.events_jsonl());
+    let _ = write!(s, "{:?}", r.phases);
+    fnv1a64(s.as_bytes())
+}
+
+fn phased(dist: ServiceDist, rps: f64, ms: u64) -> WorkloadSpec {
+    WorkloadSpec {
+        source: ServiceSource::Phased(PhasedService::constant(dist)),
+        arrivals: RateSchedule::Constant(rps),
+        duration: SimDur::millis(ms),
+        warmup: SimDur::millis(ms / 10),
+    }
+}
+
+fn runtime_cell(mech: PreemptMech) -> RunReport {
+    let cfg = RuntimeConfig {
+        workers: 2,
+        mech,
+        seed: SEED,
+        control_period: SimDur::millis(2),
+        trace_capacity: 4096,
+        ..RuntimeConfig::default()
+    };
+    let policy: Box<dyn SchedPolicy> = if mech == PreemptMech::None {
+        Box::new(Fifo::new(SimDur::MAX))
+    } else {
+        Box::new(Fifo::new(SimDur::micros(10)))
+    };
+    run(
+        cfg,
+        policy,
+        phased(ServiceDist::workload_a1(), 150_000.0, 10),
+    )
+}
+
+/// The `fault_overload` geometry, shortened: 400 us requests on a
+/// 20 us slice, half the IPIs dropped, a 0.8x/1.6x square wave and
+/// SLO-aware admission, so the run degrades, retries and sheds.
+fn fault_overload_cell() -> RunReport {
+    let cfg = RuntimeConfig {
+        workers: 4,
+        seed: SEED,
+        control_period: SimDur::millis(10),
+        slo: Some(SimDur::micros(1_500)),
+        trace_capacity: 4096,
+        faults: FaultPlan::only(FaultKind::IpiDrop, 0.5),
+        admission: AdmissionConfig {
+            enabled: true,
+            queue_cap: 256,
+            brownout_cap: 64,
+            slo_aware: true,
+        },
+        ..RuntimeConfig::default()
+    };
+    let spec = WorkloadSpec {
+        arrivals: RateSchedule::Square {
+            base_rps: 8_000.0,
+            base_for: SimDur::millis(20),
+            spike_rps: 16_000.0,
+            spike_for: SimDur::millis(20),
+        },
+        ..phased(ServiceDist::Constant(SimDur::micros(400)), 0.0, 120)
+    };
+    run(cfg, Box::new(Fifo::new(SimDur::micros(20))), spec)
+}
+
+/// The colocation mix under Algorithm 1 with series and an SLO on.
+fn colocated_cell() -> RunReport {
+    let cfg = RuntimeConfig {
+        workers: 1,
+        seed: SEED,
+        control_period: SimDur::millis(2),
+        series_frame: Some(SimDur::millis(1)),
+        slo: Some(SimDur::micros(50)),
+        ..RuntimeConfig::default()
+    };
+    let mut adaptive = AdaptiveConfig::paper_defaults(60_000.0);
+    adaptive.period = cfg.control_period;
+    let ctl = QuantumController::new(adaptive, SimDur::micros(30));
+    let spec = WorkloadSpec {
+        source: ServiceSource::Colocated(ColocatedWorkload::paper_config()),
+        ..phased(ServiceDist::workload_b(), 40_000.0, 20)
+    };
+    run(cfg, Box::new(AdaptiveQuantum::new(ctl)), spec)
+}
+
+fn shinjuku_cell(quantum: SimDur, trace_capacity: usize) -> RunReport {
+    let cfg = ShinjukuConfig {
+        workers: 3,
+        quantum,
+        seed: SEED,
+        trace_capacity,
+    };
+    run_shinjuku(cfg, phased(ServiceDist::workload_a1(), 300_000.0, 10))
+}
+
+/// One cell of the pinned matrix: its name and the run it pins.
+type Cell = (&'static str, fn() -> RunReport);
+
+/// `(cell, FNV-1a-64 of every report field)` at [`SEED`].
+const REPORT_PINS: [(&str, u64); 9] = [
+    ("runtime/uintr", 0x0674_3612_7be7_4f45),
+    ("runtime/timer_core_signal", 0xa5b3_8b10_a8e8_f746),
+    ("runtime/none", 0x8e2b_b0d1_06e6_323c),
+    ("libinger", 0xf47a_d5d9_c6ca_ca9c),
+    ("fault_overload", 0x53ad_5714_c71e_ac6c),
+    ("colocated", 0x4024_e805_eb16_dd92),
+    ("shinjuku/q5us", 0x5e02_f219_9b10_10ab),
+    ("shinjuku/no_preemption", 0x4663_e658_07ef_ff0c),
+    ("shinjuku/traced", 0x7fa3_92cf_02f2_6327),
+];
+
+#[test]
+fn run_reports_are_pinned_across_commits() {
+    let cells: [Cell; 9] = [
+        ("runtime/uintr", || runtime_cell(PreemptMech::Uintr)),
+        ("runtime/timer_core_signal", || {
+            runtime_cell(PreemptMech::TimerCoreSignal)
+        }),
+        ("runtime/none", || runtime_cell(PreemptMech::None)),
+        ("libinger", || {
+            let cfg = LibingerConfig {
+                workers: 2,
+                quantum: SimDur::micros(60),
+                seed: SEED,
+            };
+            run_libinger(
+                cfg,
+                phased(ServiceDist::Constant(SimDur::micros(300)), 4_000.0, 20),
+            )
+        }),
+        ("fault_overload", fault_overload_cell),
+        ("colocated", colocated_cell),
+        ("shinjuku/q5us", || shinjuku_cell(SimDur::micros(5), 0)),
+        ("shinjuku/no_preemption", || shinjuku_cell(SimDur::MAX, 0)),
+        ("shinjuku/traced", || shinjuku_cell(SimDur::micros(5), 4096)),
+    ];
+    let reports: Vec<(&str, RunReport)> = cells.iter().map(|(name, f)| (*name, f())).collect();
+    // The matrix must exercise what it claims to pin.
+    let by_name = |n: &str| &reports.iter().find(|(name, _)| *name == n).unwrap().1;
+    assert!(
+        by_name("fault_overload").metrics.counter("sheds") > 0,
+        "no shed to pin"
+    );
+    assert!(
+        by_name("colocated").slo_series.is_some(),
+        "no SLO series to pin"
+    );
+    assert!(
+        !by_name("shinjuku/traced").events.is_empty(),
+        "no Shinjuku trace to pin"
+    );
+    for (name, r) in &reports {
+        assert!(r.is_conserved(), "{name}: not conserved");
+    }
+    let got: Vec<(&str, u64)> = reports
+        .iter()
+        .map(|(n, r)| (*n, report_digest(r)))
+        .collect();
+    assert_eq!(got, REPORT_PINS, "a pinned RunReport digest moved");
 }

@@ -75,12 +75,7 @@ fn anchors_of(text: &str) -> BTreeSet<String> {
             continue;
         }
         let heading = line.trim_start_matches('#');
-        if !line
-            .chars()
-            .skip_while(|&c| c == '#')
-            .next()
-            .is_some_and(|c| c == ' ')
-        {
+        if line.chars().find(|&c| c != '#') != Some(' ') {
             continue;
         }
         let slug = slugify(heading);

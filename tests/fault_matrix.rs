@@ -74,10 +74,8 @@ fn assert_fault_chains(name: &str, r: &RunReport) {
     let mut chained = false;
     for te in &r.events {
         match te.ev {
-            Event::FaultInjected { worker, .. } => {
-                if !faulted_workers.contains(&worker) {
-                    faulted_workers.push(worker);
-                }
+            Event::FaultInjected { worker, .. } if !faulted_workers.contains(&worker) => {
+                faulted_workers.push(worker);
             }
             Event::PreemptRetry { worker, .. } | Event::MechDegraded { worker, .. } => {
                 assert!(

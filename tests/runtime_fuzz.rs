@@ -1,6 +1,9 @@
 //! Property-based fuzzing of the full runtime: random configurations
 //! and workloads must always conserve requests, stay deterministic,
-//! and keep accounting sane.
+//! and keep accounting sane. Every run is traced in full, so the
+//! record-path oracle can recount the report from the trace.
+
+mod oracle;
 
 use libpreemptible::policies::{Fifo, RoundRobin, Srpt};
 use libpreemptible::sched::SchedPolicy;
@@ -77,7 +80,10 @@ fn build(case: &FuzzCase) -> (RuntimeConfig, Box<dyn SchedPolicy>, WorkloadSpec)
             sigma: 1.2,
         },
     };
-    let rate = dist.rate_for_utilization(case.rho_pct as f64 / 100.0, case.workers);
+    let rate = dist
+        .rate_for_utilization(case.rho_pct as f64 / 100.0, case.workers)
+        .max(1_000.0);
+    let duration = SimDur::millis(10);
     let cfg = RuntimeConfig {
         workers: case.workers,
         mech,
@@ -85,12 +91,13 @@ fn build(case: &FuzzCase) -> (RuntimeConfig, Box<dyn SchedPolicy>, WorkloadSpec)
         work_stealing: case.stealing,
         seed: case.seed,
         control_period: SimDur::millis(3),
+        trace_capacity: oracle::ring_for(rate, duration, case.workers, q),
         ..RuntimeConfig::default()
     };
     let spec = WorkloadSpec {
         source: ServiceSource::Phased(PhasedService::constant(dist)),
-        arrivals: RateSchedule::Constant(rate.max(1_000.0)),
-        duration: SimDur::millis(10),
+        arrivals: RateSchedule::Constant(rate),
+        duration,
         warmup: SimDur::millis(1),
     };
     (cfg, policy, spec)
@@ -99,8 +106,9 @@ fn build(case: &FuzzCase) -> (RuntimeConfig, Box<dyn SchedPolicy>, WorkloadSpec)
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Any configuration conserves requests and keeps per-worker time
-    /// accounting within the wall clock.
+    /// Any configuration conserves requests, keeps per-worker time
+    /// accounting within the wall clock, and records the totals its
+    /// trace recounts.
     #[test]
     fn conservation_and_accounting(case in case()) {
         let (cfg, policy, spec) = build(&case);
@@ -126,6 +134,8 @@ proptest! {
         if case.mech == 3 {
             prop_assert_eq!(r.preemptions, 0);
         }
+        let record = oracle::check_record_path(&r);
+        prop_assert!(record.is_ok(), "{case:?}: {}", record.unwrap_err());
     }
 
     /// Same case → identical reports; the master seed fully determines
