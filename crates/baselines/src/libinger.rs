@@ -48,7 +48,6 @@ impl Default for LibingerConfig {
 pub fn run_libinger(cfg: LibingerConfig, spec: WorkloadSpec) -> RunReport {
     let rt = RuntimeConfig {
         workers: cfg.workers,
-        timer_cores: 0,
         mech: PreemptMech::KernelTimerSignal,
         seed: cfg.seed,
         ..RuntimeConfig::default()

@@ -1,62 +1,21 @@
-//! Microbenchmarks of the substrate itself: event-queue throughput,
-//! histogram recording, workload sampling, and end-to-end simulated
-//! events/second — the numbers that bound how big a paper-scale run
-//! can be.
+//! Microbenchmarks of the substrate paths no other harness measures:
+//! stale cancels, wheel cascades and bucket collisions, observer
+//! emission, workload sampling and trace parsing. Event-queue
+//! push/pop and re-arm throughput, histogram recording, trace export
+//! and end-to-end runtime throughput are the benchmark's
+//! (`perfbench/METRICS.md`).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
-use libpreemptible::{run, Fifo, RuntimeConfig, ServiceSource, WorkloadSpec};
 use lp_sim::obs::{Event, Observer, TimedEvent};
-use lp_sim::{EventQueue, SimDur, SimTime};
-use lp_stats::Histogram;
-use lp_workload::{PhasedService, RateSchedule, ServiceDist, Zipf};
+use lp_sim::{EventQueue, SimTime};
+use lp_workload::{ServiceDist, Zipf};
 use rand::Rng;
 
 fn bench_event_queue(c: &mut Criterion) {
     let mut g = c.benchmark_group("event_queue");
     g.throughput(Throughput::Elements(10_000));
-    g.bench_function("push_pop_10k", |b| {
-        b.iter(|| {
-            let mut q = EventQueue::new();
-            let mut r = lp_sim::rng::rng(1, 0);
-            for i in 0..10_000u64 {
-                q.push(SimTime::from_nanos(r.gen_range(0..1_000_000)), i);
-            }
-            let mut n = 0u64;
-            while q.pop().is_some() {
-                n += 1;
-            }
-            black_box(n)
-        })
-    });
-    // The LibUtimer arming pattern: every task start arms a preemption
-    // deadline, most tasks complete before it fires, so the hot loop is
-    // push → cancel → re-arm. With tombstones this left a dead entry in
-    // the heap per iteration; generation-tagged slots make cancel O(1)
-    // and keep the heap at O(live).
-    g.bench_function("arm_cancel_rearm_10k", |b| {
-        b.iter(|| {
-            let mut q = EventQueue::with_capacity(64);
-            let mut r = lp_sim::rng::rng(5, 0);
-            // Background events keep the heap non-trivial.
-            for i in 0..32u64 {
-                q.push(SimTime::from_nanos(1_000_000_000 + i), i);
-            }
-            let mut now = 0u64;
-            let mut armed = q.push(SimTime::from_nanos(now + 100), u64::MAX);
-            for _ in 0..10_000 {
-                q.cancel(armed);
-                now += r.gen_range(1..100);
-                armed = q.push(SimTime::from_nanos(now + 100), u64::MAX);
-            }
-            let mut n = 0u64;
-            while q.pop().is_some() {
-                n += 1;
-            }
-            black_box(n)
-        })
-    });
     // Cancel-after-fire: the deadline already popped; the completion
     // path still calls cancel on the stale id. Must be an O(1) no-op
     // and must not grow any internal state (regression-tested in
@@ -158,22 +117,6 @@ fn bench_wheel(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_histogram(c: &mut Criterion) {
-    let mut g = c.benchmark_group("histogram");
-    g.throughput(Throughput::Elements(100_000));
-    g.bench_function("record_100k", |b| {
-        b.iter(|| {
-            let mut h = Histogram::new();
-            let mut r = lp_sim::rng::rng(2, 0);
-            for _ in 0..100_000 {
-                h.record(r.gen_range(1..10_000_000));
-            }
-            black_box(h.p99())
-        })
-    });
-    g.finish();
-}
-
 fn bench_workload(c: &mut Criterion) {
     let mut g = c.benchmark_group("workload");
     g.throughput(Throughput::Elements(100_000));
@@ -235,16 +178,6 @@ fn bench_tracing(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("trace_export");
     g.throughput(Throughput::Elements(4_096));
-    g.bench_function("jsonl_4k_events", |b| {
-        let mut obs = Observer::new(4_096);
-        for i in 0..4_096u64 {
-            obs.emit(
-                SimTime::from_nanos(i * 100),
-                Event::UipiSent { worker: (i % 8) as u16, vector: 0 },
-            );
-        }
-        b.iter(|| black_box(obs.to_jsonl().len()))
-    });
     g.bench_function("parse_4k_lines", |b| {
         let mut obs = Observer::new(4_096);
         for i in 0..4_096u64 {
@@ -265,39 +198,11 @@ fn bench_tracing(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_runtime(c: &mut Criterion) {
-    let mut g = c.benchmark_group("runtime");
-    g.sample_size(10);
-    // ~10k requests with preemptions: reports simulated-requests/sec.
-    g.throughput(Throughput::Elements(10_000));
-    g.bench_function("a1_10k_requests", |b| {
-        b.iter(|| {
-            let dist = ServiceDist::workload_a1();
-            let rate = dist.rate_for_utilization(0.8, 4);
-            let duration = SimDur::from_secs_f64(10_000.0 / rate);
-            let r = run(
-                RuntimeConfig::default(),
-                Box::new(Fifo::new(SimDur::micros(5))),
-                WorkloadSpec {
-                    source: ServiceSource::Phased(PhasedService::constant(dist)),
-                    arrivals: RateSchedule::Constant(rate),
-                    duration,
-                    warmup: SimDur::ZERO,
-                },
-            );
-            black_box(r.completions)
-        })
-    });
-    g.finish();
-}
-
 criterion_group!(
     engine,
     bench_event_queue,
     bench_wheel,
-    bench_histogram,
     bench_workload,
-    bench_tracing,
-    bench_runtime
+    bench_tracing
 );
 criterion_main!(engine);

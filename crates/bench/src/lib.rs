@@ -1,4 +1,5 @@
-//! Microbenchmark harness crate: no library code — the benchmarks live
-//! in `benches/engine.rs`. Run with `cargo bench -p lp-bench`.
+//! Benchmark harness crate: no library code. The overhead gates are the
+//! `lp-bench` binary (`src/main.rs`); the Criterion microbenchmarks live
+//! in `benches/`. Run them with `cargo bench -p lp-bench`.
 
 #![warn(missing_docs)]

@@ -1,32 +1,26 @@
-//! `lp-bench` — the perf-regression harness.
+//! `lp-bench` — the healthy-path overhead gates.
 //!
-//! Measures the numbers that bound how big a paper-scale run can be and
-//! how much the parallel runner buys:
+//! Three sections, each the same preemption-heavy run with one
+//! subsystem off vs. armed but silent, timed as the fastest of
+//! interleaved iterations. The armed run must produce identical
+//! results; its wall-clock overhead is the number CI gates at < 2%:
 //!
-//! * event-queue push/pop throughput (engine events/second);
-//! * the cancellation-heavy LibUtimer pattern (push → cancel → re-arm);
-//! * wall-clock for the quick-scale `all` artifact list, serial
-//!   (`LP_JOBS=1`) vs. parallel, plus the speedup — and a byte-identity
-//!   check that both runs produced the same tables and CSVs;
-//! * the healthy-path cost of the fault-injection machinery: the same
-//!   run with no `FaultPlan` vs. an armed-but-unreachable one (injector
-//!   constructed, a watchdog per preemption, zero faults fire). The
-//!   results must be identical and the wall-clock overhead is the
-//!   number CI gates at < 2% (see `docs/FAULTS.md`);
-//! * the healthy-path cost of the admission gate: the same run with
-//!   admission disabled vs. armed with unreachable caps. Same
-//!   identical-results requirement, same < 2% CI gate (see
+//! * the fault-injection machinery: no `FaultPlan` vs. an
+//!   armed-but-unreachable one (injector constructed, a watchdog per
+//!   preemption, zero faults fire; see `docs/FAULTS.md`);
+//! * the admission gate: disabled vs. armed with unreachable caps (see
 //!   `docs/CHAOS.md`);
-//! * the cost of the always-on tail-attribution accountant: the same
-//!   run with the phase accountant off vs. on (the shipped default).
-//!   Scheduling results must be identical — attribution is passive —
-//!   and the wall-clock overhead is gated at < 2% (see
-//!   `docs/TRACING.md`).
+//! * the always-on tail-attribution accountant: off vs. on, the
+//!   shipped default. Attribution is passive, so scheduling results
+//!   must be identical (see `docs/TRACING.md`).
+//!
+//! Every other host timing (the event engine, quick-scale `all`, each
+//! artifact, the per-layer split) is the benchmark's, `perfbench`
+//! (`perfbench/METRICS.md`).
 //!
 //! `lp-bench --json` additionally writes `BENCH_results.json` (schema
-//! documented in `docs/PERFORMANCE.md`) for CI artifact upload and
-//! regression tracking. Exits non-zero if the serial and parallel
-//! outputs differ.
+//! `lp-bench/5`, documented in `docs/PERFORMANCE.md`) for the CI gate
+//! steps. Exits non-zero if any armed run changed results.
 //!
 //! Wall-clock timing is inherently nondeterministic; this binary is the
 //! one place that reads the host clock, covered by the lint's static
@@ -36,84 +30,14 @@ use std::time::Instant;
 
 use libpreemptible::runtime::AdmissionConfig;
 use libpreemptible::{run, Fifo, RunReport, RuntimeConfig, ServiceSource, WorkloadSpec};
-use lp_experiments::runner::{self, ArtifactOutput};
-use lp_experiments::{Scale, DEFAULT_SEED};
 use lp_sim::fault::{FaultKind, FaultPlan};
-use lp_sim::{EventQueue, SimDur, SimTime};
+use lp_sim::SimDur;
 use lp_workload::{PhasedService, RateSchedule, ServiceDist};
 
-/// Events per measured iteration of the queue microbenchmarks.
-const EVENTS: u64 = 10_000;
 /// Timed iterations (after warmup).
 const ITERS: u32 = 20;
-/// Timed iterations for the two sub-millisecond engine metrics. Their
-/// minimum-of-iterations estimate needs one iteration to land in a
-/// quiet scheduling window; at ~0.5 ms each, extra samples are free,
-/// so take enough that the estimate converges even on a busy host.
-const ENGINE_ITERS: u32 = 60;
 /// Warmup iterations, excluded from the measurement.
 const WARMUP: u32 = 3;
-
-/// Deterministic pseudo-random event time in `[0, 1ms)` — keeps the
-/// heap order non-trivial without pulling an RNG into the binary.
-fn scatter(i: u64) -> u64 {
-    i.wrapping_mul(0x9E37_79B9_7F4A_7C15) % 1_000_000
-}
-
-/// Push/pop throughput of the event queue, in events per second
-/// (counting each pushed-then-popped event once). Like
-/// `fault_overhead`, the estimate is the *fastest* measured iteration:
-/// every iteration does identical deterministic work, so the minimum
-/// is the noise-robust estimate of the code's true cost (a mean
-/// absorbs every scheduler hiccup of the host, which on a shared CI
-/// runner swings far more than the 10% the perf gate polices).
-fn push_pop_events_per_sec() -> f64 {
-    let mut best = f64::INFINITY;
-    for it in 0..WARMUP + ENGINE_ITERS {
-        let mut q = EventQueue::with_capacity(EVENTS as usize);
-        let start = Instant::now();
-        for i in 0..EVENTS {
-            q.push(SimTime::from_nanos(scatter(i)), i);
-        }
-        let mut n = 0u64;
-        while q.pop().is_some() {
-            n += 1;
-        }
-        let elapsed = start.elapsed().as_secs_f64();
-        assert_eq!(n, EVENTS);
-        if it >= WARMUP {
-            best = best.min(elapsed);
-        }
-    }
-    EVENTS as f64 / best
-}
-
-/// The LibUtimer arming pattern: push a deadline, cancel it, re-arm.
-/// Reported as re-arm cycles per second, estimated as the fastest
-/// measured iteration (see `push_pop_events_per_sec` on why).
-fn arm_cancel_rearm_per_sec() -> f64 {
-    let mut best = f64::INFINITY;
-    for it in 0..WARMUP + ENGINE_ITERS {
-        let mut q = EventQueue::with_capacity(64);
-        for i in 0..32u64 {
-            q.push(SimTime::from_nanos(1_000_000_000 + i), i);
-        }
-        let mut now = 0u64;
-        let start = Instant::now();
-        let mut armed = q.push(SimTime::from_nanos(now + 100), u64::MAX);
-        for i in 0..EVENTS {
-            q.cancel(armed);
-            now += 1 + scatter(i) % 99;
-            armed = q.push(SimTime::from_nanos(now + 100), u64::MAX);
-        }
-        while q.pop().is_some() {}
-        let elapsed = start.elapsed().as_secs_f64();
-        if it >= WARMUP {
-            best = best.min(elapsed);
-        }
-    }
-    EVENTS as f64 / best
-}
 
 /// One iteration of the fault-overhead workload: preemption-heavy
 /// (every request needs many quanta), UINTR mechanism.
@@ -262,41 +186,8 @@ fn attribution_overhead() -> (f64, f64, bool) {
     (off_secs, on_secs, identical)
 }
 
-/// Runs the quick-scale artifact list once, returning the outputs and
-/// the wall-clock seconds.
-fn timed_all(jobs: usize) -> (Vec<(&'static str, ArtifactOutput)>, f64) {
-    let start = Instant::now();
-    let out = runner::with_jobs(jobs, || {
-        runner::run_artifacts(&runner::all_artifacts(), Scale::Quick, DEFAULT_SEED)
-    });
-    (out, start.elapsed().as_secs_f64())
-}
-
-/// Byte-compares two artifact runs: names, rendered tables, and CSVs.
-fn outputs_identical(
-    a: &[(&'static str, ArtifactOutput)],
-    b: &[(&'static str, ArtifactOutput)],
-) -> bool {
-    a.len() == b.len()
-        && a.iter().zip(b).all(|((na, oa), (nb, ob))| {
-            na == nb
-                && oa.csvs == ob.csvs
-                && oa.tables.len() == ob.tables.len()
-                && oa
-                    .tables
-                    .iter()
-                    .zip(&ob.tables)
-                    .all(|(ta, tb)| ta.render() == tb.render())
-        })
-}
-
 fn main() {
     let json = std::env::args().any(|a| a == "--json");
-
-    eprintln!("lp-bench: event queue (push/pop) ...");
-    let push_pop = push_pop_events_per_sec();
-    eprintln!("lp-bench: event queue (arm/cancel/re-arm) ...");
-    let rearm = arm_cancel_rearm_per_sec();
 
     eprintln!("lp-bench: fault-injection overhead (healthy vs armed) ...");
     let (fault_healthy_secs, fault_armed_secs, fault_identical) = fault_overhead();
@@ -310,23 +201,6 @@ fn main() {
     let (attr_off_secs, attr_on_secs, attr_identical) = attribution_overhead();
     let attr_overhead_pct = (attr_on_secs / attr_off_secs - 1.0) * 100.0;
 
-    let jobs = runner::jobs();
-    eprintln!("lp-bench: quick-scale all, serial ...");
-    let (serial_out, serial_secs) = timed_all(1);
-    eprintln!("lp-bench: quick-scale all, {jobs} job(s) ...");
-    let (par_out, par_secs) = timed_all(jobs);
-    let identical = outputs_identical(&serial_out, &par_out);
-    let speedup = serial_secs / par_secs;
-    // A fixed LP_JOBS=8 point rides along so the recorded matrix always
-    // has a host-independent parallel column next to the serial one
-    // (the `jobs` point above floats with the runner's default).
-    eprintln!("lp-bench: quick-scale all, 8 jobs ...");
-    let (par8_out, par8_secs) = timed_all(8);
-    let identical8 = outputs_identical(&serial_out, &par8_out);
-    let speedup8 = serial_secs / par8_secs;
-
-    println!("engine.push_pop:        {:>12.0} events/s", push_pop);
-    println!("engine.arm_cancel_rearm:{:>12.0} cycles/s", rearm);
     println!("faults.healthy:         {fault_healthy_secs:>12.3} s");
     println!("faults.armed:           {fault_armed_secs:>12.3} s");
     println!("faults.overhead:        {fault_overhead_pct:>12.2} %");
@@ -348,32 +222,15 @@ fn main() {
         "attribution.results:    {}",
         if attr_identical { "identical" } else { "DIFFER" }
     );
-    println!("all(quick).serial:      {serial_secs:>12.2} s");
-    println!("all(quick).parallel:    {par_secs:>12.2} s  (LP_JOBS={jobs})");
-    println!("all(quick).speedup:     {speedup:>12.2} x");
-    println!(
-        "all(quick).outputs:     {}",
-        if identical { "identical" } else { "DIFFER" }
-    );
-    println!("all(quick).parallel8:   {par8_secs:>12.2} s  (LP_JOBS=8)");
-    println!("all(quick).speedup8:    {speedup8:>12.2} x");
-    println!(
-        "all(quick).outputs8:    {}",
-        if identical8 { "identical" } else { "DIFFER" }
-    );
 
     if json {
         let body = format!(
-            "{{\n  \"schema\": \"lp-bench/4\",\n  \"engine\": {{\n    \"push_pop_events_per_sec\": {push_pop:.0},\n    \"arm_cancel_rearm_per_sec\": {rearm:.0}\n  }},\n  \"fault_overhead\": {{\n    \"healthy_secs\": {fault_healthy_secs:.3},\n    \"armed_secs\": {fault_armed_secs:.3},\n    \"overhead_pct\": {fault_overhead_pct:.3},\n    \"results_identical\": {fault_identical}\n  }},\n  \"admission_overhead\": {{\n    \"disabled_secs\": {adm_disabled_secs:.3},\n    \"armed_secs\": {adm_armed_secs:.3},\n    \"overhead_pct\": {adm_overhead_pct:.3},\n    \"results_identical\": {adm_identical}\n  }},\n  \"attribution_overhead\": {{\n    \"off_secs\": {attr_off_secs:.3},\n    \"on_secs\": {attr_on_secs:.3},\n    \"overhead_pct\": {attr_overhead_pct:.3},\n    \"results_identical\": {attr_identical}\n  }},\n  \"all_quick\": {{\n    \"jobs\": {jobs},\n    \"serial_secs\": {serial_secs:.3},\n    \"parallel_secs\": {par_secs:.3},\n    \"speedup\": {speedup:.3},\n    \"outputs_identical\": {identical},\n    \"parallel8_secs\": {par8_secs:.3},\n    \"speedup8\": {speedup8:.3},\n    \"outputs8_identical\": {identical8}\n  }}\n}}\n"
+            "{{\n  \"schema\": \"lp-bench/5\",\n  \"fault_overhead\": {{\n    \"healthy_secs\": {fault_healthy_secs:.3},\n    \"armed_secs\": {fault_armed_secs:.3},\n    \"overhead_pct\": {fault_overhead_pct:.3},\n    \"results_identical\": {fault_identical}\n  }},\n  \"admission_overhead\": {{\n    \"disabled_secs\": {adm_disabled_secs:.3},\n    \"armed_secs\": {adm_armed_secs:.3},\n    \"overhead_pct\": {adm_overhead_pct:.3},\n    \"results_identical\": {adm_identical}\n  }},\n  \"attribution_overhead\": {{\n    \"off_secs\": {attr_off_secs:.3},\n    \"on_secs\": {attr_on_secs:.3},\n    \"overhead_pct\": {attr_overhead_pct:.3},\n    \"results_identical\": {attr_identical}\n  }}\n}}\n"
         );
         std::fs::write("BENCH_results.json", body).expect("write BENCH_results.json");
         eprintln!("lp-bench: wrote BENCH_results.json");
     }
 
-    if !identical || !identical8 {
-        eprintln!("lp-bench: serial and parallel outputs differ — determinism regression");
-        std::process::exit(1);
-    }
     if !fault_identical {
         eprintln!("lp-bench: armed-but-silent fault plan changed results — injector is not a no-op");
         std::process::exit(1);

@@ -4,18 +4,6 @@
 //! paper); each artifact fans its point grid out across `LP_JOBS`
 //! worker threads through `lp_experiments::runner`, with output
 //! byte-identical to a serial run.
-use lp_experiments::common::save_csv;
-use lp_experiments::{common::Scale, runner, DEFAULT_SEED};
-
-fn main() {
-    let scale = Scale::from_env(Scale::Full);
-    let seed = DEFAULT_SEED;
-    for (_name, out) in runner::run_artifacts(&runner::all_artifacts(), scale, seed) {
-        for (file, csv) in &out.csvs {
-            save_csv(file, csv);
-        }
-        for t in &out.tables {
-            println!("{}", t.render());
-        }
-    }
+fn main() -> std::io::Result<()> {
+    lp_experiments::runner::emit(None, &mut std::io::stdout().lock())
 }

@@ -1,10 +1,4 @@
 //! Regenerates the extension experiments (X1-X4).
-use lp_experiments::{common::Scale, ext, DEFAULT_SEED};
-fn main() {
-    let scale = Scale::from_env(Scale::Full);
-    println!("{}", ext::power_table().render());
-    println!("{}", ext::security_table().render());
-    let rows = ext::run_min_quantum(scale, DEFAULT_SEED);
-    println!("{}", ext::min_quantum_table(&rows).render());
-    println!("{}", ext::hw_offload_table(scale, DEFAULT_SEED).render());
+fn main() -> std::io::Result<()> {
+    lp_experiments::runner::emit(Some("ext"), &mut std::io::stdout().lock())
 }

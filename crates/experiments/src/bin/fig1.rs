@@ -1,12 +1,4 @@
 //! Regenerates Fig. 1 (both panels).
-use lp_experiments::{common::Scale, fig1};
-fn main() {
-    let scale = Scale::from_env(Scale::Full);
-    let left = fig1::run_left(scale);
-    let right = fig1::run_right(scale);
-    let (tl, tr) = fig1::tables(&left, &right);
-    println!("{}", tl.render());
-    println!("{}", tr.render());
-    lp_experiments::common::save_csv("fig1_left.csv", &tl.to_csv());
-    lp_experiments::common::save_csv("fig1_right.csv", &tr.to_csv());
+fn main() -> std::io::Result<()> {
+    lp_experiments::runner::emit(Some("fig1"), &mut std::io::stdout().lock())
 }

@@ -1,9 +1,4 @@
 //! Regenerates Fig. 10 (RPC deployment overhead).
-use lp_experiments::{common::Scale, fig10, DEFAULT_SEED};
-fn main() {
-    let scale = Scale::from_env(Scale::Full);
-    let pts = fig10::run_fig10(scale, DEFAULT_SEED);
-    let t = fig10::table(&pts);
-    println!("{}", t.render());
-    lp_experiments::common::save_csv("fig10.csv", &t.to_csv());
+fn main() -> std::io::Result<()> {
+    lp_experiments::runner::emit(Some("fig10"), &mut std::io::stdout().lock())
 }

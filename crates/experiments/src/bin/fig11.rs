@@ -1,9 +1,4 @@
 //! Regenerates Fig. 11 (timer delivery scalability).
-use lp_experiments::{common::Scale, fig11, DEFAULT_SEED};
-fn main() {
-    let scale = Scale::from_env(Scale::Full);
-    let cells = fig11::run_fig11(scale, DEFAULT_SEED);
-    let t = fig11::table(&cells);
-    println!("{}", t.render());
-    lp_experiments::common::save_csv("fig11.csv", &t.to_csv());
+fn main() -> std::io::Result<()> {
+    lp_experiments::runner::emit(Some("fig11"), &mut std::io::stdout().lock())
 }

@@ -1,9 +1,4 @@
 //! Regenerates Fig. 12 (LibUtimer precision).
-use lp_experiments::{common::Scale, fig12, DEFAULT_SEED};
-fn main() {
-    let scale = Scale::from_env(Scale::Full);
-    let rows = fig12::run_fig12(scale, DEFAULT_SEED);
-    let t = fig12::table(&rows);
-    println!("{}", t.render());
-    lp_experiments::common::save_csv("fig12.csv", &t.to_csv());
+fn main() -> std::io::Result<()> {
+    lp_experiments::runner::emit(Some("fig12"), &mut std::io::stdout().lock())
 }

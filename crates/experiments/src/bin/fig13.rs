@@ -1,13 +1,4 @@
 //! Regenerates Fig. 13 (MICA + zlib colocation).
-use lp_experiments::{common::Scale, fig13, DEFAULT_SEED};
-fn main() {
-    let scale = Scale::from_env(Scale::Full);
-    let left = fig13::run_left(scale, DEFAULT_SEED);
-    let tl = fig13::table(&left, "Fig 13 (left): fixed 30us quantum vs load");
-    println!("{}", tl.render());
-    let right = fig13::run_right(scale, DEFAULT_SEED);
-    let tr = fig13::table(&right, "Fig 13 (right): quantum sweep at 55 kRPS");
-    println!("{}", tr.render());
-    lp_experiments::common::save_csv("fig13_left.csv", &tl.to_csv());
-    lp_experiments::common::save_csv("fig13_right.csv", &tr.to_csv());
+fn main() -> std::io::Result<()> {
+    lp_experiments::runner::emit(Some("fig13"), &mut std::io::stdout().lock())
 }

@@ -1,9 +1,4 @@
 //! Regenerates Fig. 14 (bursty colocation, adaptive quantum).
-use lp_experiments::{common::Scale, fig14, DEFAULT_SEED};
-fn main() {
-    let scale = Scale::from_env(Scale::Full);
-    let rows = fig14::run_fig14(scale, DEFAULT_SEED);
-    let t = fig14::table(&rows);
-    println!("{}", t.render());
-    lp_experiments::common::save_csv("fig14.csv", &t.to_csv());
+fn main() -> std::io::Result<()> {
+    lp_experiments::runner::emit(Some("fig14"), &mut std::io::stdout().lock())
 }

@@ -1,9 +1,4 @@
 //! Regenerates Fig. 2 (tail vs quantum).
-use lp_experiments::{common::Scale, fig2, DEFAULT_SEED};
-fn main() {
-    let scale = Scale::from_env(Scale::Full);
-    let pts = fig2::run_fig2(scale, DEFAULT_SEED);
-    let t = fig2::table(&pts);
-    println!("{}", t.render());
-    lp_experiments::common::save_csv("fig2.csv", &t.to_csv());
+fn main() -> std::io::Result<()> {
+    lp_experiments::runner::emit(Some("fig2"), &mut std::io::stdout().lock())
 }

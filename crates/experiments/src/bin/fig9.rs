@@ -1,9 +1,4 @@
 //! Regenerates Fig. 9 (adaptive quanta vs SLO violations).
-use lp_experiments::{common::Scale, fig9, DEFAULT_SEED};
-fn main() {
-    let scale = Scale::from_env(Scale::Full);
-    let rows = fig9::run_fig9(scale, DEFAULT_SEED);
-    println!("{}", fig9::table(&rows).render());
-    println!("{}", fig9::quantum_trace(&rows).render());
-    lp_experiments::common::save_csv("fig9.csv", &fig9::table(&rows).to_csv());
+fn main() -> std::io::Result<()> {
+    lp_experiments::runner::emit(Some("fig9"), &mut std::io::stdout().lock())
 }

@@ -1,4 +1,4 @@
 //! Regenerates Table I.
-fn main() {
-    println!("{}", lp_experiments::table1::run().render());
+fn main() -> std::io::Result<()> {
+    lp_experiments::runner::emit(Some("table1"), &mut std::io::stdout().lock())
 }

@@ -1,9 +1,4 @@
 //! Regenerates Table IV (IPC mechanism overhead).
-use lp_experiments::{common::Scale, table4};
-fn main() {
-    let scale = Scale::from_env(Scale::Full);
-    let rows = table4::run(scale);
-    let t = table4::table(&rows);
-    println!("{}", t.render());
-    lp_experiments::common::save_csv("table4.csv", &t.to_csv());
+fn main() -> std::io::Result<()> {
+    lp_experiments::runner::emit(Some("table4"), &mut std::io::stdout().lock())
 }

@@ -174,8 +174,8 @@ pub fn run_hw_offload(scale: Scale, seed: u64) -> (f64, f64) {
         RuntimeConfig {
             workers: 4,
             seed,
+            // No poll loop, so no busy-polling timer core.
             hw: HwCosts::hw_offload_timer(),
-            timer_cores: 0,
             ..RuntimeConfig::default()
         },
         Box::new(Fifo::new(SimDur::micros(5))),

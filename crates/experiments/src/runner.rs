@@ -17,17 +17,19 @@
 //!   spawning a second level of threads.
 //!
 //! Job-count resolution order: a [`with_jobs`] override (used by tests
-//! and `lp-bench` so they never race on the environment) → the
-//! `LP_JOBS` environment variable → the machine's available
-//! parallelism. The tier-1 test `tests/determinism.rs` pins the
-//! byte-identity claim across `LP_JOBS=1,2,8`; the architecture and
-//! the determinism argument are written up in `docs/PERFORMANCE.md`.
+//! so they never race on the environment) → the `LP_JOBS` environment
+//! variable → the machine's available parallelism. The tier-1 test
+//! `tests/determinism.rs` pins the byte-identity claim across
+//! `LP_JOBS=1,2,8`; the architecture and the determinism argument are
+//! written up in `docs/PERFORMANCE.md`.
 
 use std::cell::Cell;
+use std::io::{self, Write};
 
 use lp_stats::Table;
 
-use crate::common::Scale;
+use crate::common::{save_csv, Scale};
+use crate::DEFAULT_SEED;
 
 /// Identifies one submitted point of an artifact's grid, for labeling
 /// and debugging parallel runs.
@@ -71,9 +73,9 @@ pub fn jobs() -> usize {
 }
 
 /// Runs `f` with the runner's job count pinned to `jobs`, restoring
-/// the previous setting afterwards (panic-safe). This is how tests and
-/// `lp-bench` compare serial against parallel execution without
-/// mutating the process environment.
+/// the previous setting afterwards (panic-safe). This is how tests
+/// compare serial against parallel execution without mutating the
+/// process environment.
 pub fn with_jobs<R>(jobs: usize, f: impl FnOnce() -> R) -> R {
     struct Restore(Option<usize>);
     impl Drop for Restore {
@@ -104,7 +106,8 @@ where
 }
 
 // ---------------------------------------------------------------------------
-// Artifact submission: the `all` binary's paper-order run list.
+// Artifact submission: the paper-order run list behind `all` and the
+// per-artifact binaries.
 // ---------------------------------------------------------------------------
 
 /// Everything one artifact produces: tables to print (in order) and
@@ -153,8 +156,9 @@ impl Artifact {
 }
 
 /// The complete evaluation in paper order — the run list behind
-/// `cargo run -p lp-experiments --bin all`, also reused by `lp-bench`
-/// to time quick-scale wall-clock serial vs. parallel.
+/// `cargo run -p lp-experiments --bin all` and the one definition each
+/// per-artifact binary (`--bin fig8`, …) looks its entry up in (see
+/// [`emit`]). The benchmark times each entry through [`run_artifacts`].
 ///
 /// Each artifact internally fans its point grid out through
 /// [`map_points`]; the list itself is executed in order so stdout
@@ -282,6 +286,35 @@ pub fn run_artifacts(
         .iter()
         .map(|a| (a.name, a.run(scale, seed)))
         .collect()
+}
+
+/// The body of the `all` binary (`only == None`) and of each
+/// per-artifact binary (`only == Some(name)`): runs the artifact list,
+/// or its one entry named `name`, at `LP_SCALE` (default full) and
+/// [`DEFAULT_SEED`]. As each artifact finishes, its CSVs are saved under
+/// `results/` and its tables are written to `out`, rendered and
+/// newline-terminated, in paper order.
+///
+/// # Panics
+///
+/// Panics if `only` names no artifact of [`all_artifacts`].
+pub fn emit(only: Option<&str>, out: &mut impl Write) -> io::Result<()> {
+    let artifacts: Vec<Artifact> = all_artifacts()
+        .into_iter()
+        .filter(|a| only.is_none_or(|name| a.name == name))
+        .collect();
+    assert!(!artifacts.is_empty(), "no artifact named {only:?}");
+    let scale = Scale::from_env(Scale::Full);
+    for a in &artifacts {
+        let output = a.run(scale, DEFAULT_SEED);
+        for (file, csv) in &output.csvs {
+            save_csv(file, csv);
+        }
+        for t in &output.tables {
+            writeln!(out, "{}", t.render())?;
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -350,27 +350,6 @@ impl UintrDomain {
         }
     }
 
-    /// [`senduipi`](Self::senduipi) plus observability: emits
-    /// [`Event::UipiSent`] and, for the non-fast-path outcomes, the
-    /// matching event ([`Event::KernelAssistWake`] for a blocked
-    /// receiver, [`Event::UipiPended`] for a masked one,
-    /// [`Event::UipiSuppressed`] under `SN`). A coalesced send emits
-    /// nothing extra here — the extra posted vector surfaces as
-    /// `coalesced: true` on the eventual [`Event::UipiDelivered`] from
-    /// [`acknowledge_observed`](Self::acknowledge_observed).
-    pub fn senduipi_observed(
-        &mut self,
-        entry: UittEntry,
-        receiver: ReceiverState,
-        worker: u16,
-        at: SimTime,
-        obs: &mut Observer,
-    ) -> Result<SendOutcome, UintrError> {
-        let outcome = self.senduipi(entry, receiver)?;
-        emit_send_events(outcome, entry.vector, worker, at, obs);
-        Ok(outcome)
-    }
-
     /// [`senduipi`](Self::senduipi) with a pre-sampled fault decision
     /// applied. The decision comes from
     /// [`FaultInjector::ipi`](lp_sim::fault::FaultInjector::ipi) — this
@@ -417,11 +396,21 @@ impl UintrDomain {
         }
     }
 
-    /// [`senduipi_with_fault`](Self::senduipi_with_fault) plus the same
-    /// observability as [`senduipi_observed`](Self::senduipi_observed).
+    /// [`senduipi_with_fault`](Self::senduipi_with_fault) plus
+    /// observability: emits [`Event::UipiSent`] and, for the
+    /// non-fast-path outcomes, the matching event
+    /// ([`Event::KernelAssistWake`] for a blocked receiver,
+    /// [`Event::UipiPended`] for a masked one, [`Event::UipiSuppressed`]
+    /// under `SN`). A coalesced send emits nothing extra here — the extra
+    /// posted vector surfaces as `coalesced: true` on the eventual
+    /// [`Event::UipiDelivered`] from
+    /// [`acknowledge_observed`](Self::acknowledge_observed). With
+    /// `fault == None` this is the plain observed send.
+    ///
     /// A dropped send still emits [`Event::UipiSent`] (the instruction
     /// executed at the sender) but no delivery-side event; the runtime
-    /// emits the corresponding `fault_injected` event itself.
+    /// emits the corresponding `fault_injected` event itself. A
+    /// duplicated send emits a second [`Event::UipiSent`].
     pub fn senduipi_with_fault_observed(
         &mut self,
         entry: UittEntry,
@@ -432,7 +421,13 @@ impl UintrDomain {
         obs: &mut Observer,
     ) -> Result<SendOutcome, UintrError> {
         let outcome = self.senduipi_with_fault(entry, receiver, fault)?;
-        emit_send_events(outcome, entry.vector, worker, at, obs);
+        obs.emit(at, Event::UipiSent { worker, vector: entry.vector });
+        match outcome {
+            SendOutcome::NotifiedRunning | SendOutcome::Coalesced | SendOutcome::Dropped { .. } => {}
+            SendOutcome::NotifiedBlocked => obs.emit(at, Event::KernelAssistWake { worker }),
+            SendOutcome::PendedMasked => obs.emit(at, Event::UipiPended { worker }),
+            SendOutcome::Suppressed => obs.emit(at, Event::UipiSuppressed { worker }),
+        }
         if matches!(fault, Some(IpiFault::Duplicate)) {
             obs.emit(at, Event::UipiSent { worker, vector: entry.vector });
         }
@@ -483,21 +478,6 @@ impl UintrDomain {
     /// `true` if the receiver has pending vectors recorded.
     pub fn has_pending(&self, h: UpidHandle) -> bool {
         self.upid(h).map(|u| u.pending != 0).unwrap_or(false)
-    }
-}
-
-/// The shared event mapping of the observed send paths: every send
-/// emits [`Event::UipiSent`]; non-fast-path outcomes add their marker.
-/// `NotifiedRunning`, `Coalesced` and `Dropped` emit nothing extra
-/// (the drop surfaces through the runtime's `fault_injected` /
-/// watchdog events, not a hardware event).
-fn emit_send_events(outcome: SendOutcome, vector: u8, worker: u16, at: SimTime, obs: &mut Observer) {
-    obs.emit(at, Event::UipiSent { worker, vector });
-    match outcome {
-        SendOutcome::NotifiedRunning | SendOutcome::Coalesced | SendOutcome::Dropped { .. } => {}
-        SendOutcome::NotifiedBlocked => obs.emit(at, Event::KernelAssistWake { worker }),
-        SendOutcome::PendedMasked => obs.emit(at, Event::UipiPended { worker }),
-        SendOutcome::Suppressed => obs.emit(at, Event::UipiSuppressed { worker }),
     }
 }
 
@@ -656,9 +636,9 @@ mod tests {
         let t = SimTime::from_nanos(100);
 
         // Fast path: send + second (coalesced) send + delivery.
-        dom.senduipi_observed(e, ReceiverState::RunningUifSet, 0, t, &mut obs)
+        dom.senduipi_with_fault_observed(e, ReceiverState::RunningUifSet, None, 0, t, &mut obs)
             .unwrap();
-        dom.senduipi_observed(e, ReceiverState::RunningUifSet, 0, t, &mut obs)
+        dom.senduipi_with_fault_observed(e, ReceiverState::RunningUifSet, None, 0, t, &mut obs)
             .unwrap();
         dom.acknowledge_observed(h, 0, SimTime::from_nanos(500), &mut obs)
             .unwrap();
@@ -669,13 +649,15 @@ mod tests {
         assert_eq!(obs.metrics().get(Counter::UipiCoalesced), 0);
 
         // Blocked receiver: slow path emits the kernel-assist event.
-        dom.senduipi_observed(e, ReceiverState::Blocked, 0, t, &mut obs).unwrap();
+        dom.senduipi_with_fault_observed(e, ReceiverState::Blocked, None, 0, t, &mut obs)
+            .unwrap();
         assert_eq!(obs.metrics().get(Counter::KernelAssistWakes), 1);
 
         // Two different vectors pending at delivery → coalesced.
         let mut uitt2 = Uitt::new();
         let i9 = uitt2.register(h, 9);
-        dom.senduipi_observed(uitt2.get(i9).unwrap(), ReceiverState::RunningUifSet, 0, t, &mut obs)
+        let e9 = uitt2.get(i9).unwrap();
+        dom.senduipi_with_fault_observed(e9, ReceiverState::RunningUifSet, None, 0, t, &mut obs)
             .unwrap();
         dom.acknowledge_observed(h, 0, SimTime::from_nanos(900), &mut obs).unwrap();
         assert_eq!(obs.metrics().get(Counter::UipiCoalesced), 1);

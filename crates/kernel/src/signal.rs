@@ -109,26 +109,6 @@ impl SignalPath {
         }
     }
 
-    /// [`deliver`](Self::deliver) plus a `signal_sent` event carrying
-    /// the lock wait — the per-send view behind Fig. 11's contention
-    /// curves.
-    pub fn deliver_observed(
-        &mut self,
-        now: SimTime,
-        worker: u16,
-        obs: &mut Observer,
-    ) -> SignalDelivery {
-        let d = self.deliver(now);
-        obs.emit(
-            now,
-            Event::SignalSent {
-                worker,
-                lock_wait_ns: d.lock_wait.as_nanos(),
-            },
-        );
-        d
-    }
-
     /// [`deliver`](Self::deliver) with a pre-sampled fault decision
     /// applied. The decision comes from
     /// [`FaultInjector::signal`](lp_sim::fault::FaultInjector::signal).
@@ -153,10 +133,11 @@ impl SignalPath {
         }
     }
 
-    /// [`deliver_with_fault`](Self::deliver_with_fault) plus the
-    /// `signal_sent` event when delivery actually happens. A lost
-    /// signal emits nothing here — the runtime emits the matching
-    /// `fault_injected` event.
+    /// [`deliver_with_fault`](Self::deliver_with_fault) plus, when
+    /// delivery actually happens, a `signal_sent` event carrying the
+    /// lock wait — the per-send view behind Fig. 11's contention
+    /// curves. A lost signal emits nothing here — the runtime emits the
+    /// matching `fault_injected` event.
     pub fn deliver_with_fault_observed(
         &mut self,
         now: SimTime,
@@ -250,8 +231,9 @@ mod tests {
         let mut p = path(5);
         let mut obs = Observer::new(8);
         let t = SimTime::from_nanos(500);
-        let first = p.deliver_observed(t, 1, &mut obs);
-        let second = p.deliver_observed(t, 2, &mut obs); // queues behind first
+        let first = p.deliver_with_fault_observed(t, None, 1, &mut obs).unwrap();
+        // The second send queues behind the first.
+        let second = p.deliver_with_fault_observed(t, None, 2, &mut obs).unwrap();
         assert_eq!(obs.metrics().get(Counter::SignalsSent), 2);
         let evs: Vec<_> = obs.events().copied().collect();
         assert_eq!(

@@ -65,23 +65,6 @@ impl KernelTimer {
         );
     }
 
-    /// [`sample_expiry`](Self::sample_expiry) plus a `ktimer_fired`
-    /// event stamped at the sampled expiry instant.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the timer is not armed.
-    pub fn sample_expiry_observed(
-        &mut self,
-        worker: u16,
-        at: SimTime,
-        obs: &mut Observer,
-    ) -> SimDur {
-        let delay = self.sample_expiry();
-        obs.emit(at + delay, Event::KtimerFired { worker });
-        delay
-    }
-
     /// Disarms without firing.
     pub fn disarm(&mut self) {
         self.armed = false;
@@ -140,10 +123,10 @@ impl KernelTimer {
         }
     }
 
-    /// [`sample_expiry_with_fault`](Self::sample_expiry_with_fault) plus
-    /// the `ktimer_fired` event when an expiry actually fires. A missed
-    /// expiry emits nothing here — the runtime emits the matching
-    /// `fault_injected` event.
+    /// [`sample_expiry_with_fault`](Self::sample_expiry_with_fault) plus,
+    /// when an expiry actually fires, a `ktimer_fired` event stamped at
+    /// the sampled expiry instant. A missed expiry emits nothing here —
+    /// the runtime emits the matching `fault_injected` event.
     ///
     /// # Panics
     ///
@@ -226,7 +209,7 @@ mod tests {
         let mut obs = Observer::new(8);
         let at = SimTime::from_nanos(1_000);
         t.arm_observed(SimDur::micros(30), 4, at, &mut obs);
-        let delay = t.sample_expiry_observed(4, at, &mut obs);
+        let delay = t.sample_expiry_with_fault_observed(None, 4, at, &mut obs).unwrap();
         assert_eq!(obs.metrics().get(Counter::KtimersArmed), 1);
         assert_eq!(obs.metrics().get(Counter::KtimersFired), 1);
         let evs: Vec<_> = obs.events().copied().collect();

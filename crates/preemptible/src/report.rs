@@ -30,7 +30,8 @@ pub struct RunReport {
     /// lower bound they put on the true worst-case response — see
     /// [`worst_case_ns`](Self::worst_case_ns).
     pub oldest_inflight_ns: u64,
-    /// End-to-end latency of all completed requests.
+    /// End-to-end latency of all completed requests: the merge of
+    /// [`latency_by_class`](Self::latency_by_class).
     pub latency: Histogram,
     /// Latency split by workload class (class 0 = LC, 1 = BE).
     pub latency_by_class: Vec<Histogram>,
@@ -209,7 +210,6 @@ pub struct Ledger {
     /// out of the latency views.
     warmup_end: SimTime,
     slo: Option<SimDur>,
-    latency: Histogram,
     latency_by_class: Vec<Histogram>,
     latency_series: Vec<TimeSeries>,
     qps_series: Option<TimeSeries>,
@@ -260,7 +260,6 @@ impl Ledger {
             obs,
             warmup_end: SimTime::ZERO + warmup,
             slo,
-            latency: Histogram::new(),
             latency_by_class: (0..CLASSES).map(|_| Histogram::new()).collect(),
             latency_series: (0..CLASSES).filter_map(|_| series()).collect(),
             qps_series: series(),
@@ -294,6 +293,11 @@ impl Ledger {
 
     /// `fiber`, a request of `class` that arrived at `arrived`, ran to
     /// completion on `worker`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `class` is neither 0 (latency-critical) nor 1
+    /// (best-effort).
     pub fn finished(&mut self, now: SimTime, worker: u16, fiber: u32, arrived: SimTime, class: u8) {
         let lat = now.since(arrived);
         self.obs.emit(
@@ -307,10 +311,7 @@ impl Ledger {
         if arrived < self.warmup_end {
             return;
         }
-        self.latency.record(lat.as_nanos());
-        if let Some(h) = self.latency_by_class.get_mut(class as usize) {
-            h.record(lat.as_nanos());
-        }
+        self.latency_by_class[class as usize].record(lat.as_nanos());
         if let Some(ts) = self.latency_series.get_mut(class as usize) {
             ts.record(now.as_nanos(), lat.as_micros_f64());
         }
@@ -346,6 +347,12 @@ impl Ledger {
         }
         cores.merge(&end.dispatcher);
         let stop = SimTime::ZERO + end.duration;
+        // Merging is exact (bucket counts, sum, min and max), so this is
+        // the histogram one record per completion would have built.
+        let mut latency = Histogram::new();
+        for h in &self.latency_by_class {
+            latency.merge(h);
+        }
         RunReport {
             system: end.system,
             offered_rps: end.offered_rps,
@@ -357,7 +364,7 @@ impl Ledger {
             oldest_inflight_ns: end
                 .oldest_arrival
                 .map_or(0, |t| stop.saturating_since(t).as_nanos()),
-            latency: self.latency,
+            latency,
             latency_by_class: self.latency_by_class,
             preemptions: m.get(Counter::Preemptions),
             spurious_preemptions: m.get(Counter::SpuriousPreemptions),

@@ -150,15 +150,11 @@ impl Default for AdmissionConfig {
 pub struct RuntimeConfig {
     /// Worker threads, each pinned to its own core.
     pub workers: usize,
-    /// Dedicated timer cores (paper: 1). Ignored unless the mechanism
-    /// needs one.
-    pub timer_cores: usize,
-    /// Preemption mechanism.
+    /// Preemption mechanism. One that needs a timer core gets one
+    /// busy-polling core unless [`HwCosts::poll_loop`] is zero.
     pub mech: PreemptMech,
     /// Hardware cost model.
     pub hw: HwCosts,
-    /// Kernel cost model.
-    pub kernel: KernelCosts,
     /// Context-pool capacity (requests beyond it are dropped).
     pub pool_capacity: usize,
     /// Allow idle workers to steal from the longest sibling queue.
@@ -200,10 +196,8 @@ impl Default for RuntimeConfig {
     fn default() -> Self {
         RuntimeConfig {
             workers: 4,
-            timer_cores: 1,
             mech: PreemptMech::Uintr,
             hw: HwCosts::default(),
-            kernel: KernelCosts::default(),
             pool_capacity: 16_384,
             work_stealing: true,
             seed: 1,
@@ -360,6 +354,8 @@ pub struct LibPreemptibleSystem {
     arrivals_gen: ArrivalGen,
     service_rng: SmallRng,
     hw_rng: SmallRng,
+    /// The kernel cost model: the stock one, as in every experiment.
+    kernel: KernelCosts,
     signal_path: SignalPath,
     /// Present iff `cfg.faults.enabled()`; every fault decision in the
     /// run is sampled here and passed down to hw/kernel as data.
@@ -395,6 +391,7 @@ fn task_view(id: ContextId, c: &Context) -> TaskView {
 impl LibPreemptibleSystem {
     fn new(cfg: RuntimeConfig, spec: WorkloadSpec, policy: Box<dyn SchedPolicy>) -> Self {
         assert!(cfg.workers > 0, "need at least one worker");
+        let kernel = KernelCosts::default();
         let mut registry = UtimerRegistry::new();
         let mut uintr = UintrDomain::new();
         let mut timer_uitt = Uitt::new();
@@ -413,7 +410,7 @@ impl LibPreemptibleSystem {
                     uitt_index,
                     clock: CoreClock::new(),
                     seq: 0,
-                    ktimer: KernelTimer::new(cfg.kernel.clone(), rng(cfg.seed, 100 + slot.index() as u64)),
+                    ktimer: KernelTimer::new(kernel.clone(), rng(cfg.seed, 100 + slot.index() as u64)),
                     hog: HogWindow::none(),
                     retry: RetryMachine::new(&cfg.watchdog),
                     wd: None,
@@ -425,7 +422,8 @@ impl LibPreemptibleSystem {
             arrivals_gen: ArrivalGen::new(spec.arrivals.clone(), rng(cfg.seed, streams::ARRIVALS)),
             service_rng: rng(cfg.seed, streams::SERVICE),
             hw_rng: rng(cfg.seed, streams::HW_JITTER),
-            signal_path: SignalPath::new(cfg.kernel.clone(), rng(cfg.seed, streams::KERNEL_JITTER)),
+            signal_path: SignalPath::new(kernel.clone(), rng(cfg.seed, streams::KERNEL_JITTER)),
+            kernel,
             injector: cfg
                 .faults
                 .enabled()
@@ -591,7 +589,7 @@ impl LibPreemptibleSystem {
                         // The kernel lost the arming: no expiry will ever
                         // fire. The watchdog recovers from roughly where
                         // the fire should have been.
-                        let expected = q.max(self.cfg.kernel.timer_floor);
+                        let expected = q.max(self.kernel.timer_floor);
                         self.arm_watchdog(worker, seq, start + expected, 0, ctx);
                     }
                 }
@@ -622,7 +620,7 @@ impl LibPreemptibleSystem {
         match self.cfg.mech {
             PreemptMech::Uintr => self.cfg.hw.uintr_handler,
             PreemptMech::TimerCoreSignal | PreemptMech::KernelTimerSignal => {
-                self.cfg.kernel.signal_handler + self.cfg.kernel.ctx_switch
+                self.kernel.signal_handler + self.kernel.ctx_switch
             }
             PreemptMech::None => SimDur::ZERO,
         }
@@ -823,7 +821,7 @@ impl LibPreemptibleSystem {
                             // Degraded worker: the timer core tgkill()s it
                             // instead of trusting the broken UINTR path.
                             self.send_preempt_signal(worker, seq, issue_at, 0, ctx);
-                            issue_at += self.cfg.kernel.syscall;
+                            issue_at += self.kernel.syscall;
                         }
                         verdict => {
                             // The timer core executes SENDUIPI per target,
@@ -845,7 +843,7 @@ impl LibPreemptibleSystem {
                     // The timer core tgkill()s the worker; the kernel
                     // signal path serializes and jitters delivery.
                     self.send_preempt_signal(worker, seq, issue_at, 0, ctx);
-                    issue_at += self.cfg.kernel.syscall;
+                    issue_at += self.kernel.syscall;
                 }
                 _ => unreachable!("timer core disabled for {:?}", self.cfg.mech),
             }
@@ -1516,11 +1514,7 @@ pub fn run(cfg: RuntimeConfig, policy: Box<dyn SchedPolicy>, spec: WorkloadSpec)
     let duration = spec.duration;
     let offered = spec.arrivals.peak_rate();
     let control_period = cfg.control_period;
-    let timer_cores = if cfg.mech.needs_timer_core() {
-        cfg.timer_cores
-    } else {
-        0
-    };
+    let polls_timer_core = cfg.mech.needs_timer_core() && cfg.hw.poll_loop != SimDur::ZERO;
 
     // Pre-size the event queue's node slab from the arrival-rate hint:
     // the live event population is bounded by in-flight requests
@@ -1540,7 +1534,7 @@ pub fn run(cfg: RuntimeConfig, policy: Box<dyn SchedPolicy>, spec: WorkloadSpec)
 
     let m = sim.into_model();
     let mut timer_core = m.timer_clock;
-    if timer_cores > 0 {
+    if polls_timer_core {
         // The dedicated timer core is busy-polling whenever it is not
         // issuing SENDUIPIs.
         let total = SimDur::nanos(duration.as_nanos());

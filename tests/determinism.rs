@@ -14,9 +14,12 @@
 //! lengths of `fig8_sweep.csv` and `fig8_max.csv` at [`SEED`] are
 //! constants in the Fig. 8 tests, and the other thirteen CSVs are
 //! constants in [`QUICK_ALL_PINS`], checked by one run of
-//! `runner::all_artifacts()` minus `fig8` at `LP_JOBS=2`. A change that
-//! moves a single byte of any reproduced figure fails until the
-//! constants are updated on purpose.
+//! `runner::all_artifacts()` minus `fig8` at the ambient job count
+//! (`LP_JOBS`, else the host's parallelism), so CI's `LP_JOBS` 1/2/8
+//! matrix checks every CSV at each count. The same run pins the `ext`
+//! artifact, which saves no CSV, by the digest of its rendered tables
+//! ([`EXT_TABLES_PIN`]). A change that moves a single byte of any
+//! reproduced figure fails until the constants are updated on purpose.
 //!
 //! Below the figures, [`run_reports_are_pinned_across_commits`] pins
 //! whole [`RunReport`]s: every field of one small run per system and
@@ -24,8 +27,9 @@
 //! and tail attribution) is folded into one digest per run, so a
 //! refactor of the record path cannot move a byte of any report.
 //!
-//! `runner::with_jobs` pins the job count per call, so these tests are
-//! independent of the environment and of each other.
+//! Every other test pins its job count per call with
+//! `runner::with_jobs`, so it is independent of the environment and of
+//! the other tests.
 
 use std::fmt::Write as _;
 use std::sync::OnceLock;
@@ -147,19 +151,35 @@ const QUICK_ALL_PINS: [(&str, u64, usize); 13] = [
     ("fig14.csv", 0x76a4_b607_70f8_6d7a, 159),
 ];
 
+/// `(FNV-1a-64, byte length)` of the quick-scale `ext` artifact's
+/// tables at [`SEED`], each rendered and followed by a newline: the
+/// bytes `--bin ext` prints.
+const EXT_TABLES_PIN: (u64, usize) = (0x2e98_d1d3_a1da_bf7d, 1161);
+
 #[test]
 fn quick_all_csvs_are_pinned_across_commits() {
     let artifacts: Vec<_> = runner::all_artifacts()
         .into_iter()
         .filter(|a| a.name != "fig8")
         .collect();
-    let outputs = with_jobs(2, || runner::run_artifacts(&artifacts, Scale::Quick, SEED));
+    let outputs = runner::run_artifacts(&artifacts, Scale::Quick, SEED);
     let got: Vec<(&str, u64, usize)> = outputs
         .iter()
         .flat_map(|(_, out)| &out.csvs)
         .map(|(file, csv)| (*file, fnv1a64(csv.as_bytes()), csv.len()))
         .collect();
     assert_eq!(got, QUICK_ALL_PINS, "a quick-scale `all` CSV digest moved");
+
+    let (_, ext) = outputs
+        .iter()
+        .find(|(name, _)| *name == "ext")
+        .expect("`ext` is in the artifact list");
+    let printed: String = ext.tables.iter().map(|t| t.render() + "\n").collect();
+    assert_eq!(
+        (fnv1a64(printed.as_bytes()), printed.len()),
+        EXT_TABLES_PIN,
+        "the quick-scale `ext` tables moved"
+    );
 }
 
 /// FNV-1a-64 of every field of `r`: the totals, every latency
