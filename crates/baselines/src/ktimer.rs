@@ -174,12 +174,18 @@ mod tests {
         // better, chain in between, LibUtimer best.
         assert!(creation > chain, "creation {creation} vs chain {chain}");
         assert!(chain > utimer, "chain {chain} vs utimer {utimer}");
-        assert!(aligned < creation / 2.0, "aligned {aligned} vs creation {creation}");
+        assert!(
+            aligned < creation / 2.0,
+            "aligned {aligned} vs creation {creation}"
+        );
         // Serial SENDUIPI issue to 32 simultaneous targets costs a few
         // us in the worst case — still an order of magnitude under the
         // best kernel path.
         assert!(utimer < 4.0, "utimer overhead {utimer} us");
-        assert!(utimer < aligned / 2.0, "utimer {utimer} vs aligned {aligned}");
+        assert!(
+            utimer < aligned / 2.0,
+            "utimer {utimer} vs aligned {aligned}"
+        );
         assert!(creation > 50.0, "creation-time should storm: {creation} us");
     }
 

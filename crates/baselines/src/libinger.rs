@@ -109,6 +109,9 @@ mod tests {
         // allows at most ~4.
         let per_req = r.preemptions as f64 / r.completions.max(1) as f64;
         assert!(per_req < 6.0, "preemptions/request = {per_req}");
-        assert!(r.preemptions > 0, "floor should still allow some preemption");
+        assert!(
+            r.preemptions > 0,
+            "floor should still allow some preemption"
+        );
     }
 }

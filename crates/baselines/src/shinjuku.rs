@@ -83,13 +83,24 @@ enum Ev {
     Arrival,
     /// Dispatcher assigns queued work to an idle worker.
     Assign,
-    Finish { worker: usize, seq: u64 },
+    Finish {
+        worker: usize,
+        seq: u64,
+    },
     /// Dispatcher's loop notices worker `w` exceeded its quantum.
-    QuantumCheck { worker: usize, seq: u64 },
+    QuantumCheck {
+        worker: usize,
+        seq: u64,
+    },
     /// The IPI lands on the worker.
-    PreemptArrive { worker: usize, seq: u64 },
+    PreemptArrive {
+        worker: usize,
+        seq: u64,
+    },
     /// The worker finished the preemption trampoline and is idle again.
-    PreemptDone { worker: usize },
+    PreemptDone {
+        worker: usize,
+    },
 }
 
 struct Task {
@@ -323,18 +334,22 @@ impl Model for ShinjukuSystem {
                 let icr = self.jitter(self.hw.apic_icr_write);
                 self.dispatcher.charge(TimeClass::Preemption, icr);
                 let delivery = self.jitter(self.hw.ipi_delivery);
-                ctx.at(ctx.now() + icr + delivery, Ev::PreemptArrive { worker, seq });
+                ctx.at(
+                    ctx.now() + icr + delivery,
+                    Ev::PreemptArrive { worker, seq },
+                );
             }
             Ev::PreemptArrive { worker, seq } => {
                 let now = ctx.now();
                 let recv = PREEMPT_RECEIVER_COST + self.hw.fcontext_switch;
                 if self.workers[worker].seq != seq {
                     self.ledger.spurious(now, worker as u16);
-                    self.workers[worker].clock.charge(TimeClass::Preemption, recv);
+                    self.workers[worker]
+                        .clock
+                        .charge(TimeClass::Preemption, recv);
                     return;
                 }
-                let state =
-                    std::mem::replace(&mut self.workers[worker].state, WState::Switching);
+                let state = std::mem::replace(&mut self.workers[worker].state, WState::Switching);
                 let WState::Running {
                     mut task,
                     started,

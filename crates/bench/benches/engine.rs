@@ -155,7 +155,11 @@ fn bench_tracing(c: &mut Criterion) {
             for i in 0..100_000u64 {
                 obs.emit(
                     SimTime::from_nanos(i),
-                    Event::Preempt { worker: (i % 8) as u16, fiber: i as u32, ran_ns: 10_000 },
+                    Event::Preempt {
+                        worker: (i % 8) as u16,
+                        fiber: i as u32,
+                        ran_ns: 10_000,
+                    },
                 );
             }
             black_box(obs.metrics().snapshot().counters.len())
@@ -168,7 +172,11 @@ fn bench_tracing(c: &mut Criterion) {
             for i in 0..100_000u64 {
                 obs.emit(
                     SimTime::from_nanos(i),
-                    Event::Preempt { worker: (i % 8) as u16, fiber: i as u32, ran_ns: 10_000 },
+                    Event::Preempt {
+                        worker: (i % 8) as u16,
+                        fiber: i as u32,
+                        ran_ns: 10_000,
+                    },
                 );
             }
             black_box(obs.metrics().snapshot().counters.len())
@@ -183,15 +191,16 @@ fn bench_tracing(c: &mut Criterion) {
         for i in 0..4_096u64 {
             obs.emit(
                 SimTime::from_nanos(i * 100),
-                Event::TaskFinish { worker: (i % 8) as u16, fiber: i as u32, latency_ns: 5_000 },
+                Event::TaskFinish {
+                    worker: (i % 8) as u16,
+                    fiber: i as u32,
+                    latency_ns: 5_000,
+                },
             );
         }
         let text = obs.to_jsonl();
         b.iter(|| {
-            let n = text
-                .lines()
-                .filter_map(TimedEvent::parse_jsonl)
-                .count();
+            let n = text.lines().filter_map(TimedEvent::parse_jsonl).count();
             black_box(n)
         })
     });

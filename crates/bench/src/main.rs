@@ -181,7 +181,9 @@ fn attribution_overhead() -> (f64, f64, bool) {
             && off.metrics.counters == on.metrics.counters
             && off.phases.end_to_end.is_empty()
             && on.phases.end_to_end.count() == on.completions
-            && on.worst_exemplar().is_some_and(|e| e.phase_sum() == e.latency_ns);
+            && on
+                .worst_exemplar()
+                .is_some_and(|e| e.phase_sum() == e.latency_ns);
     }
     (off_secs, on_secs, identical)
 }
@@ -206,7 +208,11 @@ fn main() {
     println!("faults.overhead:        {fault_overhead_pct:>12.2} %");
     println!(
         "faults.results:         {}",
-        if fault_identical { "identical" } else { "DIFFER" }
+        if fault_identical {
+            "identical"
+        } else {
+            "DIFFER"
+        }
     );
     println!("admission.disabled:     {adm_disabled_secs:>12.3} s");
     println!("admission.armed:        {adm_armed_secs:>12.3} s");
@@ -220,7 +226,11 @@ fn main() {
     println!("attribution.overhead:   {attr_overhead_pct:>12.2} %");
     println!(
         "attribution.results:    {}",
-        if attr_identical { "identical" } else { "DIFFER" }
+        if attr_identical {
+            "identical"
+        } else {
+            "DIFFER"
+        }
     );
 
     if json {
@@ -232,7 +242,9 @@ fn main() {
     }
 
     if !fault_identical {
-        eprintln!("lp-bench: armed-but-silent fault plan changed results — injector is not a no-op");
+        eprintln!(
+            "lp-bench: armed-but-silent fault plan changed results — injector is not a no-op"
+        );
         std::process::exit(1);
     }
     if !adm_identical {

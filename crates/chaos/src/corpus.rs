@@ -89,7 +89,11 @@ fn write_plan(plan: &ChaosPlan, out: &mut String) {
                 write!(out, "spike({extra_rps})").expect("string write")
             }
         },
-        ChaosPlan::Window { body, from_us, dur_us } => {
+        ChaosPlan::Window {
+            body,
+            from_us,
+            dur_us,
+        } => {
             write!(out, "win({from_us},{dur_us},").expect("string write");
             write_plan(body, out);
             out.push(')');
@@ -114,7 +118,10 @@ fn write_children(tag: &str, cs: &[ChaosPlan], out: &mut String) {
 /// Parses the corpus text form back into a plan. Returns `None` on any
 /// syntax error (the replay binary treats that as corpus corruption).
 pub fn plan_from_text(s: &str) -> Option<ChaosPlan> {
-    let mut p = Parser { s: s.as_bytes(), i: 0 };
+    let mut p = Parser {
+        s: s.as_bytes(),
+        i: 0,
+    };
     let plan = p.plan()?;
     (p.i == p.s.len()).then_some(plan)
 }
@@ -129,25 +136,39 @@ impl Parser<'_> {
         let tag = self.ident()?;
         self.expect(b'(')?;
         let plan = match tag.as_str() {
-            "drop" => ChaosPlan::Atom(ChaosAtom::UintrDropBurst { rate_ppm: self.num()? }),
+            "drop" => ChaosPlan::Atom(ChaosAtom::UintrDropBurst {
+                rate_ppm: self.num()?,
+            }),
             "hog" => {
                 let rate_ppm = self.num()?;
                 self.expect(b',')?;
-                ChaosPlan::Atom(ChaosAtom::CoreHogStorm { rate_ppm, hog_us: self.num()? })
+                ChaosPlan::Atom(ChaosAtom::CoreHogStorm {
+                    rate_ppm,
+                    hog_us: self.num()?,
+                })
             }
             "jitter" => {
                 let rate_ppm = self.num()?;
                 self.expect(b',')?;
-                ChaosPlan::Atom(ChaosAtom::TimerJitterWave { rate_ppm, spike_us: self.num()? })
+                ChaosPlan::Atom(ChaosAtom::TimerJitterWave {
+                    rate_ppm,
+                    spike_us: self.num()?,
+                })
             }
-            "spike" => ChaosPlan::Atom(ChaosAtom::ArrivalSpike { extra_rps: self.num()? }),
+            "spike" => ChaosPlan::Atom(ChaosAtom::ArrivalSpike {
+                extra_rps: self.num()?,
+            }),
             "win" => {
                 let from_us = self.num()?;
                 self.expect(b',')?;
                 let dur_us = self.num()?;
                 self.expect(b',')?;
                 let body = self.plan()?;
-                ChaosPlan::Window { body: Box::new(body), from_us, dur_us }
+                ChaosPlan::Window {
+                    body: Box::new(body),
+                    from_us,
+                    dur_us,
+                }
             }
             "over" => ChaosPlan::Overlay(self.children()?),
             "seq" => ChaosPlan::Sequence(self.children()?),
@@ -179,7 +200,10 @@ impl Parser<'_> {
         while self.peek().is_some_and(|c| c.is_ascii_digit()) {
             self.i += 1;
         }
-        std::str::from_utf8(&self.s[start..self.i]).ok()?.parse().ok()
+        std::str::from_utf8(&self.s[start..self.i])
+            .ok()?
+            .parse()
+            .ok()
     }
 
     fn peek(&self) -> Option<u8> {
@@ -308,7 +332,10 @@ mod tests {
                 5_000,
             ),
             ChaosPlan::Sequence(vec![
-                ChaosPlan::Atom(ChaosAtom::CoreHogStorm { rate_ppm: 20_000, hog_us: 800 }),
+                ChaosPlan::Atom(ChaosAtom::CoreHogStorm {
+                    rate_ppm: 20_000,
+                    hog_us: 800,
+                }),
                 ChaosPlan::Atom(ChaosAtom::ArrivalSpike { extra_rps: 9_000 }),
             ]),
         ])
@@ -318,7 +345,10 @@ mod tests {
     fn plan_text_round_trips() {
         let p = sample_plan();
         let text = plan_to_text(&p);
-        assert_eq!(text, "over(win(100,5000,drop(500000));seq(hog(20000,800);spike(9000)))");
+        assert_eq!(
+            text,
+            "over(win(100,5000,drop(500000));seq(hog(20000,800);spike(9000)))"
+        );
         assert_eq!(plan_from_text(&text), Some(p));
         // Malformed text is rejected, not best-effort-parsed.
         assert_eq!(plan_from_text("over(drop(1)"), None);

@@ -88,7 +88,8 @@ impl EvalOutcome {
     /// badness per missed/dropped request. Pure integer arithmetic so
     /// scores compare exactly across runs and job counts.
     pub fn objective(&self) -> u64 {
-        self.worst_ns.saturating_add(self.miss_mass.saturating_mul(100_000))
+        self.worst_ns
+            .saturating_add(self.miss_mass.saturating_mul(100_000))
     }
 }
 
@@ -135,7 +136,10 @@ pub fn evaluate_report(
         warmup: SimDur::ZERO,
     };
     run(
-        RuntimeConfig { trace_capacity, ..runtime_config(plan, cfg, hardened) },
+        RuntimeConfig {
+            trace_capacity,
+            ..runtime_config(plan, cfg, hardened)
+        },
         Box::new(Fifo::new(SimDur::micros(cfg.quantum_us))),
         spec,
     )
@@ -167,7 +171,10 @@ mod tests {
     #[test]
     fn evaluation_is_deterministic_and_conserved() {
         let plan = ChaosPlan::Atom(ChaosAtom::UintrDropBurst { rate_ppm: 300_000 });
-        let cfg = EvalConfig { horizon_us: 20_000, ..EvalConfig::default() };
+        let cfg = EvalConfig {
+            horizon_us: 20_000,
+            ..EvalConfig::default()
+        };
         let a = evaluate(&plan, &cfg, false);
         let b = evaluate(&plan, &cfg, false);
         assert_eq!(a, b);
@@ -177,7 +184,10 @@ mod tests {
 
     #[test]
     fn a_hostile_plan_scores_worse_than_a_quiet_one() {
-        let cfg = EvalConfig { horizon_us: 20_000, ..EvalConfig::default() };
+        let cfg = EvalConfig {
+            horizon_us: 20_000,
+            ..EvalConfig::default()
+        };
         let quiet = ChaosPlan::Atom(ChaosAtom::UintrDropBurst { rate_ppm: 0 });
         let hostile = ChaosPlan::Overlay(vec![
             ChaosPlan::Atom(ChaosAtom::UintrDropBurst { rate_ppm: 900_000 }),

@@ -39,4 +39,4 @@ pub use corpus::CorpusEntry;
 pub use eval::{evaluate, evaluate_report, runtime_config, EvalConfig, EvalOutcome};
 pub use lower::{lower, LoweredPlan};
 pub use plan::{ChaosAtom, ChaosPlan};
-pub use search::{search, minimize, SearchBudget};
+pub use search::{minimize, search, SearchBudget};

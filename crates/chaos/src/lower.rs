@@ -118,7 +118,10 @@ mod tests {
                 100,
                 200,
             ),
-            ChaosPlan::Atom(ChaosAtom::CoreHogStorm { rate_ppm: 10_000, hog_us: 800 }),
+            ChaosPlan::Atom(ChaosAtom::CoreHogStorm {
+                rate_ppm: 10_000,
+                hog_us: 800,
+            }),
         ]);
         let l = lower(&p, 8_000, 1_000);
         assert_eq!(l.faults.windows.len(), 2);
@@ -163,7 +166,10 @@ mod tests {
     #[test]
     fn lowering_is_deterministic() {
         let p = ChaosPlan::Sequence(vec![
-            ChaosPlan::Atom(ChaosAtom::TimerJitterWave { rate_ppm: 250_000, spike_us: 90 }),
+            ChaosPlan::Atom(ChaosAtom::TimerJitterWave {
+                rate_ppm: 250_000,
+                spike_us: 90,
+            }),
             ChaosPlan::Atom(ChaosAtom::UintrDropBurst { rate_ppm: 750_000 }),
         ]);
         let a = lower(&p, 5_000, 40_000);

@@ -99,7 +99,11 @@ impl ChaosPlan {
     /// Convenience constructor: `body` windowed to
     /// `[from_us, from_us + dur_us)`.
     pub fn windowed(body: ChaosPlan, from_us: u32, dur_us: u32) -> ChaosPlan {
-        ChaosPlan::Window { body: Box::new(body), from_us, dur_us }
+        ChaosPlan::Window {
+            body: Box::new(body),
+            from_us,
+            dur_us,
+        }
     }
 
     /// Flattens the tree into atom spans over `[0, horizon_us)`.
@@ -109,9 +113,7 @@ impl ChaosPlan {
     pub fn normalize(&self, horizon_us: u64) -> Vec<AtomSpan> {
         let mut spans = Vec::new();
         self.collect(0, horizon_us, &mut spans);
-        spans.sort_by(|a, b| {
-            (a.from_us, a.until_us, a.atom).cmp(&(b.from_us, b.until_us, b.atom))
-        });
+        spans.sort_by_key(|s| (s.from_us, s.until_us, s.atom));
         spans
     }
 
@@ -120,8 +122,16 @@ impl ChaosPlan {
             return;
         }
         match self {
-            ChaosPlan::Atom(a) => out.push(AtomSpan { atom: *a, from_us, until_us }),
-            ChaosPlan::Window { body, from_us: off, dur_us } => {
+            ChaosPlan::Atom(a) => out.push(AtomSpan {
+                atom: *a,
+                from_us,
+                until_us,
+            }),
+            ChaosPlan::Window {
+                body,
+                from_us: off,
+                dur_us,
+            } => {
                 let start = (from_us + u64::from(*off)).min(until_us);
                 let end = start.saturating_add(u64::from(*dur_us)).min(until_us);
                 body.collect(start, end, out);
@@ -190,7 +200,11 @@ impl ChaosPlan {
                     Some(self.clone())
                 }
             }
-            ChaosPlan::Window { body, from_us, dur_us } => {
+            ChaosPlan::Window {
+                body,
+                from_us,
+                dur_us,
+            } => {
                 let new = body.remove_leaf(k)?;
                 Some(ChaosPlan::Window {
                     body: Box::new(new),
@@ -236,7 +250,11 @@ impl ChaosPlan {
                     self.clone()
                 }
             }
-            ChaosPlan::Window { body, from_us, dur_us } => ChaosPlan::Window {
+            ChaosPlan::Window {
+                body,
+                from_us,
+                dur_us,
+            } => ChaosPlan::Window {
                 body: Box::new(body.replace_leaf(k, f)),
                 from_us: *from_us,
                 dur_us: *dur_us,
@@ -287,7 +305,9 @@ mod tests {
         assert_eq!(spans.len(), 1);
         assert_eq!((spans[0].from_us, spans[0].until_us), (400, 500));
         // A window entirely past the horizon vanishes.
-        assert!(ChaosPlan::windowed(drop(1), 600, 10).normalize(500).is_empty());
+        assert!(ChaosPlan::windowed(drop(1), 600, 10)
+            .normalize(500)
+            .is_empty());
     }
 
     #[test]
@@ -331,7 +351,10 @@ mod tests {
         // Removing leaf 0 drops the whole window branch.
         let q = p.without_leaf(0).expect("removable");
         assert_eq!(q.leaves(), 2);
-        assert_eq!(q, ChaosPlan::Overlay(vec![ChaosPlan::Sequence(vec![drop(2), drop(3)])]));
+        assert_eq!(
+            q,
+            ChaosPlan::Overlay(vec![ChaosPlan::Sequence(vec![drop(2), drop(3)])])
+        );
         // A single-leaf plan refuses to empty itself.
         assert!(drop(1).without_leaf(0).is_none());
         assert!(p.without_leaf(3).is_none());

@@ -53,7 +53,13 @@ pub struct SearchBudget {
 
 impl Default for SearchBudget {
     fn default() -> Self {
-        SearchBudget { population: 16, rungs: 3, descent_passes: 2, jobs: 1, families: &[] }
+        SearchBudget {
+            population: 16,
+            rungs: 3,
+            descent_passes: 2,
+            jobs: 1,
+            families: &[],
+        }
     }
 }
 
@@ -74,7 +80,9 @@ const ALL_FAMILIES: [&str; 4] = ["drop", "hog", "jitter", "spike"];
 /// atom pool (empty = all four).
 pub fn sample_plan(rng: &mut SmallRng, horizon_us: u64, families: &[&str]) -> ChaosPlan {
     let n = rng.gen_range(2..5usize);
-    let parts = (0..n).map(|_| sample_component(rng, horizon_us, families)).collect();
+    let parts = (0..n)
+        .map(|_| sample_component(rng, horizon_us, families))
+        .collect();
     ChaosPlan::Overlay(parts)
 }
 
@@ -91,7 +99,11 @@ fn sample_component(rng: &mut SmallRng, horizon_us: u64, families: &[&str]) -> C
 }
 
 fn sample_atom(rng: &mut SmallRng, families: &[&str]) -> ChaosAtom {
-    let pool = if families.is_empty() { &ALL_FAMILIES[..] } else { families };
+    let pool = if families.is_empty() {
+        &ALL_FAMILIES[..]
+    } else {
+        families
+    };
     // Rates are drawn in whole per-mille steps so sampled plans are
     // already quantized for the corpus text form.
     let ppm = |rng: &mut SmallRng| rng.gen_range(1..1_000u32) * 1_000;
@@ -105,7 +117,9 @@ fn sample_atom(rng: &mut SmallRng, families: &[&str]) -> ChaosAtom {
             rate_ppm: ppm(rng),
             spike_us: rng.gen_range(1..21u32) * 50,
         },
-        "spike" => ChaosAtom::ArrivalSpike { extra_rps: rng.gen_range(1..17u32) * 1_000 },
+        "spike" => ChaosAtom::ArrivalSpike {
+            extra_rps: rng.gen_range(1..17u32) * 1_000,
+        },
         other => panic!("unknown atom family {other:?}"),
     }
 }
@@ -183,7 +197,10 @@ pub fn search(rng: &mut SmallRng, cfg: &EvalConfig, budget: &SearchBudget) -> Sc
             }
         }
     }
-    ScoredPlan { plan: best, outcome: best_outcome }
+    ScoredPlan {
+        plan: best,
+        outcome: best_outcome,
+    }
 }
 
 /// One coordinate move: a pure transform of a single atom.
@@ -215,44 +232,64 @@ fn apply_move(a: ChaosAtom, m: Move) -> ChaosAtom {
         }
     };
     match (a, m) {
-        (ChaosAtom::UintrDropBurst { rate_ppm }, Move::RateUp) => {
-            ChaosAtom::UintrDropBurst { rate_ppm: rate(rate_ppm, true) }
-        }
-        (ChaosAtom::UintrDropBurst { rate_ppm }, Move::RateDown) => {
-            ChaosAtom::UintrDropBurst { rate_ppm: rate(rate_ppm, false) }
-        }
+        (ChaosAtom::UintrDropBurst { rate_ppm }, Move::RateUp) => ChaosAtom::UintrDropBurst {
+            rate_ppm: rate(rate_ppm, true),
+        },
+        (ChaosAtom::UintrDropBurst { rate_ppm }, Move::RateDown) => ChaosAtom::UintrDropBurst {
+            rate_ppm: rate(rate_ppm, false),
+        },
         // A drop burst has no magnitude knob: magnitude moves are
         // no-ops the caller filters out.
         (a @ ChaosAtom::UintrDropBurst { .. }, Move::MagUp | Move::MagDown) => a,
-        (ChaosAtom::CoreHogStorm { rate_ppm, hog_us }, Move::RateUp) => {
-            ChaosAtom::CoreHogStorm { rate_ppm: rate(rate_ppm, true), hog_us }
-        }
-        (ChaosAtom::CoreHogStorm { rate_ppm, hog_us }, Move::RateDown) => {
-            ChaosAtom::CoreHogStorm { rate_ppm: rate(rate_ppm, false), hog_us }
-        }
-        (ChaosAtom::CoreHogStorm { rate_ppm, hog_us }, Move::MagUp) => {
-            ChaosAtom::CoreHogStorm { rate_ppm, hog_us: mag(hog_us, true, 50, 4_000) }
-        }
-        (ChaosAtom::CoreHogStorm { rate_ppm, hog_us }, Move::MagDown) => {
-            ChaosAtom::CoreHogStorm { rate_ppm, hog_us: mag(hog_us, false, 50, 4_000) }
-        }
+        (ChaosAtom::CoreHogStorm { rate_ppm, hog_us }, Move::RateUp) => ChaosAtom::CoreHogStorm {
+            rate_ppm: rate(rate_ppm, true),
+            hog_us,
+        },
+        (ChaosAtom::CoreHogStorm { rate_ppm, hog_us }, Move::RateDown) => ChaosAtom::CoreHogStorm {
+            rate_ppm: rate(rate_ppm, false),
+            hog_us,
+        },
+        (ChaosAtom::CoreHogStorm { rate_ppm, hog_us }, Move::MagUp) => ChaosAtom::CoreHogStorm {
+            rate_ppm,
+            hog_us: mag(hog_us, true, 50, 4_000),
+        },
+        (ChaosAtom::CoreHogStorm { rate_ppm, hog_us }, Move::MagDown) => ChaosAtom::CoreHogStorm {
+            rate_ppm,
+            hog_us: mag(hog_us, false, 50, 4_000),
+        },
         (ChaosAtom::TimerJitterWave { rate_ppm, spike_us }, Move::RateUp) => {
-            ChaosAtom::TimerJitterWave { rate_ppm: rate(rate_ppm, true), spike_us }
+            ChaosAtom::TimerJitterWave {
+                rate_ppm: rate(rate_ppm, true),
+                spike_us,
+            }
         }
         (ChaosAtom::TimerJitterWave { rate_ppm, spike_us }, Move::RateDown) => {
-            ChaosAtom::TimerJitterWave { rate_ppm: rate(rate_ppm, false), spike_us }
+            ChaosAtom::TimerJitterWave {
+                rate_ppm: rate(rate_ppm, false),
+                spike_us,
+            }
         }
         (ChaosAtom::TimerJitterWave { rate_ppm, spike_us }, Move::MagUp) => {
-            ChaosAtom::TimerJitterWave { rate_ppm, spike_us: mag(spike_us, true, 10, 2_000) }
+            ChaosAtom::TimerJitterWave {
+                rate_ppm,
+                spike_us: mag(spike_us, true, 10, 2_000),
+            }
         }
         (ChaosAtom::TimerJitterWave { rate_ppm, spike_us }, Move::MagDown) => {
-            ChaosAtom::TimerJitterWave { rate_ppm, spike_us: mag(spike_us, false, 10, 2_000) }
+            ChaosAtom::TimerJitterWave {
+                rate_ppm,
+                spike_us: mag(spike_us, false, 10, 2_000),
+            }
         }
         (ChaosAtom::ArrivalSpike { extra_rps }, Move::RateUp | Move::MagUp) => {
-            ChaosAtom::ArrivalSpike { extra_rps: (extra_rps + extra_rps / 2).min(64_000) }
+            ChaosAtom::ArrivalSpike {
+                extra_rps: (extra_rps + extra_rps / 2).min(64_000),
+            }
         }
         (ChaosAtom::ArrivalSpike { extra_rps }, Move::RateDown | Move::MagDown) => {
-            ChaosAtom::ArrivalSpike { extra_rps: (extra_rps - extra_rps / 3).max(500) }
+            ChaosAtom::ArrivalSpike {
+                extra_rps: (extra_rps - extra_rps / 3).max(500),
+            }
         }
     }
 }
@@ -260,12 +297,7 @@ fn apply_move(a: ChaosAtom, m: Move) -> ChaosAtom {
 /// Delta-debugging minimizer: repeatedly drop leaves and halve rates
 /// while the plan keeps at least `keep_frac_pct`% of `cliff`'s
 /// objective. Returns the smallest surviving plan with its outcome.
-pub fn minimize(
-    plan: &ChaosPlan,
-    cfg: &EvalConfig,
-    cliff: u64,
-    keep_frac_pct: u64,
-) -> ScoredPlan {
+pub fn minimize(plan: &ChaosPlan, cfg: &EvalConfig, cliff: u64, keep_frac_pct: u64) -> ScoredPlan {
     let floor = cliff / 100 * keep_frac_pct;
     let mut best = plan.clone();
     let mut outcome = evaluate(&best, cfg, false);
@@ -306,7 +338,10 @@ pub fn minimize(
             break;
         }
     }
-    ScoredPlan { plan: best, outcome }
+    ScoredPlan {
+        plan: best,
+        outcome,
+    }
 }
 
 #[cfg(test)]
@@ -315,13 +350,22 @@ mod tests {
     use lp_sim::rng::{rng, streams};
 
     fn quick_cfg() -> EvalConfig {
-        EvalConfig { horizon_us: 8_000, ..EvalConfig::default() }
+        EvalConfig {
+            horizon_us: 8_000,
+            ..EvalConfig::default()
+        }
     }
 
     #[test]
     fn search_is_reproducible_across_job_counts() {
         let cfg = quick_cfg();
-        let budget = |jobs| SearchBudget { population: 4, rungs: 2, descent_passes: 1, jobs, families: &[] };
+        let budget = |jobs| SearchBudget {
+            population: 4,
+            rungs: 2,
+            descent_passes: 1,
+            jobs,
+            families: &[],
+        };
         let a = search(&mut rng(7, streams::CHAOS), &cfg, &budget(1));
         let b = search(&mut rng(7, streams::CHAOS), &cfg, &budget(8));
         assert_eq!(a.plan, b.plan);
@@ -331,7 +375,13 @@ mod tests {
     #[test]
     fn different_seeds_explore_differently() {
         let cfg = quick_cfg();
-        let budget = SearchBudget { population: 4, rungs: 1, descent_passes: 0, jobs: 1, families: &[] };
+        let budget = SearchBudget {
+            population: 4,
+            rungs: 1,
+            descent_passes: 0,
+            jobs: 1,
+            families: &[],
+        };
         let a = search(&mut rng(1, streams::CHAOS), &cfg, &budget);
         let b = search(&mut rng(2, streams::CHAOS), &cfg, &budget);
         assert_ne!(a.plan, b.plan, "two seeds sampled identical populations");
@@ -343,7 +393,13 @@ mod tests {
         let found = search(
             &mut rng(7, streams::CHAOS),
             &cfg,
-            &SearchBudget { population: 4, rungs: 2, descent_passes: 0, jobs: 1, families: &[] },
+            &SearchBudget {
+                population: 4,
+                rungs: 2,
+                descent_passes: 0,
+                jobs: 1,
+                families: &[],
+            },
         );
         let cliff = found.outcome.objective();
         let min = minimize(&found.plan, &cfg, cliff, 90);

@@ -140,7 +140,11 @@ impl HbGraph {
         let mut clock = self.actor_clock[actor].clone();
         for &(from, kind) in incoming {
             clock.join(&self.event_clock[from]);
-            self.edges.push(Edge { from, to: idx, kind });
+            self.edges.push(Edge {
+                from,
+                to: idx,
+                kind,
+            });
         }
         clock.tick(actor);
         self.actor_clock[actor] = clock.clone();

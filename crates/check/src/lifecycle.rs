@@ -152,7 +152,16 @@ impl World {
         let workers: Vec<_> = self
             .workers
             .iter()
-            .map(|w| (w.machine.fingerprint(), w.seq, w.inflight.clone(), &w.landed, &w.transitions, w.spurious))
+            .map(|w| {
+                (
+                    w.machine.fingerprint(),
+                    w.seq,
+                    w.inflight.clone(),
+                    &w.landed,
+                    &w.transitions,
+                    w.spurious,
+                )
+            })
             .collect();
         format!("{workers:?} q={:?} ran={ran:?}", self.queues)
     }
@@ -179,7 +188,12 @@ impl World {
                 let seq = st.seq;
                 let verdict = st.machine.step(RetryInput::Send { seq });
                 let uintr = !matches!(verdict, RetryOutput::Signal);
-                st.inflight = Some(Inflight { seq, uintr, dropped: false, attempt: 0 });
+                st.inflight = Some(Inflight {
+                    seq,
+                    uintr,
+                    dropped: false,
+                    attempt: 0,
+                });
             }
             Op::Drop { w } => {
                 if let Some(i) = &mut self.workers[w].inflight {
@@ -194,7 +208,10 @@ impl World {
                 if !i.dropped {
                     return;
                 }
-                let verdict = st.machine.step(RetryInput::Lost { seq: i.seq, can_degrade: true });
+                let verdict = st.machine.step(RetryInput::Lost {
+                    seq: i.seq,
+                    can_degrade: true,
+                });
                 match verdict {
                     RetryOutput::Degrade { .. } => {
                         record_transition(w, st, true, violations);
@@ -246,7 +263,10 @@ impl World {
                     ));
                 }
                 st.landed.push(i.seq);
-                let verdict = st.machine.step(RetryInput::Landed { seq: i.seq, uintr: i.uintr });
+                let verdict = st.machine.step(RetryInput::Landed {
+                    seq: i.seq,
+                    uintr: i.uintr,
+                });
                 if verdict == RetryOutput::Recovered {
                     record_transition(w, st, false, violations);
                 }
@@ -270,7 +290,12 @@ impl World {
 
 /// Records a degrade (`true`) / recover (`false`) transition and
 /// checks monotonicity: strict alternation, starting with degrade.
-fn record_transition(w: usize, st: &mut WorkerSt, degrade: bool, violations: &mut BTreeSet<String>) {
+fn record_transition(
+    w: usize,
+    st: &mut WorkerSt,
+    degrade: bool,
+    violations: &mut BTreeSet<String>,
+) {
     match (st.transitions.last(), degrade) {
         (None, false) => {
             violations.insert(format!("worker {w}: recovered without a preceding degrade"));
@@ -302,7 +327,11 @@ struct Scenario {
 }
 
 fn shortened_watchdog(degrade_after: u32, probe_every: u32) -> WatchdogConfig {
-    WatchdogConfig { degrade_after, probe_every, ..WatchdogConfig::default() }
+    WatchdogConfig {
+        degrade_after,
+        probe_every,
+        ..WatchdogConfig::default()
+    }
 }
 
 /// Per-worker thread pair driving one full degrade→probe→recover arc:
@@ -310,7 +339,12 @@ fn shortened_watchdog(degrade_after: u32, probe_every: u32) -> WatchdogConfig {
 /// second issue while degraded goes out as the recovery probe.
 fn lifecycle_threads(w: usize) -> [Vec<Op>; 2] {
     [
-        vec![Op::Issue { w }, Op::Drop { w }, Op::WdFire { w }, Op::Issue { w }],
+        vec![
+            Op::Issue { w },
+            Op::Drop { w },
+            Op::WdFire { w },
+            Op::Issue { w },
+        ],
         vec![Op::Deliver { w }, Op::Deliver { w }],
     ]
 }
@@ -484,7 +518,11 @@ impl LifecycleReport {
             "lifecycle: {} scenario(s), {} schedule(s), {}",
             self.scenarios.len(),
             self.total_schedules(),
-            if self.holds() { "all invariants hold" } else { "INVARIANT VIOLATIONS" }
+            if self.holds() {
+                "all invariants hold"
+            } else {
+                "INVARIANT VIOLATIONS"
+            }
         );
         for s in &self.scenarios {
             let red = match s.reduction() {
@@ -601,10 +639,7 @@ impl<'a> Explorer<'a> {
                     .iter()
                     .chain(explored.iter())
                     .copied()
-                    .filter(|&q| {
-                        self.next_op(pcs, q)
-                            .is_some_and(|oq| oq.independent(op))
-                    })
+                    .filter(|&q| self.next_op(pcs, q).is_some_and(|oq| oq.independent(op)))
                     .collect()
             } else {
                 Vec::new()
@@ -661,8 +696,7 @@ pub fn check_default(mode: Mode) -> LifecycleReport {
     let scenarios = scenarios();
     let mut results = Vec::with_capacity(scenarios.len());
     for s in &scenarios {
-        let (dpor_schedules, dpor_terms, mut violations) =
-            Explorer::run(s, mode == Mode::Por);
+        let (dpor_schedules, dpor_terms, mut violations) = Explorer::run(s, mode == Mode::Por);
         let naive_schedules = if s.compare_naive && mode == Mode::Por {
             let (n, naive_terms, nv) = Explorer::run(s, false);
             violations.extend(nv);
@@ -686,7 +720,10 @@ pub fn check_default(mode: Mode) -> LifecycleReport {
             violations: violations.into_iter().collect(),
         });
     }
-    LifecycleReport { scenarios: results, mode }
+    LifecycleReport {
+        scenarios: results,
+        mode,
+    }
 }
 
 #[cfg(test)]

@@ -19,9 +19,8 @@ use std::path::{Path, PathBuf};
 use crate::rules::{
     hot_alloc_allowance, nondet_file_allowance, relaxed_file_allowance, RuleId, ATTRIBUTION_EVENTS,
     CHAOS_RNG_DIR, CHAOS_RNG_TOKENS, EVENT_VOCAB_FILE, FAULT_RNG_FILE, FAULT_RNG_TOKENS,
-    HOT_ALLOC_FILES,
-    HOT_ALLOC_TOKENS, NONDET_EXEMPT_CRATES, NONDET_TOKENS, OBS_PAIRED_CRATES, POLICY_DIR,
-    POLICY_PURITY_TOKENS, RETRY_STATE_CRATE, RETRY_STATE_FIELDS, RETRY_STATE_FILE,
+    HOT_ALLOC_FILES, HOT_ALLOC_TOKENS, NONDET_EXEMPT_CRATES, NONDET_TOKENS, OBS_PAIRED_CRATES,
+    POLICY_DIR, POLICY_PURITY_TOKENS, RETRY_STATE_CRATE, RETRY_STATE_FIELDS, RETRY_STATE_FILE,
     UNSAFE_ALLOWED_CRATE, WORKERLESS_EVENTS,
 };
 
@@ -867,12 +866,19 @@ fn event_enum_variants(code_lines: &[String]) -> Vec<(String, usize, bool, bool)
                 .is_none_or(|c| !is_ident(c))
         })
     });
-    let Some(start) = start else { return Vec::new() };
+    let Some(start) = start else {
+        return Vec::new();
+    };
     let mut out: Vec<(String, usize, bool, bool)> = Vec::new();
     let mut depth = 0i32;
     for (idx, code) in code_lines.iter().enumerate().skip(start) {
         let trimmed = code.trim();
-        if depth == 1 && trimmed.chars().next().is_some_and(|c| c.is_ascii_uppercase()) {
+        if depth == 1
+            && trimmed
+                .chars()
+                .next()
+                .is_some_and(|c| c.is_ascii_uppercase())
+        {
             let name: String = trimmed.chars().take_while(|&c| is_ident(c)).collect();
             out.push((name, idx + 1, false, false));
         }
@@ -1018,7 +1024,11 @@ mod tests {
     fn stripper_handles_lifetimes_and_chars() {
         let f = strip("fn f<'a>(x: &'a str) { let c = 'y'; let q = '\\''; }\n");
         assert!(f.code[0].contains("fn f<'a>(x: &'a str)"));
-        assert!(!f.code[0].contains('y'), "char literal content blanked: {}", f.code[0]);
+        assert!(
+            !f.code[0].contains('y'),
+            "char literal content blanked: {}",
+            f.code[0]
+        );
     }
 
     #[test]
@@ -1050,7 +1060,12 @@ mod tests {
         let allows = parse_allows(&f);
         assert!(allows.covers(RuleId::Nondet, 2));
         assert!(!allows.covers(RuleId::NoPrint, 2));
-        assert_eq!(allows.bad.len(), 2, "missing reason + unknown rule: {:?}", allows.bad);
+        assert_eq!(
+            allows.bad.len(),
+            2,
+            "missing reason + unknown rule: {:?}",
+            allows.bad
+        );
     }
 
     #[test]
@@ -1165,10 +1180,11 @@ mod tests {
             &vocab,
             &mut r,
         );
-        assert!(r
-            .diagnostics
-            .iter()
-            .all(|d| d.rule != RuleId::FaultRng), "{}", r.human());
+        assert!(
+            r.diagnostics.iter().all(|d| d.rule != RuleId::FaultRng),
+            "{}",
+            r.human()
+        );
         // Drawing via the blessed substream helper is clean.
         let mut r = LintReport::default();
         lint_file(
@@ -1310,7 +1326,9 @@ mod tests {
             &mut r,
         );
         assert!(
-            r.diagnostics.iter().all(|d| d.rule != RuleId::RelaxedOrdering),
+            r.diagnostics
+                .iter()
+                .all(|d| d.rule != RuleId::RelaxedOrdering),
             "{}",
             r.human()
         );
@@ -1341,19 +1359,33 @@ mod tests {
             let mut r = LintReport::default();
             lint_file("crates/preemptible/src/runtime.rs", read, &vocab, &mut r);
             assert!(
-                r.diagnostics.iter().all(|d| d.rule != RuleId::RetryTransition),
+                r.diagnostics
+                    .iter()
+                    .all(|d| d.rule != RuleId::RetryTransition),
                 "`{read}` must not fire: {}",
                 r.human()
             );
         }
         // The machine's own home is exempt — and so is any other crate.
         let mut r = LintReport::default();
-        lint_file("crates/preemptible/src/retry.rs", "self.losses = 0;\n", &vocab, &mut r);
+        lint_file(
+            "crates/preemptible/src/retry.rs",
+            "self.losses = 0;\n",
+            &vocab,
+            &mut r,
+        );
         assert_eq!(r.violation_count(), 0, "{}", r.human());
         let mut r = LintReport::default();
-        lint_file("crates/check/src/lifecycle.rs", "st.losses = 0;\n", &vocab, &mut r);
+        lint_file(
+            "crates/check/src/lifecycle.rs",
+            "st.losses = 0;\n",
+            &vocab,
+            &mut r,
+        );
         assert!(
-            r.diagnostics.iter().all(|d| d.rule != RuleId::RetryTransition),
+            r.diagnostics
+                .iter()
+                .all(|d| d.rule != RuleId::RetryTransition),
             "{}",
             r.human()
         );

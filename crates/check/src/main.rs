@@ -39,18 +39,30 @@ struct Args {
 
 fn parse_args() -> Result<Args, String> {
     let mut argv = std::env::args().skip(1);
-    let cmd = argv.next().ok_or_else(|| "missing subcommand".to_string())?;
-    let mut args = Args { cmd, json: false, por: false, root: None, traces: Vec::new() };
+    let cmd = argv
+        .next()
+        .ok_or_else(|| "missing subcommand".to_string())?;
+    let mut args = Args {
+        cmd,
+        json: false,
+        por: false,
+        root: None,
+        traces: Vec::new(),
+    };
     while let Some(a) = argv.next() {
         match a.as_str() {
             "--json" => args.json = true,
             "--por" => args.por = true,
             "--root" => {
-                let p = argv.next().ok_or_else(|| "--root needs a path".to_string())?;
+                let p = argv
+                    .next()
+                    .ok_or_else(|| "--root needs a path".to_string())?;
                 args.root = Some(PathBuf::from(p));
             }
             "--trace" => {
-                let p = argv.next().ok_or_else(|| "--trace needs a path".to_string())?;
+                let p = argv
+                    .next()
+                    .ok_or_else(|| "--trace needs a path".to_string())?;
                 args.traces.push(PathBuf::from(p));
             }
             other => return Err(format!("unknown option `{other}`")),
@@ -98,9 +110,7 @@ fn model_reports(args: &Args) -> (model::ModelReport, lifecycle::LifecycleReport
     let lc = lifecycle::check_default(mode);
     // The CI gate: every invariant holds, and (in full mode) the suite
     // actually enumerated a meaningful schedule count.
-    let ok = upid.holds()
-        && lc.holds()
-        && (mode == Mode::Por || upid.total_schedules() >= 1000);
+    let ok = upid.holds() && lc.holds() && (mode == Mode::Por || upid.total_schedules() >= 1000);
     (upid, lc, ok)
 }
 

@@ -31,7 +31,7 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use lp_hw::uintr::{DropReason, ReceiverState, SendOutcome, Uitt, UintrDomain, UpidHandle};
+use lp_hw::uintr::{DropReason, ReceiverState, SendOutcome, UintrDomain, Uitt, UpidHandle};
 use lp_hw::uintr_spec::SpecUpid;
 use lp_hw::CoreId;
 use lp_sim::fault::IpiFault;
@@ -361,7 +361,11 @@ impl World {
                     .dom
                     .senduipi_with_fault(entry, self.recv_state, Some(IpiFault::Drop))
                     .map_err(|e| (Invariant::SpecAgreement, format!("lost send failed: {e}")))?;
-                if got != (SendOutcome::Dropped { reason: DropReason::Faulted }) {
+                if got
+                    != (SendOutcome::Dropped {
+                        reason: DropReason::Faulted,
+                    })
+                {
                     return Err((
                         Invariant::SpecAgreement,
                         format!("lost send(v{vector}) -> {got:?}, expected Dropped/Faulted"),
@@ -422,9 +426,7 @@ impl World {
     /// The always-on invariants, checked after every transition.
     fn check_state(&self) -> Result<(), (Invariant, String)> {
         let u = self.dom.upid(self.h).expect("receiver registered");
-        if u.outstanding != self.spec.on
-            || u.suppress != self.spec.sn
-            || u.pending != self.spec.pir
+        if u.outstanding != self.spec.on || u.suppress != self.spec.sn || u.pending != self.spec.pir
         {
             return Err((
                 Invariant::SpecAgreement,
@@ -642,7 +644,10 @@ pub fn default_scenarios() -> Vec<Scenario> {
 pub fn check_default(mode: Mode) -> ModelReport {
     ModelReport {
         mode,
-        scenarios: default_scenarios().iter().map(|sc| explore(sc, mode)).collect(),
+        scenarios: default_scenarios()
+            .iter()
+            .map(|sc| explore(sc, mode))
+            .collect(),
     }
 }
 

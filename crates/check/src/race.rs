@@ -139,7 +139,13 @@ impl RaceReport {
             self.findings.len()
         );
         for f in &self.findings {
-            let _ = writeln!(out, "  [{}] worker {}: {}", f.kind.name(), f.worker, f.message);
+            let _ = writeln!(
+                out,
+                "  [{}] worker {}: {}",
+                f.kind.name(),
+                f.worker,
+                f.message
+            );
             for line in &f.slice {
                 let _ = writeln!(out, "    | {line}");
             }
@@ -342,7 +348,12 @@ impl<'a> Analyzer<'a> {
             let actor = actor_of(&te.ev).index();
             let mut incoming: Vec<(usize, EdgeKind)> = Vec::new();
             match te.ev {
-                Event::PreemptIssued { worker, seq, attempt, uintr } => {
+                Event::PreemptIssued {
+                    worker,
+                    seq,
+                    attempt,
+                    uintr,
+                } => {
                     if attempt > 0 {
                         if let Some(r) = pending_retry.remove(&(worker, seq)) {
                             incoming.push((r, EdgeKind::RetryResend));
@@ -353,7 +364,10 @@ impl<'a> Analyzer<'a> {
                         }
                     }
                     let idx = self.graph.observe(actor, &incoming);
-                    open_issues.entry((worker, seq)).or_default().push((idx, uintr));
+                    open_issues
+                        .entry((worker, seq))
+                        .or_default()
+                        .push((idx, uintr));
                     continue;
                 }
                 Event::PreemptLanded { worker, seq, uintr } => {
@@ -430,7 +444,12 @@ impl<'a> Analyzer<'a> {
 
     fn push(&mut self, kind: RaceKind, worker: u16, message: String, anchor: usize) {
         let slice = self.slice_of(anchor);
-        self.findings.push(RaceFinding { kind, worker, message, slice });
+        self.findings.push(RaceFinding {
+            kind,
+            worker,
+            message,
+            slice,
+        });
     }
 
     /// Uncaused and double deliveries: every `preempt_landed` must
@@ -498,28 +517,46 @@ impl<'a> Analyzer<'a> {
     /// followed by delivery, degradation, or run progress — given the
     /// trace keeps going long enough that resolution was due.
     fn check_lost_wakeups(&mut self) {
-        let Some(last) = self.events.last() else { return };
+        let Some(last) = self.events.last() else {
+            return;
+        };
         let trace_end = last.at.as_nanos().max(
-            self.events.iter().map(|te| te.at.as_nanos()).max().unwrap_or(0),
+            self.events
+                .iter()
+                .map(|te| te.at.as_nanos())
+                .max()
+                .unwrap_or(0),
         );
         // Last retry per (worker, seq).
         let mut last_retry: BTreeMap<(u16, u64), (usize, u64, u64)> = BTreeMap::new();
         for (idx, te) in self.events.iter().enumerate() {
-            if let Event::PreemptRetry { worker, seq, delay_ns, .. } = te.ev {
+            if let Event::PreemptRetry {
+                worker,
+                seq,
+                delay_ns,
+                ..
+            } = te.ev
+            {
                 last_retry.insert((worker, seq), (idx, te.at.as_nanos(), delay_ns));
             }
         }
         for (&(worker, seq), &(idx, at, delay)) in &last_retry {
-            let due = at.saturating_add(delay).saturating_add(LOST_WAKEUP_MARGIN_NS);
+            let due = at
+                .saturating_add(delay)
+                .saturating_add(LOST_WAKEUP_MARGIN_NS);
             if trace_end < due {
                 continue; // the window ends before resolution was due
             }
             let resolved = self.events[idx + 1..].iter().any(|te| match te.ev {
-                Event::PreemptLanded { worker: w, seq: s, .. } => w == worker && s == seq,
+                Event::PreemptLanded {
+                    worker: w, seq: s, ..
+                } => w == worker && s == seq,
                 Event::MechDegraded { worker: w, .. } => w == worker,
                 Event::TaskFinish { worker: w, .. } => w == worker,
                 Event::Preempt { worker: w, .. } => w == worker,
-                Event::PreemptIssued { worker: w, seq: s, .. } => w == worker && s > seq,
+                Event::PreemptIssued {
+                    worker: w, seq: s, ..
+                } => w == worker && s > seq,
                 _ => false,
             });
             if !resolved {
@@ -618,7 +655,9 @@ impl<'a> Analyzer<'a> {
     /// starts again while its worker keeps picking other work (and the
     /// park is not in the trace tail), its causality chain dead-ends.
     fn check_stranded_fibers(&mut self) {
-        let Some(last) = self.events.last() else { return };
+        let Some(last) = self.events.last() else {
+            return;
+        };
         let trace_end = last.at.as_nanos();
         // Fiber ids are pool slots, reused only after release — a
         // parked fiber holds its slot, so "never starts again" is
@@ -671,15 +710,33 @@ mod tests {
     use lp_sim::SimTime;
 
     fn te(at_ns: u64, ev: Event) -> TimedEvent {
-        TimedEvent { at: SimTime::from_nanos(at_ns), ev }
+        TimedEvent {
+            at: SimTime::from_nanos(at_ns),
+            ev,
+        }
     }
 
     fn issue(at: u64, worker: u16, seq: u64, attempt: u8) -> TimedEvent {
-        te(at, Event::PreemptIssued { worker, seq, attempt, uintr: true })
+        te(
+            at,
+            Event::PreemptIssued {
+                worker,
+                seq,
+                attempt,
+                uintr: true,
+            },
+        )
     }
 
     fn landed(at: u64, worker: u16, seq: u64) -> TimedEvent {
-        te(at, Event::PreemptLanded { worker, seq, uintr: true })
+        te(
+            at,
+            Event::PreemptLanded {
+                worker,
+                seq,
+                uintr: true,
+            },
+        )
     }
 
     #[test]
@@ -687,10 +744,24 @@ mod tests {
         let trace = vec![
             issue(100, 0, 0, 0),
             landed(500, 0, 0),
-            te(600, Event::Preempt { worker: 0, fiber: 1, ran_ns: 500 }),
+            te(
+                600,
+                Event::Preempt {
+                    worker: 0,
+                    fiber: 1,
+                    ran_ns: 500,
+                },
+            ),
             issue(1_000, 0, 1, 0),
             landed(1_400, 0, 1),
-            te(1_500, Event::Preempt { worker: 0, fiber: 2, ran_ns: 400 }),
+            te(
+                1_500,
+                Event::Preempt {
+                    worker: 0,
+                    fiber: 2,
+                    ran_ns: 400,
+                },
+            ),
         ];
         let r = analyze_events(&trace);
         assert!(r.is_clean(), "{}", r.human());
@@ -729,11 +800,7 @@ mod tests {
 
     #[test]
     fn double_delivery_is_detected() {
-        let trace = vec![
-            issue(100, 0, 0, 0),
-            landed(500, 0, 0),
-            landed(700, 0, 0),
-        ];
+        let trace = vec![issue(100, 0, 0, 0), landed(500, 0, 0), landed(700, 0, 0)];
         let r = analyze_events(&trace);
         assert_eq!(r.findings.len(), 1, "{}", r.human());
         assert_eq!(r.findings[0].kind, RaceKind::ConflictingTransition);
@@ -744,7 +811,15 @@ mod tests {
     fn lost_wakeup_is_detected() {
         let mut trace = vec![
             issue(100, 0, 0, 0),
-            te(50_000, Event::PreemptRetry { worker: 0, seq: 0, attempt: 1, delay_ns: 5_000 }),
+            te(
+                50_000,
+                Event::PreemptRetry {
+                    worker: 0,
+                    seq: 0,
+                    attempt: 1,
+                    delay_ns: 5_000,
+                },
+            ),
             issue(55_000, 0, 0, 1),
         ];
         // The trace continues far past the backoff with unrelated
@@ -752,12 +827,18 @@ mod tests {
         for i in 0..20 {
             trace.push(te(
                 100_000 + i * 500_000,
-                Event::TaskFinish { worker: 1, fiber: 9, latency_ns: 10 },
+                Event::TaskFinish {
+                    worker: 1,
+                    fiber: 9,
+                    latency_ns: 10,
+                },
             ));
         }
         let r = analyze_events(&trace);
         assert!(
-            r.findings.iter().any(|f| f.kind == RaceKind::LostWakeup && f.worker == 0),
+            r.findings
+                .iter()
+                .any(|f| f.kind == RaceKind::LostWakeup && f.worker == 0),
             "{}",
             r.human()
         );
@@ -767,11 +848,33 @@ mod tests {
     fn resolved_retry_is_not_a_lost_wakeup() {
         let trace = vec![
             issue(100, 0, 0, 0),
-            te(50_000, Event::PreemptRetry { worker: 0, seq: 0, attempt: 1, delay_ns: 5_000 }),
+            te(
+                50_000,
+                Event::PreemptRetry {
+                    worker: 0,
+                    seq: 0,
+                    attempt: 1,
+                    delay_ns: 5_000,
+                },
+            ),
             issue(55_000, 0, 0, 1),
             landed(56_000, 0, 0),
-            te(56_100, Event::Preempt { worker: 0, fiber: 3, ran_ns: 56_000 }),
-            te(10_000_000, Event::TaskFinish { worker: 1, fiber: 9, latency_ns: 10 }),
+            te(
+                56_100,
+                Event::Preempt {
+                    worker: 0,
+                    fiber: 3,
+                    ran_ns: 56_000,
+                },
+            ),
+            te(
+                10_000_000,
+                Event::TaskFinish {
+                    worker: 1,
+                    fiber: 9,
+                    latency_ns: 10,
+                },
+            ),
         ];
         let r = analyze_events(&trace);
         assert!(r.is_clean(), "{}", r.human());
@@ -782,8 +885,23 @@ mod tests {
         // Resolution was never due inside the window: quiet.
         let trace = vec![
             issue(100, 0, 0, 0),
-            te(50_000, Event::PreemptRetry { worker: 0, seq: 0, attempt: 1, delay_ns: 5_000 }),
-            te(60_000, Event::TaskFinish { worker: 1, fiber: 9, latency_ns: 10 }),
+            te(
+                50_000,
+                Event::PreemptRetry {
+                    worker: 0,
+                    seq: 0,
+                    attempt: 1,
+                    delay_ns: 5_000,
+                },
+            ),
+            te(
+                60_000,
+                Event::TaskFinish {
+                    worker: 1,
+                    fiber: 9,
+                    latency_ns: 10,
+                },
+            ),
         ];
         let r = analyze_events(&trace);
         assert!(r.is_clean(), "{}", r.human());
@@ -795,7 +913,13 @@ mod tests {
         // the two transitions are concurrent in the hb graph.
         let trace = vec![
             issue(100, 0, 0, 0),
-            te(200, Event::MechDegraded { worker: 0, losses: 3 }),
+            te(
+                200,
+                Event::MechDegraded {
+                    worker: 0,
+                    losses: 3,
+                },
+            ),
             te(900, Event::MechRecovered { worker: 0 }),
         ];
         let r = analyze_events(&trace);
@@ -809,11 +933,24 @@ mod tests {
         // The real chain: degrade -> probe issue -> landing -> recover.
         let trace = vec![
             issue(100, 0, 0, 0),
-            te(200, Event::MechDegraded { worker: 0, losses: 3 }),
+            te(
+                200,
+                Event::MechDegraded {
+                    worker: 0,
+                    losses: 3,
+                },
+            ),
             issue(300, 0, 0, 1),
             landed(700, 0, 0),
             te(700, Event::MechRecovered { worker: 0 }),
-            te(710, Event::Preempt { worker: 0, fiber: 1, ran_ns: 600 }),
+            te(
+                710,
+                Event::Preempt {
+                    worker: 0,
+                    fiber: 1,
+                    ran_ns: 600,
+                },
+            ),
         ];
         let r = analyze_events(&trace);
         assert!(r.is_clean(), "{}", r.human());
@@ -822,8 +959,20 @@ mod tests {
     #[test]
     fn double_degrade_is_not_monotone() {
         let trace = vec![
-            te(200, Event::MechDegraded { worker: 0, losses: 3 }),
-            te(400, Event::MechDegraded { worker: 0, losses: 4 }),
+            te(
+                200,
+                Event::MechDegraded {
+                    worker: 0,
+                    losses: 3,
+                },
+            ),
+            te(
+                400,
+                Event::MechDegraded {
+                    worker: 0,
+                    losses: 4,
+                },
+            ),
         ];
         let r = analyze_events(&trace);
         assert_eq!(r.findings.len(), 1, "{}", r.human());
@@ -834,14 +983,23 @@ mod tests {
     fn stranded_fiber_is_detected() {
         let mut trace = vec![te(
             100,
-            Event::Preempt { worker: 0, fiber: 7, ran_ns: 100 },
+            Event::Preempt {
+                worker: 0,
+                fiber: 7,
+                ran_ns: 100,
+            },
         )];
         // The worker keeps starting other fibers; 7 never returns, and
         // the trace runs long past the park.
         for i in 0..20 {
             trace.push(te(
                 1_000_000 + i * 1_000_000,
-                Event::TaskStart { worker: 0, fiber: 100 + i as u32, resumed: false, switch_ns: 0 },
+                Event::TaskStart {
+                    worker: 0,
+                    fiber: 100 + i as u32,
+                    resumed: false,
+                    switch_ns: 0,
+                },
             ));
         }
         let r = analyze_events(&trace);
@@ -856,17 +1014,31 @@ mod tests {
     fn resumed_fiber_is_not_stranded() {
         let mut trace = vec![te(
             100,
-            Event::Preempt { worker: 0, fiber: 7, ran_ns: 100 },
+            Event::Preempt {
+                worker: 0,
+                fiber: 7,
+                ran_ns: 100,
+            },
         )];
         for i in 0..20 {
             trace.push(te(
                 1_000_000 + i * 1_000_000,
-                Event::TaskStart { worker: 0, fiber: 100 + i as u32, resumed: false, switch_ns: 0 },
+                Event::TaskStart {
+                    worker: 0,
+                    fiber: 100 + i as u32,
+                    resumed: false,
+                    switch_ns: 0,
+                },
             ));
         }
         trace.push(te(
             30_000_000,
-            Event::TaskStart { worker: 0, fiber: 7, resumed: true, switch_ns: 0 },
+            Event::TaskStart {
+                worker: 0,
+                fiber: 7,
+                resumed: true,
+                switch_ns: 0,
+            },
         ));
         let r = analyze_events(&trace);
         assert!(r.is_clean(), "{}", r.human());
@@ -874,11 +1046,7 @@ mod tests {
 
     #[test]
     fn jsonl_round_trip_matches_in_memory() {
-        let trace = vec![
-            issue(100, 0, 0, 0),
-            landed(500, 0, 0),
-            landed(900, 0, 7),
-        ];
+        let trace = vec![issue(100, 0, 0, 0), landed(500, 0, 0), landed(900, 0, 7)];
         let mut text = String::new();
         for te in &trace {
             te.write_jsonl(&mut text);

@@ -324,8 +324,7 @@ pub const WORKERLESS_EVENTS: [&str; 8] = [
 /// following `task_start` to render the switch slice, which needs the
 /// same identities. Extend this list together with
 /// `Attribution::observe` when new phase-driving spans are added.
-pub const ATTRIBUTION_EVENTS: [&str; 4] =
-    ["TaskStart", "TaskFinish", "Preempt", "SwitchBegin"];
+pub const ATTRIBUTION_EVENTS: [&str; 4] = ["TaskStart", "TaskFinish", "Preempt", "SwitchBegin"];
 
 /// The files [`RuleId::HotAlloc`] polices: the event engine's hot
 /// core — the hierarchical timing wheel and its `EventQueue` facade.
@@ -340,16 +339,8 @@ pub const HOT_ALLOC_FILES: [&str; 2] = ["crates/sim/src/queue.rs", "crates/sim/s
 /// path may only move nodes between intrusive lists, the slab
 /// freelist, and the pre-sized overflow heap.
 pub const HOT_ALLOC_TOKENS: [&str; 10] = [
-    "BTreeMap",
-    "Box::new",
-    "HashMap",
-    "Vec::new",
-    "VecDeque",
-    "collect",
-    "insert",
-    "push",
-    "to_vec",
-    "vec!",
+    "BTreeMap", "Box::new", "HashMap", "Vec::new", "VecDeque", "collect", "insert", "push",
+    "to_vec", "vec!",
 ];
 
 /// The static per-file allowance for [`RuleId::HotAlloc`]: `(file,
@@ -390,8 +381,13 @@ pub const RETRY_STATE_FILE: &str = "crates/preemptible/src/retry.rs";
 /// Field names of the watchdog health state. A write access spelled
 /// `.{field} = / += / -=` outside [`RETRY_STATE_FILE`] bypasses
 /// `RetryMachine::step` and fires [`RuleId::RetryTransition`].
-pub const RETRY_STATE_FIELDS: [&str; 5] =
-    ["losses", "degraded", "brownout", "degraded_sends", "probe_for"];
+pub const RETRY_STATE_FIELDS: [&str; 5] = [
+    "losses",
+    "degraded",
+    "brownout",
+    "degraded_sends",
+    "probe_for",
+];
 
 /// The directory [`RuleId::ChaosRng`] polices: the chaos adversary
 /// (every module under it, including future additions).
@@ -449,7 +445,10 @@ mod tests {
         assert!(hot_alloc_allowance("crates/sim/src/engine.rs", "push").is_none());
         for (file, tokens, why) in HOT_ALLOC_ALLOWLIST {
             assert!(!why.is_empty(), "{file} allowance has no reason");
-            assert!(HOT_ALLOC_FILES.contains(&file), "{file} is not a policed file");
+            assert!(
+                HOT_ALLOC_FILES.contains(&file),
+                "{file} is not a policed file"
+            );
             for t in tokens {
                 assert!(HOT_ALLOC_TOKENS.contains(t), "{file} allows unbanned `{t}`");
             }

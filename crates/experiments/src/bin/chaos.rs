@@ -45,8 +45,11 @@ const RESTART_FAMILIES: [&[&str]; 10] = [
 /// family (pure arrival overload), so the corpus prefers one cliff per
 /// signature before admitting a second of the same shape.
 fn signature(plan: &ChaosPlan, horizon_us: u64) -> String {
-    let mut tags: Vec<&'static str> =
-        plan.normalize(horizon_us).iter().map(|s| s.atom.tag()).collect();
+    let mut tags: Vec<&'static str> = plan
+        .normalize(horizon_us)
+        .iter()
+        .map(|s| s.atom.tag())
+        .collect();
     tags.sort_unstable();
     tags.dedup();
     tags.join("+")
@@ -63,14 +66,25 @@ struct Candidate {
 fn main() {
     let scale = Scale::from_env(Scale::Full);
     let budget = match scale {
-        Scale::Quick => {
-            SearchBudget { population: 4, rungs: 2, descent_passes: 1, jobs: runner::jobs(), families: &[] }
-        }
-        Scale::Full => {
-            SearchBudget { population: 16, rungs: 3, descent_passes: 2, jobs: runner::jobs(), families: &[] }
-        }
+        Scale::Quick => SearchBudget {
+            population: 4,
+            rungs: 2,
+            descent_passes: 1,
+            jobs: runner::jobs(),
+            families: &[],
+        },
+        Scale::Full => SearchBudget {
+            population: 16,
+            rungs: 3,
+            descent_passes: 2,
+            jobs: runner::jobs(),
+            families: &[],
+        },
     };
-    let cfg = EvalConfig { seed: DEFAULT_SEED, ..EvalConfig::default() };
+    let cfg = EvalConfig {
+        seed: DEFAULT_SEED,
+        ..EvalConfig::default()
+    };
 
     // Every restart runs (no early exit): the candidate pool feeds a
     // signature-diverse selection below, and a fixed restart count
@@ -95,7 +109,11 @@ fn main() {
             minimized.plan.leaves(),
             unhardened.worst_ns / 1_000,
             hardened.worst_ns / 1_000,
-            if keeps_cliff { "candidate" } else { "discarded" },
+            if keeps_cliff {
+                "candidate"
+            } else {
+                "discarded"
+            },
         );
         if keeps_cliff {
             let text = corpus::plan_to_text(&minimized.plan);
@@ -133,7 +151,9 @@ fn main() {
             break;
         }
         if !picked.contains(&i)
-            && !picked.iter().any(|&p| candidates[p].text == candidates[i].text)
+            && !picked
+                .iter()
+                .any(|&p| candidates[p].text == candidates[i].text)
         {
             picked.push(i);
         }
@@ -161,7 +181,10 @@ fn main() {
     );
     let json = corpus::to_json(&entries);
     lp_experiments::common::save_csv("chaos_corpus.json", &json);
-    println!("pinned {} entries to results/chaos_corpus.json", entries.len());
+    println!(
+        "pinned {} entries to results/chaos_corpus.json",
+        entries.len()
+    );
     for e in &entries {
         println!(
             "  {}: {} (unhardened worst {} us, hardened worst {} us)",

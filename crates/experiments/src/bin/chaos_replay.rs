@@ -19,10 +19,17 @@ fn main() {
         .unwrap_or_else(|e| panic!("cannot read {path}: {e} — run the `chaos` binary first"));
     let entries = corpus::from_json(&raw)
         .unwrap_or_else(|| panic!("{path} is malformed or has the wrong version"));
-    assert!(entries.len() >= 3, "corpus has {} entries, expected >= 3", entries.len());
+    assert!(
+        entries.len() >= 3,
+        "corpus has {} entries, expected >= 3",
+        entries.len()
+    );
 
     let outcomes = runner::map_points("chaos_replay", &entries, |_id, e| {
-        (evaluate(&e.plan, &e.cfg, false), evaluate(&e.plan, &e.cfg, true))
+        (
+            evaluate(&e.plan, &e.cfg, false),
+            evaluate(&e.plan, &e.cfg, true),
+        )
     });
 
     let mut csv = String::from(

@@ -22,11 +22,17 @@ fn main() {
     let want = std::env::args().nth(1).unwrap_or_else(|| "healthy".into());
     let corpus = std::fs::read_to_string("results/chaos_corpus.json").ok();
     let scenarios = figa::scenarios(corpus.as_deref());
-    let sc = scenarios.iter().find(|s| s.name == want).unwrap_or_else(|| {
-        let names: Vec<&str> = scenarios.iter().map(|s| s.name.as_str()).collect();
-        eprintln!("trace_view: unknown scenario `{want}`; have: {}", names.join(", "));
-        std::process::exit(2);
-    });
+    let sc = scenarios
+        .iter()
+        .find(|s| s.name == want)
+        .unwrap_or_else(|| {
+            let names: Vec<&str> = scenarios.iter().map(|s| s.name.as_str()).collect();
+            eprintln!(
+                "trace_view: unknown scenario `{want}`; have: {}",
+                names.join(", ")
+            );
+            std::process::exit(2);
+        });
 
     let r = evaluate_report(&sc.plan, &sc.cfg, false, TRACE_CAPACITY);
     let json = r.perfetto_json();

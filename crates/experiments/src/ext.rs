@@ -24,8 +24,8 @@ use crate::common::Scale;
 /// X1: power of the dedicated timer core(s).
 pub fn power_table() -> Table {
     let p = PowerModel::default();
-    let mut t = Table::new(&["configuration", "power (W)"])
-        .with_title("X1: timer-core power cost (§V-B)");
+    let mut t =
+        Table::new(&["configuration", "power (W)"]).with_title("X1: timer-core power cost (§V-B)");
     t.row(&[
         "1 timer core, busy spin".into(),
         format!("{:.2}", p.timer_power_w(1, PollMode::BusySpin)),
@@ -76,7 +76,9 @@ pub fn attack_surface(workers: usize) -> (usize, usize) {
     // installed timer-core → worker entries (vector 0), none owned by
     // the co-tenant.
     let lp_cotenant_uitt = Uitt::new();
-    let lp_reachable = (0..workers).filter(|&i| lp_cotenant_uitt.get(i).is_some()).count();
+    let lp_reachable = (0..workers)
+        .filter(|&i| lp_cotenant_uitt.get(i).is_some())
+        .count();
     (native_reachable, lp_reachable)
 }
 
@@ -86,7 +88,10 @@ pub fn security_table() -> Table {
     let mut t = Table::new(&["configuration", "vectors reachable by untrusted sender"])
         .with_title("X2: interrupt-storm attack surface (§VII)");
     t.row(&["native UINTR (shared uintr_fd)".into(), native.to_string()]);
-    t.row(&["LibPreemptible (timer-core-only UITT)".into(), lp.to_string()]);
+    t.row(&[
+        "LibPreemptible (timer-core-only UITT)".into(),
+        lp.to_string(),
+    ]);
     t
 }
 
@@ -189,7 +194,10 @@ pub fn hw_offload_table(scale: Scale, seed: u64) -> Table {
     let (base, offload) = run_hw_offload(scale, seed);
     let mut t = Table::new(&["timer implementation", "A1 p99 @ rho=0.8 (us)"])
         .with_title("X4: hardware-offloaded timer (§VII-C future work)");
-    t.row(&["dedicated timer core (UMWAIT poll)".into(), format!("{base:.1}")]);
+    t.row(&[
+        "dedicated timer core (UMWAIT poll)".into(),
+        format!("{base:.1}"),
+    ]);
     t.row(&["hardware timer offload".into(), format!("{offload:.1}")]);
     t
 }

@@ -34,7 +34,10 @@ pub fn run_left(scale: Scale) -> Vec<IpcGapRow> {
     let n = scale.samples() / 10;
     let mean = |mech: IpcMechanism, seed: u64| {
         let mut r = rng(seed, 3);
-        (0..n).map(|_| lat.sample(mech, &mut r).as_micros_f64()).sum::<f64>() / n as f64
+        (0..n)
+            .map(|_| lat.sample(mech, &mut r).as_micros_f64())
+            .sum::<f64>()
+            / n as f64
     };
     vec![
         IpcGapRow {

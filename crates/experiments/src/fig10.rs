@@ -12,8 +12,8 @@ use lp_stats::Table;
 use lp_workload::{PhasedService, RateSchedule, ServiceDist};
 
 use libpreemptible::policies::Fifo;
-use libpreemptible::sched::SchedPolicy;
 use libpreemptible::runtime::{run, PreemptMech, RuntimeConfig, ServiceSource, WorkloadSpec};
+use libpreemptible::sched::SchedPolicy;
 
 use crate::common::Scale;
 use crate::runner;

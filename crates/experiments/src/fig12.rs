@@ -169,6 +169,11 @@ mod tests {
         let rows = run_fig12(Scale::Quick, 13);
         let k = row(&rows, "kernel timer", 100.0);
         let u = row(&rows, "LibUtimer", 100.0);
-        assert!(k.std_us > 5.0 * u.std_us, "k {} vs u {}", k.std_us, u.std_us);
+        assert!(
+            k.std_us > 5.0 * u.std_us,
+            "k {} vs u {}",
+            k.std_us,
+            u.std_us
+        );
     }
 }

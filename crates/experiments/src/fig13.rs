@@ -13,8 +13,8 @@ use lp_stats::Table;
 use lp_workload::{ColocatedWorkload, RateSchedule};
 
 use libpreemptible::policies::{ClassQuantum, Fifo};
-use libpreemptible::sched::SchedPolicy;
 use libpreemptible::runtime::{run, PreemptMech, RuntimeConfig, ServiceSource, WorkloadSpec};
+use libpreemptible::sched::SchedPolicy;
 
 use crate::common::Scale;
 use crate::runner;
@@ -193,7 +193,12 @@ mod tests {
         let q5 = at("q=5us");
         let q30 = at("q=30us");
         // LC tail: q5 < q30 < none.
-        assert!(q5.lc_p99_us < q30.lc_p99_us, "{} vs {}", q5.lc_p99_us, q30.lc_p99_us);
+        assert!(
+            q5.lc_p99_us < q30.lc_p99_us,
+            "{} vs {}",
+            q5.lc_p99_us,
+            q30.lc_p99_us
+        );
         assert!(q30.lc_p99_us < none.lc_p99_us);
         // BE cost: q5 taxes zlib more than q30.
         assert!(

@@ -92,7 +92,10 @@ pub fn run_fig14(scale: Scale, seed: u64) -> Vec<Fig14Row> {
                 cfg.k1 = SimDur::micros(10);
                 cfg.k2 = SimDur::micros(10);
                 cfg.k3 = SimDur::micros(10);
-                Box::new(AdaptiveQuantum::new(QuantumController::new(cfg, SimDur::micros(50))))
+                Box::new(AdaptiveQuantum::new(QuantumController::new(
+                    cfg,
+                    SimDur::micros(50),
+                )))
             }
         };
         let r = run(mk_cfg(), policy, mk_spec());
@@ -192,13 +195,11 @@ mod tests {
         let qps = rows[0].report.qps_series.as_ref().expect("series");
         let counts: Vec<u64> = qps.frames().iter().map(|f| f.count).collect();
         let max = *counts.iter().max().unwrap();
-        let min = counts
-            .iter()
-            .copied()
-            .filter(|&c| c > 0)
-            .min()
-            .unwrap();
-        assert!(max as f64 > 1.8 * min as f64, "no visible spike: {min}..{max}");
+        let min = counts.iter().copied().filter(|&c| c > 0).min().unwrap();
+        assert!(
+            max as f64 > 1.8 * min as f64,
+            "no visible spike: {min}..{max}"
+        );
         assert_eq!(table(&rows).len(), 3);
     }
 }

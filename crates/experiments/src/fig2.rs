@@ -11,8 +11,8 @@ use lp_stats::Table;
 use lp_workload::{PhasedService, RateSchedule, ServiceDist};
 
 use libpreemptible::policies::Fifo;
-use libpreemptible::sched::SchedPolicy;
 use libpreemptible::runtime::{run, PreemptMech, RuntimeConfig, ServiceSource, WorkloadSpec};
+use libpreemptible::sched::SchedPolicy;
 
 use crate::common::Scale;
 use crate::runner;
@@ -41,7 +41,10 @@ pub const QUANTA_US: [Option<u64>; 5] = [None, Some(5), Some(25), Some(100), Som
 /// byte-identical at any `LP_JOBS`.
 pub fn run_fig2(scale: Scale, seed: u64) -> Vec<QuantumPoint> {
     let workloads: [(&str, ServiceDist); 2] = [
-        ("bimodal (99.5% 0.5us / 0.5% 500us)", ServiceDist::workload_a1()),
+        (
+            "bimodal (99.5% 0.5us / 0.5% 500us)",
+            ServiceDist::workload_a1(),
+        ),
         ("exponential (mean 5us)", ServiceDist::workload_b()),
     ];
     let workers = 16;
@@ -61,10 +64,7 @@ pub fn run_fig2(scale: Scale, seed: u64) -> Vec<QuantumPoint> {
         };
         let (policy, mech): (Box<dyn SchedPolicy>, PreemptMech) = match q {
             None => (Box::new(Fifo::new(SimDur::MAX)), PreemptMech::None),
-            Some(us) => (
-                Box::new(Fifo::new(SimDur::micros(*us))),
-                PreemptMech::Uintr,
-            ),
+            Some(us) => (Box::new(Fifo::new(SimDur::micros(*us))), PreemptMech::Uintr),
         };
         let cfg = RuntimeConfig {
             workers,

@@ -72,7 +72,10 @@ pub fn run_fig9(scale: Scale, seed: u64) -> Vec<Fig9Row> {
                 let mut cfg =
                     AdaptiveConfig::paper_defaults(PaperWorkload::C.rate_for(1.0, workers));
                 cfg.period = control_period;
-                Box::new(AdaptiveQuantum::new(QuantumController::new(cfg, SimDur::micros(20))))
+                Box::new(AdaptiveQuantum::new(QuantumController::new(
+                    cfg,
+                    SimDur::micros(20),
+                )))
             }
         };
         let r = run(mk_cfg(), policy, mk_spec());

@@ -100,7 +100,11 @@ pub fn run_figa(scale: Scale, scenarios: &[FigAScenario]) -> Vec<FigARow> {
         .collect();
     runner::map_points("figa", &grid, move |_id, &(si, base_rps)| {
         let sc = &scenarios[si];
-        let cfg = EvalConfig { base_rps, horizon_us, ..sc.cfg };
+        let cfg = EvalConfig {
+            base_rps,
+            horizon_us,
+            ..sc.cfg
+        };
         let r = evaluate_report(&sc.plan, &cfg, false, 0);
         let worst = r.worst_exemplar();
         let mut phase_p99_ns = [0u64; Phase::COUNT];
@@ -181,11 +185,20 @@ mod tests {
         for r in &rows {
             assert!(r.completions > 0, "{} rps: no completions", r.base_rps);
             let sum: u64 = r.worst_phase_ns.iter().sum();
-            assert_eq!(sum, r.worst_ns, "{} rps: breakdown does not sum", r.base_rps);
+            assert_eq!(
+                sum, r.worst_ns,
+                "{} rps: breakdown does not sum",
+                r.base_rps
+            );
             // No chaos atoms: nothing to retry, degrade, or brown out.
-            for p in [Phase::RetryStall, Phase::DegradedSignal, Phase::BrownoutHeld] {
+            for p in [
+                Phase::RetryStall,
+                Phase::DegradedSignal,
+                Phase::BrownoutHeld,
+            ] {
                 assert_eq!(
-                    r.worst_phase_ns[p as usize], 0,
+                    r.worst_phase_ns[p as usize],
+                    0,
                     "{} rps: healthy run charged {}",
                     r.base_rps,
                     p.name()
@@ -214,16 +227,18 @@ mod tests {
                     + r.phase_p99_ns[Phase::BrownoutHeld as usize]
             })
             .sum();
-        assert!(fault_mass > 0, "drop-burst cliff charged nothing to fault phases");
+        assert!(
+            fault_mass > 0,
+            "drop-burst cliff charged nothing to fault phases"
+        );
     }
 
     #[test]
     fn figa_is_byte_identical_across_job_counts() {
         let horizon_us = Scale::Quick.point_duration().as_nanos() / 1_000;
         let scenarios = vec![healthy_scenario(), cliff_scenario(horizon_us)];
-        let csv = |jobs| {
-            runner::with_jobs(jobs, || table(&run_figa(Scale::Quick, &scenarios)).to_csv())
-        };
+        let csv =
+            |jobs| runner::with_jobs(jobs, || table(&run_figa(Scale::Quick, &scenarios)).to_csv());
         let one = csv(1);
         assert_eq!(one, csv(2), "LP_JOBS=2 drifted from LP_JOBS=1");
         assert_eq!(one, csv(8), "LP_JOBS=8 drifted from LP_JOBS=1");

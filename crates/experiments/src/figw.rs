@@ -51,7 +51,10 @@ pub fn representative_plan(horizon_us: u64) -> ChaosPlan {
             h / 2,
             h / 4,
         ),
-        ChaosPlan::Atom(ChaosAtom::TimerJitterWave { rate_ppm: 50_000, spike_us: 200 }),
+        ChaosPlan::Atom(ChaosAtom::TimerJitterWave {
+            rate_ppm: 50_000,
+            spike_us: 200,
+        }),
     ])
 }
 
@@ -61,7 +64,12 @@ pub fn run_figw(scale: Scale, seed: u64) -> Vec<FigWRow> {
     let horizon_us = scale.point_duration().as_nanos() / 1_000;
     let plan = representative_plan(horizon_us);
     runner::map_points("figw", &LOADS, move |_id, &base_rps| {
-        let cfg = EvalConfig { seed, base_rps, horizon_us, ..EvalConfig::default() };
+        let cfg = EvalConfig {
+            seed,
+            base_rps,
+            horizon_us,
+            ..EvalConfig::default()
+        };
         FigWRow {
             base_rps,
             unhardened: evaluate(&plan, &cfg, false),
@@ -110,8 +118,16 @@ mod tests {
         // Every point conserves requests on both sides of the switch —
         // neither chaos nor shedding strands fibers.
         for r in &rows {
-            assert!(r.unhardened.conserved, "{} rps unhardened: not conserved", r.base_rps);
-            assert!(r.hardened.conserved, "{} rps hardened: not conserved", r.base_rps);
+            assert!(
+                r.unhardened.conserved,
+                "{} rps unhardened: not conserved",
+                r.base_rps
+            );
+            assert!(
+                r.hardened.conserved,
+                "{} rps hardened: not conserved",
+                r.base_rps
+            );
         }
         // Past saturation (4 workers x 400 us = 10 krps) the unhardened
         // queue grows without bound while admission caps it: the

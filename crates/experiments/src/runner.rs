@@ -172,8 +172,10 @@ pub fn all_artifacts() -> Vec<Artifact> {
         Artifact {
             name: "fig1",
             run: |scale, _| {
-                let (tl, tr) =
-                    crate::fig1::tables(&crate::fig1::run_left(scale), &crate::fig1::run_right(scale));
+                let (tl, tr) = crate::fig1::tables(
+                    &crate::fig1::run_left(scale),
+                    &crate::fig1::run_right(scale),
+                );
                 ArtifactOutput::new()
                     .saved("fig1_left.csv", tl)
                     .saved("fig1_right.csv", tr)
@@ -182,8 +184,10 @@ pub fn all_artifacts() -> Vec<Artifact> {
         Artifact {
             name: "fig2",
             run: |scale, seed| {
-                ArtifactOutput::new()
-                    .saved("fig2.csv", crate::fig2::table(&crate::fig2::run_fig2(scale, seed)))
+                ArtifactOutput::new().saved(
+                    "fig2.csv",
+                    crate::fig2::table(&crate::fig2::run_fig2(scale, seed)),
+                )
             },
         },
         Artifact {
@@ -207,28 +211,37 @@ pub fn all_artifacts() -> Vec<Artifact> {
         Artifact {
             name: "fig10",
             run: |scale, seed| {
-                ArtifactOutput::new()
-                    .saved("fig10.csv", crate::fig10::table(&crate::fig10::run_fig10(scale, seed)))
+                ArtifactOutput::new().saved(
+                    "fig10.csv",
+                    crate::fig10::table(&crate::fig10::run_fig10(scale, seed)),
+                )
             },
         },
         Artifact {
             name: "table4",
             run: |scale, _| {
-                ArtifactOutput::new().saved("table4.csv", crate::table4::table(&crate::table4::run(scale)))
+                ArtifactOutput::new().saved(
+                    "table4.csv",
+                    crate::table4::table(&crate::table4::run(scale)),
+                )
             },
         },
         Artifact {
             name: "fig11",
             run: |scale, seed| {
-                ArtifactOutput::new()
-                    .saved("fig11.csv", crate::fig11::table(&crate::fig11::run_fig11(scale, seed)))
+                ArtifactOutput::new().saved(
+                    "fig11.csv",
+                    crate::fig11::table(&crate::fig11::run_fig11(scale, seed)),
+                )
             },
         },
         Artifact {
             name: "fig12",
             run: |scale, seed| {
-                ArtifactOutput::new()
-                    .saved("fig12.csv", crate::fig12::table(&crate::fig12::run_fig12(scale, seed)))
+                ArtifactOutput::new().saved(
+                    "fig12.csv",
+                    crate::fig12::table(&crate::fig12::run_fig12(scale, seed)),
+                )
             },
         },
         Artifact {
@@ -254,8 +267,10 @@ pub fn all_artifacts() -> Vec<Artifact> {
         Artifact {
             name: "fig14",
             run: |scale, seed| {
-                ArtifactOutput::new()
-                    .saved("fig14.csv", crate::fig14::table(&crate::fig14::run_fig14(scale, seed)))
+                ArtifactOutput::new().saved(
+                    "fig14.csv",
+                    crate::fig14::table(&crate::fig14::run_fig14(scale, seed)),
+                )
             },
         },
         Artifact {
@@ -346,7 +361,9 @@ mod tests {
                 (id.index as u64, x * 2)
             })
         });
-        let serial = with_jobs(1, || map_points("test", &pts, |id, &x| (id.index as u64, x * 2)));
+        let serial = with_jobs(1, || {
+            map_points("test", &pts, |id, &x| (id.index as u64, x * 2))
+        });
         assert_eq!(out, serial);
         assert!(out.iter().enumerate().all(|(i, &(idx, _))| idx == i as u64));
     }
@@ -365,7 +382,10 @@ mod tests {
 
     #[test]
     fn point_id_display() {
-        let id = PointId { artifact: "fig8", index: 17 };
+        let id = PointId {
+            artifact: "fig8",
+            index: 17,
+        };
         assert_eq!(id.to_string(), "fig8#17");
     }
 }

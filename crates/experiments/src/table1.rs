@@ -36,10 +36,26 @@ impl OversubRow {
 
 /// The four applications of Table I.
 pub const GOOGLE_TRACE_ROWS: [OversubRow; 4] = [
-    OversubRow { app: "charlie", threads: 4842, cores: 10 },
-    OversubRow { app: "delta", threads: 300, cores: 4 },
-    OversubRow { app: "merced", threads: 5470, cores: 110 },
-    OversubRow { app: "whiskey", threads: 1352, cores: 8 },
+    OversubRow {
+        app: "charlie",
+        threads: 4842,
+        cores: 10,
+    },
+    OversubRow {
+        app: "delta",
+        threads: 300,
+        cores: 4,
+    },
+    OversubRow {
+        app: "merced",
+        threads: 5470,
+        cores: 110,
+    },
+    OversubRow {
+        app: "whiskey",
+        threads: 1352,
+        cores: 8,
+    },
 ];
 
 /// Renders Table I plus the derived scheduler-cycle columns.
@@ -83,7 +99,11 @@ mod tests {
         // §I: "if the minimum time slice is 5ms and there are 200
         // threads on average per core, the scheduler cycle will be
         // increased to 1 second".
-        let row = OversubRow { app: "x", threads: 200, cores: 1 };
+        let row = OversubRow {
+            app: "x",
+            threads: 200,
+            cores: 1,
+        };
         assert_eq!(row.scheduler_cycle(SimDur::millis(5)), SimDur::secs(1));
         // With the 3us UINTR slice the same cycle is 600us.
         assert_eq!(row.scheduler_cycle(SimDur::micros(3)), SimDur::micros(600));

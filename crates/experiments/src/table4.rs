@@ -59,8 +59,14 @@ pub fn run(scale: Scale) -> Vec<IpcRow> {
 
 /// Renders the rows as the paper's Table IV.
 pub fn table(rows: &[IpcRow]) -> Table {
-    let mut t = Table::new(&["IPC Mechanism", "avg (us)", "min (us)", "std (us)", "rate (msg/s)"])
-        .with_title("Table IV: overhead of different IPC mechanisms");
+    let mut t = Table::new(&[
+        "IPC Mechanism",
+        "avg (us)",
+        "min (us)",
+        "std (us)",
+        "rate (msg/s)",
+    ])
+    .with_title("Table IV: overhead of different IPC mechanisms");
     for r in rows {
         t.row(&[
             r.mechanism.to_string(),
@@ -94,8 +100,16 @@ mod tests {
         // Running beats blocked.
         assert!(uintr.avg_us < blocked.avg_us);
         // Calibrated anchors within 10%.
-        assert!((signal.avg_us - 15.325).abs() / 15.325 < 0.1, "{}", signal.avg_us);
-        assert!((uintr.avg_us - 0.734).abs() / 0.734 < 0.25, "{}", uintr.avg_us);
+        assert!(
+            (signal.avg_us - 15.325).abs() / 15.325 < 0.1,
+            "{}",
+            signal.avg_us
+        );
+        assert!(
+            (uintr.avg_us - 0.734).abs() / 0.734 < 0.25,
+            "{}",
+            uintr.avg_us
+        );
         // Rates: uintr near the paper's 857k msg/s.
         assert!(
             (uintr.rate_msg_s - 857_009.0).abs() / 857_009.0 < 0.25,

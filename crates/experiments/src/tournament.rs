@@ -43,8 +43,7 @@ pub const POLICIES: [&str; 6] = [
 
 /// The workloads contested: the three stationary §V-A workloads (C is
 /// a phase change — a controller story, not a ranking one).
-pub const WORKLOADS: [PaperWorkload; 3] =
-    [PaperWorkload::A1, PaperWorkload::A2, PaperWorkload::B];
+pub const WORKLOADS: [PaperWorkload; 3] = [PaperWorkload::A1, PaperWorkload::A2, PaperWorkload::B];
 
 /// Offered load per workload, as a fraction of 4-worker capacity.
 pub const RHO: f64 = 0.75;
@@ -58,11 +57,7 @@ const WORKERS: usize = 4;
 /// is tuned exactly like the figure modules tune it (paper defaults
 /// against saturation throughput, controller period = the runtime's
 /// control period).
-pub fn make_policy(
-    name: &str,
-    max_load_rps: f64,
-    control_period: SimDur,
-) -> Box<dyn SchedPolicy> {
+pub fn make_policy(name: &str, max_load_rps: f64, control_period: SimDur) -> Box<dyn SchedPolicy> {
     match name {
         "adaptive-quantum" => {
             let mut a = AdaptiveConfig::paper_defaults(max_load_rps);
@@ -198,7 +193,11 @@ pub fn rank(points: &[TournamentPoint]) -> Vec<LeaderboardRow> {
                 rank: 0,
                 policy,
                 mean_rank,
-                points: points.iter().filter(|p| p.policy == policy).cloned().collect(),
+                points: points
+                    .iter()
+                    .filter(|p| p.policy == policy)
+                    .cloned()
+                    .collect(),
             }
         })
         .collect();
@@ -225,7 +224,9 @@ pub fn leaderboard_markdown(rows: &[LeaderboardRow], seed: u64) -> String {
          completions within the {} us SLO.\n\n",
         SLO.as_nanos() / 1_000
     ));
-    s.push_str("| rank | policy | mean rank | A1 p99 (us) | A2 p99 (us) | B p99 (us) | preemptions |\n");
+    s.push_str(
+        "| rank | policy | mean rank | A1 p99 (us) | A2 p99 (us) | B p99 (us) | preemptions |\n",
+    );
     s.push_str("|---|---|---|---|---|---|---|\n");
     for row in rows {
         let p99 = |wl: &str| {
@@ -254,7 +255,13 @@ pub fn leaderboard_markdown(rows: &[LeaderboardRow], seed: u64) -> String {
         for p in &row.points {
             s.push_str(&format!(
                 "| {} | {} | {:.1} | {:.1} | {:.0} | {} | {} |\n",
-                p.policy, p.workload, p.p99_us, p.p999_us, p.goodput_rps, p.preemptions, p.completions,
+                p.policy,
+                p.workload,
+                p.p99_us,
+                p.p999_us,
+                p.goodput_rps,
+                p.preemptions,
+                p.completions,
             ));
         }
     }
@@ -305,7 +312,12 @@ mod tests {
         for row in &rows {
             assert_eq!(row.points.len(), WORKLOADS.len());
             for p in &row.points {
-                assert!(p.completions > 0, "{} on {} completed nothing", p.policy, p.workload);
+                assert!(
+                    p.completions > 0,
+                    "{} on {} completed nothing",
+                    p.policy,
+                    p.workload
+                );
                 assert!(p.goodput_rps >= 0.0);
             }
         }
@@ -334,7 +346,10 @@ mod tests {
         let serial = runner::with_jobs(1, render);
         for jobs in [2, 8] {
             let parallel = runner::with_jobs(jobs, render);
-            assert_eq!(serial, parallel, "LP_JOBS={jobs} changed the artifact bytes");
+            assert_eq!(
+                serial, parallel,
+                "LP_JOBS={jobs} changed the artifact bytes"
+            );
         }
     }
 

@@ -104,16 +104,11 @@ pub struct Yielder<'a> {
 
 impl Yielder<'_> {
     fn switch_out(&self, code: usize) {
+        let (save, restore) = (self.inner.fiber_sp.get(), self.inner.caller_sp.get());
         // SAFETY: called from fiber context only (the Yielder never
         // leaves the closure), so `caller_sp` holds the suspended
         // caller written by the `resume` that entered us.
-        let resume = unsafe {
-            switch_stacks(
-                self.inner.fiber_sp.get(),
-                self.inner.caller_sp.get(),
-                code,
-            )
-        };
+        let resume = unsafe { switch_stacks(save, restore, code) };
         if resume == RESUME_CANCEL || self.inner.cancel.get() {
             std::panic::panic_any(Cancelled);
         }
@@ -248,13 +243,12 @@ impl Fiber {
         } else {
             RESUME_RUN
         };
+        let (save, restore) = (self.inner.caller_sp.get(), self.inner.fiber_sp.get());
         // SAFETY: `fiber_sp` is either the bootstrap frame filed by
         // `prepare_stack` (first resume) or the frame saved by the
         // fiber's own `switch_out`; the state check above guarantees
         // the fiber is not completed, so the frame is live and unique.
-        let code = unsafe {
-            switch_stacks(self.inner.caller_sp.get(), self.inner.fiber_sp.get(), arg)
-        };
+        let code = unsafe { switch_stacks(save, restore, arg) };
         match code {
             CODE_COMPLETED => {
                 self.state = State::Completed;

@@ -149,6 +149,9 @@ mod tests {
         let c = HwCosts::hw_offload_timer();
         assert!(c.senduipi_issue.is_zero());
         assert!(c.poll_loop.is_zero());
-        assert_eq!(c.uintr_delivery_running, HwCosts::default().uintr_delivery_running);
+        assert_eq!(
+            c.uintr_delivery_running,
+            HwCosts::default().uintr_delivery_running
+        );
     }
 }

@@ -8,8 +8,8 @@
 //! negative.
 
 use lp_sim::SimDur;
-use rand::Rng;
 use rand::rngs::SmallRng;
+use rand::Rng;
 
 /// Samples a jittered latency: `base * exp(sigma * N(0,1))`.
 ///

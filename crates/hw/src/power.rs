@@ -61,7 +61,8 @@ impl PowerModel {
         obs: &mut lp_sim::obs::Observer,
     ) -> f64 {
         let w = self.timer_power_w(cores, mode);
-        obs.metrics_mut().set_gauge(lp_sim::obs::Gauge::TimerPowerW, w);
+        obs.metrics_mut()
+            .set_gauge(lp_sim::obs::Gauge::TimerPowerW, w);
         w
     }
 }
@@ -87,7 +88,10 @@ mod tests {
         let p = PowerModel::default();
         let one = p.timer_power_w(1, PollMode::Umwait);
         let four = p.timer_power_w(4, PollMode::Umwait);
-        assert!(four - one < one, "3 extra cores must cost less than the first");
+        assert!(
+            four - one < one,
+            "3 extra cores must cost less than the first"
+        );
     }
 
     #[test]

@@ -267,11 +267,17 @@ impl UintrDomain {
     pub fn register_receiver(&mut self) -> UpidHandle {
         if let Some(i) = self.upids.iter().position(Option::is_none) {
             self.upids[i] = Some(Upid::default());
-            return UpidHandle { index: i, gen: self.gens[i] };
+            return UpidHandle {
+                index: i,
+                gen: self.gens[i],
+            };
         }
         self.upids.push(Some(Upid::default()));
         self.gens.push(0);
-        UpidHandle { index: self.upids.len() - 1, gen: 0 }
+        UpidHandle {
+            index: self.upids.len() - 1,
+            gen: 0,
+        }
     }
 
     /// Tears down a receiver (`uintr_unregister_handler(2)`); later
@@ -323,7 +329,9 @@ impl UintrDomain {
         receiver: ReceiverState,
     ) -> Result<SendOutcome, UintrError> {
         let Ok(upid) = self.upid_mut(entry.upid) else {
-            return Ok(SendOutcome::Dropped { reason: DropReason::Unregistered });
+            return Ok(SendOutcome::Dropped {
+                reason: DropReason::Unregistered,
+            });
         };
         upid.pending |= 1u64 << entry.vector;
         if upid.suppress {
@@ -377,7 +385,9 @@ impl UintrDomain {
     ) -> Result<SendOutcome, UintrError> {
         match fault {
             None | Some(IpiFault::Delay(_)) => self.senduipi(entry, receiver),
-            Some(IpiFault::Drop) => Ok(SendOutcome::Dropped { reason: DropReason::Faulted }),
+            Some(IpiFault::Drop) => Ok(SendOutcome::Dropped {
+                reason: DropReason::Faulted,
+            }),
             Some(IpiFault::Duplicate) => {
                 let first = self.senduipi(entry, receiver)?;
                 let _ = self.senduipi(entry, receiver)?;
@@ -391,7 +401,9 @@ impl UintrDomain {
             }
             Some(IpiFault::StaleNdst) => match self.senduipi(entry, receiver)? {
                 SendOutcome::Dropped { reason } => Ok(SendOutcome::Dropped { reason }),
-                _ => Ok(SendOutcome::Dropped { reason: DropReason::StaleNdst }),
+                _ => Ok(SendOutcome::Dropped {
+                    reason: DropReason::StaleNdst,
+                }),
             },
         }
     }
@@ -421,15 +433,28 @@ impl UintrDomain {
         obs: &mut Observer,
     ) -> Result<SendOutcome, UintrError> {
         let outcome = self.senduipi_with_fault(entry, receiver, fault)?;
-        obs.emit(at, Event::UipiSent { worker, vector: entry.vector });
+        obs.emit(
+            at,
+            Event::UipiSent {
+                worker,
+                vector: entry.vector,
+            },
+        );
         match outcome {
-            SendOutcome::NotifiedRunning | SendOutcome::Coalesced | SendOutcome::Dropped { .. } => {}
+            SendOutcome::NotifiedRunning | SendOutcome::Coalesced | SendOutcome::Dropped { .. } => {
+            }
             SendOutcome::NotifiedBlocked => obs.emit(at, Event::KernelAssistWake { worker }),
             SendOutcome::PendedMasked => obs.emit(at, Event::UipiPended { worker }),
             SendOutcome::Suppressed => obs.emit(at, Event::UipiSuppressed { worker }),
         }
         if matches!(fault, Some(IpiFault::Duplicate)) {
-            obs.emit(at, Event::UipiSent { worker, vector: entry.vector });
+            obs.emit(
+                at,
+                Event::UipiSent {
+                    worker,
+                    vector: entry.vector,
+                },
+            );
         }
         Ok(outcome)
     }
@@ -457,7 +482,13 @@ impl UintrDomain {
     ) -> Result<u64, UintrError> {
         let bits = self.acknowledge(h)?;
         if bits != 0 {
-            obs.emit(at, Event::UipiDelivered { worker, coalesced: bits.count_ones() > 1 });
+            obs.emit(
+                at,
+                Event::UipiDelivered {
+                    worker,
+                    coalesced: bits.count_ones() > 1,
+                },
+            );
         }
         Ok(bits)
     }
@@ -575,7 +606,9 @@ mod tests {
         // instruction executes and reports where the IPI went (nowhere).
         assert_eq!(
             dom.senduipi(e, ReceiverState::RunningUifSet),
-            Ok(SendOutcome::Dropped { reason: DropReason::Unregistered })
+            Ok(SendOutcome::Dropped {
+                reason: DropReason::Unregistered
+            })
         );
         // Receiver-side operations on the dead handle still error.
         assert_eq!(dom.acknowledge(h), Err(UintrError::StaleUpid));
@@ -659,12 +692,14 @@ mod tests {
         let e9 = uitt2.get(i9).unwrap();
         dom.senduipi_with_fault_observed(e9, ReceiverState::RunningUifSet, None, 0, t, &mut obs)
             .unwrap();
-        dom.acknowledge_observed(h, 0, SimTime::from_nanos(900), &mut obs).unwrap();
+        dom.acknowledge_observed(h, 0, SimTime::from_nanos(900), &mut obs)
+            .unwrap();
         assert_eq!(obs.metrics().get(Counter::UipiCoalesced), 1);
 
         // Empty acknowledge emits nothing.
         let before = obs.metrics().get(Counter::UipiDelivered);
-        dom.acknowledge_observed(h, 0, SimTime::from_nanos(901), &mut obs).unwrap();
+        dom.acknowledge_observed(h, 0, SimTime::from_nanos(901), &mut obs)
+            .unwrap();
         assert_eq!(obs.metrics().get(Counter::UipiDelivered), before);
     }
 
@@ -686,7 +721,9 @@ mod tests {
         let stale = uitt.register(a, 1);
         assert_eq!(
             dom.senduipi(uitt.get(stale).unwrap(), ReceiverState::RunningUifSet),
-            Ok(SendOutcome::Dropped { reason: DropReason::Unregistered })
+            Ok(SendOutcome::Dropped {
+                reason: DropReason::Unregistered
+            })
         );
         assert!(!dom.has_pending(b));
         // Unregistering through the stale handle must not tear down the
@@ -701,10 +738,15 @@ mod tests {
         let (mut dom2, ..) = setup();
         let e = uitt.get(idx).unwrap();
         let plain = dom2.senduipi(e, ReceiverState::RunningUifSet).unwrap();
-        let faultless = dom.senduipi_with_fault(e, ReceiverState::RunningUifSet, None).unwrap();
+        let faultless = dom
+            .senduipi_with_fault(e, ReceiverState::RunningUifSet, None)
+            .unwrap();
         assert_eq!(plain, faultless);
         assert_eq!(dom.upid(h).unwrap().pending, dom2.upid(h).unwrap().pending);
-        assert_eq!(dom.upid(h).unwrap().outstanding, dom2.upid(h).unwrap().outstanding);
+        assert_eq!(
+            dom.upid(h).unwrap().outstanding,
+            dom2.upid(h).unwrap().outstanding
+        );
     }
 
     #[test]
@@ -714,9 +756,14 @@ mod tests {
         let e = uitt.get(idx).unwrap();
         assert_eq!(
             dom.senduipi_with_fault(e, ReceiverState::RunningUifSet, Some(IpiFault::Drop)),
-            Ok(SendOutcome::Dropped { reason: DropReason::Faulted })
+            Ok(SendOutcome::Dropped {
+                reason: DropReason::Faulted
+            })
         );
-        assert!(!dom.has_pending(h), "a fabric drop must not post the vector");
+        assert!(
+            !dom.has_pending(h),
+            "a fabric drop must not post the vector"
+        );
         assert!(!dom.upid(h).unwrap().outstanding);
         // A retry with no fault succeeds normally.
         assert_eq!(
@@ -751,7 +798,9 @@ mod tests {
         let e = uitt.get(idx).unwrap();
         assert_eq!(
             dom.senduipi_with_fault(e, ReceiverState::RunningUifSet, Some(IpiFault::StaleNdst)),
-            Ok(SendOutcome::Dropped { reason: DropReason::StaleNdst })
+            Ok(SendOutcome::Dropped {
+                reason: DropReason::StaleNdst
+            })
         );
         // The vector posted and ON is set — a retry coalesces (still no
         // delivery), which is what escalates the watchdog to degrade.

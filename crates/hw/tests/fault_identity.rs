@@ -8,7 +8,7 @@
 //! This is the contract `FaultPlan::enabled()` gating in the runtime
 //! rests on: armed-but-zero plans must be true no-ops.
 
-use lp_hw::uintr::{ReceiverState, Uitt, UintrDomain};
+use lp_hw::uintr::{ReceiverState, UintrDomain, Uitt};
 use lp_sim::fault::{FaultInjector, FaultPlan};
 use proptest::prelude::*;
 

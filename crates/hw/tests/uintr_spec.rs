@@ -5,7 +5,7 @@
 //! Here the sequences are longer and the vectors wider than the model
 //! checker's bounded programs, trading exhaustiveness for reach.
 
-use lp_hw::uintr::{ReceiverState, Uitt, UintrDomain};
+use lp_hw::uintr::{ReceiverState, UintrDomain, Uitt};
 use lp_hw::uintr_spec::SpecUpid;
 use proptest::prelude::*;
 
@@ -41,7 +41,9 @@ fn apply_all(ops: &[(u8, u8, u8)]) -> Result<(), String> {
                 }
             }
             3 => {
-                let got = dom.acknowledge(h).map_err(|e| format!("op {i}: ack: {e}"))?;
+                let got = dom
+                    .acknowledge(h)
+                    .map_err(|e| format!("op {i}: ack: {e}"))?;
                 let want = spec.acknowledge();
                 if got != want {
                     return Err(format!("op {i}: ack {got:#x}, spec {want:#x}"));

@@ -101,7 +101,8 @@ mod tests {
         // on the order of 100 us (Fig. 11, creation-time curve).
         let k = KernelCosts::default();
         let n = 32.0;
-        let dilated_hold = k.signal_lock_hold.as_micros_f64() * (1.0 + k.signal_lock_contention * n);
+        let dilated_hold =
+            k.signal_lock_hold.as_micros_f64() * (1.0 + k.signal_lock_contention * n);
         let last_wait = (n - 1.0) * dilated_hold + k.signal_deliver_base.as_micros_f64();
         assert!(
             (80.0..220.0).contains(&last_wait),

@@ -165,15 +165,13 @@ impl IpcLatency {
             IpcMechanism::EventFd => self.eventfd.sample(rng),
             IpcMechanism::UintrFd => {
                 // SENDUIPI + running delivery + handler entry/UIRET.
-                let base = self.hw.senduipi_issue
-                    + self.hw.uintr_delivery_running
-                    + self.hw.uintr_handler;
+                let base =
+                    self.hw.senduipi_issue + self.hw.uintr_delivery_running + self.hw.uintr_handler;
                 lp_hw::jitter::sample(rng, base, self.hw.jitter_sigma * 4.0)
             }
             IpcMechanism::UintrFdBlocked => {
-                let base = self.hw.senduipi_issue
-                    + self.hw.uintr_delivery_blocked
-                    + self.hw.uintr_handler;
+                let base =
+                    self.hw.senduipi_issue + self.hw.uintr_delivery_blocked + self.hw.uintr_handler;
                 lp_hw::jitter::sample(rng, base, self.hw.jitter_sigma)
             }
         }
@@ -230,7 +228,9 @@ mod tests {
     fn shifted_lognormal_fits_moments() {
         let d = ShiftedLognormal::from_min_mean_std(1_000.0, 5_000.0, 2_000.0);
         let mut r = rng(1, 0);
-        let xs: Vec<f64> = (0..50_000).map(|_| d.sample(&mut r).as_nanos() as f64).collect();
+        let xs: Vec<f64> = (0..50_000)
+            .map(|_| d.sample(&mut r).as_nanos() as f64)
+            .collect();
         let (min, mean, std) = stats(&xs);
         assert!(min >= 1_000.0);
         assert!((mean - 5_000.0).abs() < 100.0, "mean = {mean}");
@@ -273,7 +273,10 @@ mod tests {
         let mut r = rng(3, 0);
         let mean_of = |mech, r: &mut rand::rngs::SmallRng| {
             let n = 30_000;
-            (0..n).map(|_| lat.sample(mech, r).as_micros_f64()).sum::<f64>() / n as f64
+            (0..n)
+                .map(|_| lat.sample(mech, r).as_micros_f64())
+                .sum::<f64>()
+                / n as f64
         };
         let running = mean_of(IpcMechanism::UintrFd, &mut r);
         let blocked = mean_of(IpcMechanism::UintrFdBlocked, &mut r);
@@ -289,7 +292,10 @@ mod tests {
         let mut r = rng(4, 0);
         let mean_of = |mech, r: &mut rand::rngs::SmallRng| {
             let n = 20_000;
-            (0..n).map(|_| lat.sample(mech, r).as_micros_f64()).sum::<f64>() / n as f64
+            (0..n)
+                .map(|_| lat.sample(mech, r).as_micros_f64())
+                .sum::<f64>()
+                / n as f64
         };
         let uintr = mean_of(IpcMechanism::UintrFd, &mut r);
         let mq = mean_of(IpcMechanism::MessageQueue, &mut r);
@@ -327,7 +333,10 @@ mod tests {
         assert_eq!(te.at, at);
         assert_eq!(
             te.ev,
-            Event::IpcSampled { mech: IpcMechanism::Pipe.index(), latency_ns: d.as_nanos() }
+            Event::IpcSampled {
+                mech: IpcMechanism::Pipe.index(),
+                latency_ns: d.as_nanos()
+            }
         );
     }
 }

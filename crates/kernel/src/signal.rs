@@ -146,7 +146,13 @@ impl SignalPath {
         obs: &mut Observer,
     ) -> Option<SignalDelivery> {
         let d = self.deliver_with_fault(now, fault)?;
-        obs.emit(now, Event::SignalSent { worker, lock_wait_ns: d.lock_wait.as_nanos() });
+        obs.emit(
+            now,
+            Event::SignalSent {
+                worker,
+                lock_wait_ns: d.lock_wait.as_nanos(),
+            },
+        );
         Some(d)
     }
 }
@@ -198,9 +204,14 @@ mod tests {
         let avg_excess_for = |n: u64, seed: u64| {
             let mut p = path(seed);
             let t = SimTime::ZERO;
-            let lats: Vec<f64> = (0..n).map(|_| p.deliver(t).latency.as_micros_f64()).collect();
+            let lats: Vec<f64> = (0..n)
+                .map(|_| p.deliver(t).latency.as_micros_f64())
+                .collect();
             // A lone send much later gives the uncontended base.
-            let base = p.deliver(SimTime::from_nanos(1_000_000_000)).latency.as_micros_f64();
+            let base = p
+                .deliver(SimTime::from_nanos(1_000_000_000))
+                .latency
+                .as_micros_f64();
             lats.iter().sum::<f64>() / n as f64 - base
         };
         let a8: f64 = (0..20).map(|s| avg_excess_for(8, 100 + s)).sum::<f64>() / 20.0;
@@ -238,11 +249,17 @@ mod tests {
         let evs: Vec<_> = obs.events().copied().collect();
         assert_eq!(
             evs[0].ev,
-            Event::SignalSent { worker: 1, lock_wait_ns: first.lock_wait.as_nanos() }
+            Event::SignalSent {
+                worker: 1,
+                lock_wait_ns: first.lock_wait.as_nanos()
+            }
         );
         assert_eq!(
             evs[1].ev,
-            Event::SignalSent { worker: 2, lock_wait_ns: second.lock_wait.as_nanos() }
+            Event::SignalSent {
+                worker: 2,
+                lock_wait_ns: second.lock_wait.as_nanos()
+            }
         );
         assert!(second.lock_wait > first.lock_wait);
     }

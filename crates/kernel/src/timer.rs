@@ -165,7 +165,9 @@ mod tests {
         // Fig. 12: a 20 us request fires around the ~55-60 us floor.
         let mut t = timer(1);
         t.arm(SimDur::micros(20));
-        let xs: Vec<f64> = (0..5_000).map(|_| t.sample_expiry().as_micros_f64()).collect();
+        let xs: Vec<f64> = (0..5_000)
+            .map(|_| t.sample_expiry().as_micros_f64())
+            .collect();
         let (m, s) = mean_std(&xs);
         assert!((45.0..75.0).contains(&m), "mean = {m} us");
         assert!(s > 5.0, "kernel timer must jitter, std = {s} us");
@@ -175,7 +177,9 @@ mod tests {
     fn above_floor_tracks_target_with_jitter() {
         let mut t = timer(2);
         t.arm(SimDur::micros(100));
-        let xs: Vec<f64> = (0..5_000).map(|_| t.sample_expiry().as_micros_f64()).collect();
+        let xs: Vec<f64> = (0..5_000)
+            .map(|_| t.sample_expiry().as_micros_f64())
+            .collect();
         let (m, s) = mean_std(&xs);
         assert!((95.0..125.0).contains(&m), "mean = {m} us");
         assert!(s > 10.0, "std = {s} us");
@@ -209,12 +213,20 @@ mod tests {
         let mut obs = Observer::new(8);
         let at = SimTime::from_nanos(1_000);
         t.arm_observed(SimDur::micros(30), 4, at, &mut obs);
-        let delay = t.sample_expiry_with_fault_observed(None, 4, at, &mut obs).unwrap();
+        let delay = t
+            .sample_expiry_with_fault_observed(None, 4, at, &mut obs)
+            .unwrap();
         assert_eq!(obs.metrics().get(Counter::KtimersArmed), 1);
         assert_eq!(obs.metrics().get(Counter::KtimersFired), 1);
         let evs: Vec<_> = obs.events().copied().collect();
         assert_eq!(evs[0].at, at);
-        assert_eq!(evs[0].ev, Event::KtimerArmed { worker: 4, target_ns: 30_000 });
+        assert_eq!(
+            evs[0].ev,
+            Event::KtimerArmed {
+                worker: 4,
+                target_ns: 30_000
+            }
+        );
         // The fired event is stamped at the sampled expiry instant.
         assert_eq!(evs[1].at, at + delay);
         assert_eq!(evs[1].ev, Event::KtimerFired { worker: 4 });
@@ -260,7 +272,10 @@ mod tests {
         // Spurious fires normally (the extra fire is the caller's job).
         let mut w = timer(10);
         w.arm(SimDur::micros(60));
-        assert_eq!(w.sample_expiry_with_fault(Some(TimerFault::Spurious)), Some(plain));
+        assert_eq!(
+            w.sample_expiry_with_fault(Some(TimerFault::Spurious)),
+            Some(plain)
+        );
     }
 
     #[test]
@@ -270,12 +285,8 @@ mod tests {
         let mut t = timer(11);
         let mut obs = Observer::new(4);
         t.arm_observed(SimDur::micros(30), 2, SimTime::ZERO, &mut obs);
-        let fired = t.sample_expiry_with_fault_observed(
-            Some(TimerFault::Miss),
-            2,
-            SimTime::ZERO,
-            &mut obs,
-        );
+        let fired =
+            t.sample_expiry_with_fault_observed(Some(TimerFault::Miss), 2, SimTime::ZERO, &mut obs);
         assert_eq!(fired, None);
         assert_eq!(obs.metrics().get(Counter::KtimersArmed), 1);
         assert_eq!(obs.metrics().get(Counter::KtimersFired), 0);

@@ -317,7 +317,10 @@ mod tests {
         assert_eq!(obs.metrics().gauge(Gauge::QuantumNs), 26_000.0);
         assert_eq!(
             obs.events().next().unwrap().ev,
-            Event::QuantumAdjusted { old_ns: 30_000, new_ns: 26_000 }
+            Event::QuantumAdjusted {
+                old_ns: 30_000,
+                new_ns: 26_000
+            }
         );
         // Pinned at t_min: repeated shrink pressure stops emitting once
         // the quantum can no longer move, but the gauge stays fresh.

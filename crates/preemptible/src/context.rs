@@ -231,7 +231,11 @@ impl ContextPool {
     ///
     /// Panics if the slot is free.
     pub fn get(&self, id: ContextId) -> &Context {
-        assert_ne!(self.states[id.0], SlotState::Free, "access to freed context");
+        assert_ne!(
+            self.states[id.0],
+            SlotState::Free,
+            "access to freed context"
+        );
         &self.slots[id.0]
     }
 
@@ -241,7 +245,11 @@ impl ContextPool {
     ///
     /// Panics if the slot is free.
     pub fn get_mut(&mut self, id: ContextId) -> &mut Context {
-        assert_ne!(self.states[id.0], SlotState::Free, "access to freed context");
+        assert_ne!(
+            self.states[id.0],
+            SlotState::Free,
+            "access to freed context"
+        );
         &mut self.slots[id.0]
     }
 

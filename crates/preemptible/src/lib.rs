@@ -55,7 +55,9 @@ pub use context::{Context, ContextId, ContextPool};
 pub use policies::{
     AdaptiveQuantum, ClassQuantum, Edf, FcfsPreempt, Fifo, Mlfq, RoundRobin, Srpt, Vruntime,
 };
-pub use sched::{Dispatch, Enqueue, ResumeSel, SchedCtx, SchedPolicy, TaskView};
 pub use report::RunReport;
 pub use retry::{Backoff, RetryInput, RetryMachine, RetryOutput, WatchdogConfig};
-pub use runtime::{run, LibPreemptibleSystem, PreemptMech, RuntimeConfig, ServiceSource, WorkloadSpec};
+pub use runtime::{
+    run, LibPreemptibleSystem, PreemptMech, RuntimeConfig, ServiceSource, WorkloadSpec,
+};
+pub use sched::{Dispatch, Enqueue, ResumeSel, SchedCtx, SchedPolicy, TaskView};

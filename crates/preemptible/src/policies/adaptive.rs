@@ -82,16 +82,19 @@ mod tests {
         let mut p = AdaptiveQuantum::paper(1_000_000.0, SimDur::micros(20));
         assert_eq!(SchedPolicy::quantum_hint(&p, 0), SimDur::micros(20));
         // A heavy-tailed, overloaded window forces a different quantum.
-        SchedPolicy::on_window(&mut p, &WindowSummary {
-            load_rps: 950_000.0,
-            throughput_rps: 900_000.0,
-            median_ns: 1_000,
-            p99_ns: 500_000,
-            mean_qlen: 10.0,
-            completed: 1,
-            arrived: 1,
-            service_scv: 140.0,
-        });
+        SchedPolicy::on_window(
+            &mut p,
+            &WindowSummary {
+                load_rps: 950_000.0,
+                throughput_rps: 900_000.0,
+                median_ns: 1_000,
+                p99_ns: 500_000,
+                mean_qlen: 10.0,
+                completed: 1,
+                arrived: 1,
+                service_scv: 140.0,
+            },
+        );
         assert_ne!(SchedPolicy::quantum_hint(&p, 0), SimDur::micros(20));
     }
 }

@@ -62,8 +62,14 @@ mod tests {
         let mut p = ClassQuantum::new(SimDur::micros(30), SimDur::micros(100));
         let lc = task(1);
         let be = TaskView { class: 1, ..lc };
-        assert_eq!(p.time_slice(&lc, &mut ctx(0, 0, &mut obs)), SimDur::micros(30));
-        assert_eq!(p.time_slice(&be, &mut ctx(0, 0, &mut obs)), SimDur::micros(100));
+        assert_eq!(
+            p.time_slice(&lc, &mut ctx(0, 0, &mut obs)),
+            SimDur::micros(30)
+        );
+        assert_eq!(
+            p.time_slice(&be, &mut ctx(0, 0, &mut obs)),
+            SimDur::micros(100)
+        );
         assert_eq!(p.quantum_hint(0), SimDur::micros(30));
     }
 }

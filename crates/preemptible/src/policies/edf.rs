@@ -21,11 +21,19 @@ impl Edf {
     /// An EDF policy with a fixed preemption `slice` and per-class
     /// latency budgets (class 0 → `lc_budget`, others → `be_budget`).
     pub fn new(slice: SimDur, lc_budget: SimDur, be_budget: SimDur) -> Self {
-        Edf { slice, lc_budget, be_budget }
+        Edf {
+            slice,
+            lc_budget,
+            be_budget,
+        }
     }
 
     fn deadline_ns(&self, task: &TaskView) -> u64 {
-        let budget = if task.class == 0 { self.lc_budget } else { self.be_budget };
+        let budget = if task.class == 0 {
+            self.lc_budget
+        } else {
+            self.be_budget
+        };
         task.arrived.as_nanos().saturating_add(budget.as_nanos())
     }
 }
@@ -70,7 +78,11 @@ mod tests {
 
     fn task(arrived_ns: u64, class: u8) -> TaskView {
         let arrived = SimTime::from_nanos(arrived_ns);
-        TaskView { arrived, class, ..crate::policies::fixture::task(arrived_ns) }
+        TaskView {
+            arrived,
+            class,
+            ..crate::policies::fixture::task(arrived_ns)
+        }
     }
 
     #[test]

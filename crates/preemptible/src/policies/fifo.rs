@@ -85,10 +85,20 @@ mod tests {
     fn slice_is_fixed_for_every_task_and_class() {
         let mut obs = Observer::counters_only();
         let mut p = Fifo::new(SimDur::micros(7));
-        let mut t = TaskView { remaining: SimDur::micros(500), preemptions: 3, ..task(1) };
-        assert_eq!(p.time_slice(&t, &mut ctx(0, 0, &mut obs)), SimDur::micros(7));
+        let mut t = TaskView {
+            remaining: SimDur::micros(500),
+            preemptions: 3,
+            ..task(1)
+        };
+        assert_eq!(
+            p.time_slice(&t, &mut ctx(0, 0, &mut obs)),
+            SimDur::micros(7)
+        );
         t.class = 1;
-        assert_eq!(p.time_slice(&t, &mut ctx(0, 0, &mut obs)), SimDur::micros(7));
+        assert_eq!(
+            p.time_slice(&t, &mut ctx(0, 0, &mut obs)),
+            SimDur::micros(7)
+        );
         assert_eq!(p.quantum_hint(0), SimDur::micros(7));
     }
 }

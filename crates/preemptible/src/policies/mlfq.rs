@@ -27,7 +27,11 @@ impl Mlfq {
     /// level *n* runs with `base << n`.
     pub fn new(base: SimDur, levels: u8) -> Self {
         assert!(levels > 0, "need at least one level");
-        Mlfq { base, levels, level: BTreeMap::new() }
+        Mlfq {
+            base,
+            levels,
+            level: BTreeMap::new(),
+        }
     }
 
     fn level_of(&self, task: &TaskView) -> u8 {
@@ -91,14 +95,26 @@ mod tests {
         let mut obs = Observer::counters_only();
         let mut p = Mlfq::new(SimDur::micros(5), 3);
         let t = task(9);
-        assert_eq!(p.time_slice(&t, &mut ctx(0, 0, &mut obs)), SimDur::micros(5));
+        assert_eq!(
+            p.time_slice(&t, &mut ctx(0, 0, &mut obs)),
+            SimDur::micros(5)
+        );
         p.task_preempted(&t, SimDur::micros(5));
-        assert_eq!(p.time_slice(&t, &mut ctx(0, 0, &mut obs)), SimDur::micros(10));
+        assert_eq!(
+            p.time_slice(&t, &mut ctx(0, 0, &mut obs)),
+            SimDur::micros(10)
+        );
         p.task_preempted(&t, SimDur::micros(10));
-        assert_eq!(p.time_slice(&t, &mut ctx(0, 0, &mut obs)), SimDur::micros(20));
+        assert_eq!(
+            p.time_slice(&t, &mut ctx(0, 0, &mut obs)),
+            SimDur::micros(20)
+        );
         // Bottom level: no further demotion.
         p.task_preempted(&t, SimDur::micros(20));
-        assert_eq!(p.time_slice(&t, &mut ctx(0, 0, &mut obs)), SimDur::micros(20));
+        assert_eq!(
+            p.time_slice(&t, &mut ctx(0, 0, &mut obs)),
+            SimDur::micros(20)
+        );
     }
 
     #[test]

@@ -19,7 +19,10 @@ pub struct RoundRobin {
 impl RoundRobin {
     /// A round-robin policy granting every task the same `slice`.
     pub fn new(slice: SimDur) -> Self {
-        RoundRobin { slice, prefer_parked: false }
+        RoundRobin {
+            slice,
+            prefer_parked: false,
+        }
     }
 }
 

@@ -56,7 +56,10 @@ mod tests {
 
     fn task(remaining_us: u64) -> TaskView {
         let remaining = SimDur::micros(remaining_us);
-        TaskView { remaining, ..crate::policies::fixture::task(remaining_us) }
+        TaskView {
+            remaining,
+            ..crate::policies::fixture::task(remaining_us)
+        }
     }
 
     #[test]

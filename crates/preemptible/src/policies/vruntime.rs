@@ -23,7 +23,10 @@ pub struct Vruntime {
 impl Vruntime {
     /// A fair scheduler granting every task the same `slice`.
     pub fn new(slice: SimDur) -> Self {
-        Vruntime { slice, vrt: BTreeMap::new() }
+        Vruntime {
+            slice,
+            vrt: BTreeMap::new(),
+        }
     }
 }
 

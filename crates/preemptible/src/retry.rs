@@ -274,7 +274,9 @@ impl RetryMachine {
                     self.degraded = true;
                     self.brownout = false; // superseded by the degrade
                     self.degraded_sends = 0;
-                    return RetryOutput::Degrade { losses: self.losses };
+                    return RetryOutput::Degrade {
+                        losses: self.losses,
+                    };
                 }
                 if can_degrade
                     && !self.degraded
@@ -283,7 +285,9 @@ impl RetryMachine {
                     && self.losses >= self.brownout_after
                 {
                     self.brownout = true;
-                    return RetryOutput::Brownout { losses: self.losses };
+                    return RetryOutput::Brownout {
+                        losses: self.losses,
+                    };
                 }
                 RetryOutput::Retry {
                     uintr: can_degrade && !was_probe && !self.degraded,
@@ -351,7 +355,13 @@ impl RetryMachine {
     /// A totally ordered snapshot of the machine state, used by the
     /// `lp-check` DPOR explorer to fingerprint visited states.
     pub fn fingerprint(&self) -> (u32, bool, bool, u64, Option<u64>) {
-        (self.losses, self.degraded, self.brownout, self.degraded_sends, self.probe_for)
+        (
+            self.losses,
+            self.degraded,
+            self.brownout,
+            self.degraded_sends,
+            self.probe_for,
+        )
     }
 }
 
@@ -412,11 +422,7 @@ mod tests {
             (u32::MAX, 80_000),
         ];
         for &(attempt, want_ns) in table {
-            assert_eq!(
-                b.delay(attempt).as_nanos(),
-                want_ns,
-                "attempt {attempt}"
-            );
+            assert_eq!(b.delay(attempt).as_nanos(), want_ns, "attempt {attempt}");
         }
         // A huge base must saturate arithmetic, not wrap.
         let huge = Backoff::new(SimDur::nanos(u64::MAX / 2), SimDur::nanos(u64::MAX));
@@ -449,7 +455,10 @@ mod tests {
             let mut m = machine(after, 8);
             let mut degraded_at = None;
             for i in 0..losses {
-                let out = m.step(RetryInput::Lost { seq: u64::from(i), can_degrade: true });
+                let out = m.step(RetryInput::Lost {
+                    seq: u64::from(i),
+                    can_degrade: true,
+                });
                 if let RetryOutput::Degrade { losses: streak } = out {
                     degraded_at = Some((i + 1, streak));
                 }
@@ -475,13 +484,19 @@ mod tests {
     fn lost_picks_the_retry_path() {
         let mut m = machine(3, 8);
         assert_eq!(
-            m.step(RetryInput::Lost { seq: 0, can_degrade: true }),
+            m.step(RetryInput::Lost {
+                seq: 0,
+                can_degrade: true
+            }),
             RetryOutput::Retry { uintr: true }
         );
         // Signal mechanisms can never retry over UINTR.
         let mut sig = machine(3, 8);
         assert_eq!(
-            sig.step(RetryInput::Lost { seq: 0, can_degrade: false }),
+            sig.step(RetryInput::Lost {
+                seq: 0,
+                can_degrade: false
+            }),
             RetryOutput::Retry { uintr: false }
         );
         assert!(!sig.is_degraded(), "signal mechanisms never degrade");
@@ -489,12 +504,18 @@ mod tests {
         // is mid-recovery.
         let mut p = machine(1, 1);
         assert_eq!(
-            p.step(RetryInput::Lost { seq: 0, can_degrade: true }),
+            p.step(RetryInput::Lost {
+                seq: 0,
+                can_degrade: true
+            }),
             RetryOutput::Degrade { losses: 1 }
         );
         assert_eq!(p.step(RetryInput::Send { seq: 1 }), RetryOutput::Probe);
         assert_eq!(
-            p.step(RetryInput::Lost { seq: 1, can_degrade: true }),
+            p.step(RetryInput::Lost {
+                seq: 1,
+                can_degrade: true
+            }),
             RetryOutput::Retry { uintr: false }
         );
         assert_eq!(p.probe_seq(), None, "failed probe is cleared");
@@ -507,7 +528,10 @@ mod tests {
     fn counters_reset_on_recovery() {
         let mut m = machine(2, 2);
         for seq in 0..2 {
-            m.step(RetryInput::Lost { seq, can_degrade: true });
+            m.step(RetryInput::Lost {
+                seq,
+                can_degrade: true,
+            });
         }
         assert!(m.is_degraded());
         assert_eq!(m.losses(), 2);
@@ -517,14 +541,20 @@ mod tests {
         assert_eq!(m.probe_seq(), Some(11));
         // The probe lands over UINTR: full recovery.
         assert_eq!(
-            m.step(RetryInput::Landed { seq: 11, uintr: true }),
+            m.step(RetryInput::Landed {
+                seq: 11,
+                uintr: true
+            }),
             RetryOutput::Recovered
         );
         assert_eq!(m.fingerprint(), (0, false, false, 0, None));
         assert_eq!(m.step(RetryInput::Send { seq: 12 }), RetryOutput::Fast);
         // One loss is below the threshold again — no instant re-degrade.
         assert_eq!(
-            m.step(RetryInput::Lost { seq: 12, can_degrade: true }),
+            m.step(RetryInput::Lost {
+                seq: 12,
+                can_degrade: true
+            }),
             RetryOutput::Retry { uintr: true }
         );
         assert!(!m.is_degraded());
@@ -535,11 +565,17 @@ mod tests {
     #[test]
     fn signal_landing_is_not_recovery_proof() {
         let mut m = machine(1, 1);
-        m.step(RetryInput::Lost { seq: 0, can_degrade: true });
+        m.step(RetryInput::Lost {
+            seq: 0,
+            can_degrade: true,
+        });
         assert!(m.is_degraded());
         assert_eq!(m.step(RetryInput::Send { seq: 1 }), RetryOutput::Probe);
         assert_eq!(
-            m.step(RetryInput::Landed { seq: 1, uintr: false }),
+            m.step(RetryInput::Landed {
+                seq: 1,
+                uintr: false
+            }),
             RetryOutput::Noted
         );
         assert!(m.is_degraded(), "signal landing must not recover");
@@ -555,10 +591,16 @@ mod tests {
     #[test]
     fn stale_seq_leaves_the_probe_armed() {
         let mut m = machine(1, 1);
-        m.step(RetryInput::Lost { seq: 0, can_degrade: true });
+        m.step(RetryInput::Lost {
+            seq: 0,
+            can_degrade: true,
+        });
         m.step(RetryInput::Send { seq: 5 });
         assert_eq!(m.probe_seq(), Some(5));
-        m.step(RetryInput::Landed { seq: 4, uintr: true });
+        m.step(RetryInput::Landed {
+            seq: 4,
+            uintr: true,
+        });
         assert_eq!(m.probe_seq(), Some(5), "stale landing kept the probe");
         assert!(m.is_degraded());
         m.step(RetryInput::Settled { seq: 4 });
@@ -580,11 +622,17 @@ mod tests {
         let mut m = machine_with_brownout(2, 4);
         assert_eq!(m.tier(), Tier::Healthy);
         assert_eq!(
-            m.step(RetryInput::Lost { seq: 0, can_degrade: true }),
+            m.step(RetryInput::Lost {
+                seq: 0,
+                can_degrade: true
+            }),
             RetryOutput::Retry { uintr: true }
         );
         assert_eq!(
-            m.step(RetryInput::Lost { seq: 1, can_degrade: true }),
+            m.step(RetryInput::Lost {
+                seq: 1,
+                can_degrade: true
+            }),
             RetryOutput::Brownout { losses: 2 }
         );
         assert_eq!(m.tier(), Tier::Brownout);
@@ -592,11 +640,17 @@ mod tests {
         // Brownout is edge-triggered: the next loss is a plain retry
         // (still over UINTR — brownout does not change the path).
         assert_eq!(
-            m.step(RetryInput::Lost { seq: 2, can_degrade: true }),
+            m.step(RetryInput::Lost {
+                seq: 2,
+                can_degrade: true
+            }),
             RetryOutput::Retry { uintr: true }
         );
         assert_eq!(
-            m.step(RetryInput::Lost { seq: 3, can_degrade: true }),
+            m.step(RetryInput::Lost {
+                seq: 3,
+                can_degrade: true
+            }),
             RetryOutput::Degrade { losses: 4 }
         );
         assert_eq!(m.tier(), Tier::Degraded);
@@ -608,13 +662,22 @@ mod tests {
     #[test]
     fn brownout_clears_on_streak_reset() {
         let mut m = machine_with_brownout(1, 3);
-        m.step(RetryInput::Lost { seq: 0, can_degrade: true });
+        m.step(RetryInput::Lost {
+            seq: 0,
+            can_degrade: true,
+        });
         assert_eq!(m.tier(), Tier::Brownout);
-        m.step(RetryInput::Landed { seq: 0, uintr: true });
+        m.step(RetryInput::Landed {
+            seq: 0,
+            uintr: true,
+        });
         assert_eq!(m.tier(), Tier::Healthy);
         assert_eq!(m.fingerprint(), (0, false, false, 0, None));
 
-        m.step(RetryInput::Lost { seq: 1, can_degrade: true });
+        m.step(RetryInput::Lost {
+            seq: 1,
+            can_degrade: true,
+        });
         assert_eq!(m.tier(), Tier::Brownout);
         m.step(RetryInput::Settled { seq: 1 });
         assert_eq!(m.tier(), Tier::Healthy);
@@ -623,7 +686,10 @@ mod tests {
         let mut sig = machine_with_brownout(1, 3);
         for seq in 0..8 {
             assert_eq!(
-                sig.step(RetryInput::Lost { seq, can_degrade: false }),
+                sig.step(RetryInput::Lost {
+                    seq,
+                    can_degrade: false
+                }),
                 RetryOutput::Retry { uintr: false }
             );
         }
@@ -643,7 +709,10 @@ mod tests {
     #[test]
     fn probe_cadence_table() {
         let mut m = machine(1, 3);
-        m.step(RetryInput::Lost { seq: 0, can_degrade: true });
+        m.step(RetryInput::Lost {
+            seq: 0,
+            can_degrade: true,
+        });
         let mut outs = Vec::new();
         for seq in 1..=6 {
             outs.push(m.step(RetryInput::Send { seq }));

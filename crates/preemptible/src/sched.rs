@@ -191,8 +191,14 @@ mod tests {
     #[test]
     fn default_resume_key_is_arrival_order() {
         let p = Fifo::new(SimDur::micros(10));
-        let early = TaskView { arrived: SimTime::from_nanos(100), ..task(7) };
-        let late = TaskView { arrived: SimTime::from_nanos(200), ..task(7) };
+        let early = TaskView {
+            arrived: SimTime::from_nanos(100),
+            ..task(7)
+        };
+        let late = TaskView {
+            arrived: SimTime::from_nanos(200),
+            ..task(7)
+        };
         assert!(p.resume_key(&early) < p.resume_key(&late));
     }
 }

@@ -157,7 +157,13 @@ impl UtimerRegistry {
     /// # Panics
     ///
     /// Panics if the slot was never registered.
-    pub fn arm_observed(&mut self, slot: SlotId, deadline: SimTime, at: SimTime, obs: &mut Observer) {
+    pub fn arm_observed(
+        &mut self,
+        slot: SlotId,
+        deadline: SimTime,
+        at: SimTime,
+        obs: &mut Observer,
+    ) {
         self.arm(slot, deadline);
         obs.emit(
             at,
@@ -174,7 +180,12 @@ impl UtimerRegistry {
         let was_armed = self.deadline(slot).is_some();
         self.disarm(slot);
         if was_armed {
-            obs.emit(at, Event::DeadlineDisarmed { slot: slot.0 as u16 });
+            obs.emit(
+                at,
+                Event::DeadlineDisarmed {
+                    slot: slot.0 as u16,
+                },
+            );
         }
     }
 
@@ -204,7 +215,12 @@ impl UtimerRegistry {
     /// frequency itself is a cost the paper measures).
     pub fn expired_observed(&mut self, now: SimTime, obs: &mut Observer) -> Vec<SlotId> {
         let fired = self.expired(now);
-        obs.emit(now, Event::TimerPoll { expired: fired.len() as u16 });
+        obs.emit(
+            now,
+            Event::TimerPoll {
+                expired: fired.len() as u16,
+            },
+        );
         fired
     }
 
@@ -418,7 +434,13 @@ mod tests {
         assert_eq!(m.get(Counter::TimerPolls), 2);
         assert_eq!(m.get(Counter::DeadlinesFired), 1);
         let evs: Vec<_> = obs.events().copied().collect();
-        assert_eq!(evs[0].ev, Event::DeadlineArmed { slot: 0, deadline_ns: 500 });
+        assert_eq!(
+            evs[0].ev,
+            Event::DeadlineArmed {
+                slot: 0,
+                deadline_ns: 500
+            }
+        );
         assert_eq!(evs[1].ev, Event::TimerPoll { expired: 0 });
         assert_eq!(evs[2].ev, Event::TimerPoll { expired: 1 });
         assert_eq!(evs[4].ev, Event::DeadlineDisarmed { slot: 0 });

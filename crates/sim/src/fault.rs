@@ -280,7 +280,12 @@ impl FaultPlan {
     /// `[from_ns, until_ns)` of sim time.
     pub fn windowed(kind: FaultKind, rate: f64, from_ns: u64, until_ns: u64) -> Self {
         let mut p = FaultPlan::default();
-        p.windows.push(FaultWindow { kind, rate, from_ns, until_ns });
+        p.windows.push(FaultWindow {
+            kind,
+            rate,
+            from_ns,
+            until_ns,
+        });
         p
     }
 
@@ -319,9 +324,7 @@ impl FaultPlan {
     /// rate, or an open-able window. The single source of truth shared
     /// by [`enabled`](FaultPlan::enabled) and the injector's gating.
     pub fn site_armed(&self, site: Site) -> bool {
-        self.site_scheduled(site)
-            || self.site_rate_total(site) > 0.0
-            || self.site_windowed(site)
+        self.site_scheduled(site) || self.site_rate_total(site) > 0.0 || self.site_windowed(site)
     }
 
     /// The probabilistic rate configured for `kind`.
@@ -366,9 +369,11 @@ impl FaultPlan {
                 FaultKind::StuckSn,
                 FaultKind::StaleNdst,
             ],
-            Site::Timer => {
-                &[FaultKind::TimerMiss, FaultKind::TimerSpike, FaultKind::TimerSpurious]
-            }
+            Site::Timer => &[
+                FaultKind::TimerMiss,
+                FaultKind::TimerSpike,
+                FaultKind::TimerSpurious,
+            ],
             Site::Signal => &[FaultKind::SignalLost, FaultKind::SignalContention],
             Site::Core => &[FaultKind::CoreHog],
         }
@@ -795,7 +800,10 @@ mod tests {
         plan.core_hog_ns = 999;
         let mut inj = FaultInjector::new(plan, 3);
         assert_eq!(inj.ipi(), Some(IpiFault::Delay(SimDur::nanos(777))));
-        assert_eq!(inj.timer(), Some(TimerFault::JitterSpike(SimDur::nanos(888))));
+        assert_eq!(
+            inj.timer(),
+            Some(TimerFault::JitterSpike(SimDur::nanos(888)))
+        );
         assert_eq!(inj.signal(), Some(SignalFault::ContentionBurst(9)));
         assert_eq!(inj.core(), Some(CoreFault::Hog(SimDur::nanos(999))));
     }
@@ -818,7 +826,11 @@ mod tests {
         assert!(armed.enabled());
         assert!(armed.site_armed(Site::Ipi));
         let mut inj = FaultInjector::new(armed, 9);
-        assert_eq!(inj.ipi(), Some(IpiFault::Drop), "occurrence 0 is the first decision");
+        assert_eq!(
+            inj.ipi(),
+            Some(IpiFault::Drop),
+            "occurrence 0 is the first decision"
+        );
 
         let dead = FaultPlan::only(FaultKind::IpiDrop, 0.0);
         assert!(!dead.enabled());

@@ -105,7 +105,11 @@ pub struct PhaseHistogram {
 
 impl Default for PhaseHistogram {
     fn default() -> Self {
-        PhaseHistogram { counts: [0; PHASE_HIST_BUCKETS], count: 0, sum_ns: 0 }
+        PhaseHistogram {
+            counts: [0; PHASE_HIST_BUCKETS],
+            count: 0,
+            sum_ns: 0,
+        }
     }
 }
 
@@ -225,10 +229,14 @@ impl PhaseHistogram {
     /// `(bucket_lo, bucket_hi, count)` for every non-empty bucket, in
     /// increasing value order.
     pub fn buckets(&self) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
-        self.counts.iter().enumerate().filter(|(_, &c)| c > 0).map(|(i, &c)| {
-            let (lo, hi) = Self::bucket_bounds(i);
-            (lo, hi, c)
-        })
+        self.counts
+            .iter()
+            .enumerate()
+            .filter(|(_, &c)| c > 0)
+            .map(|(i, &c)| {
+                let (lo, hi) = Self::bucket_bounds(i);
+                (lo, hi, c)
+            })
     }
 }
 
@@ -357,7 +365,13 @@ impl PhaseStats {
             phase_ns[label as usize] = label_ns;
             phase_ns[Phase::PreemptSwitch as usize] =
                 phase_ns[Phase::PreemptSwitch as usize].saturating_add(switch_ns);
-            self.consider(Exemplar { fiber, worker, finished_at_ns, latency_ns, phase_ns });
+            self.consider(Exemplar {
+                fiber,
+                worker,
+                finished_at_ns,
+                latency_ns,
+                phase_ns,
+            });
         }
     }
 
@@ -509,7 +523,10 @@ impl WorkerAttr {
 
 impl Default for WorkerAttr {
     fn default() -> Self {
-        WorkerAttr { packed: u64::from(NO_FIBER), mark_ns: 0 }
+        WorkerAttr {
+            packed: u64::from(NO_FIBER),
+            mark_ns: 0,
+        }
     }
 }
 
@@ -524,7 +541,9 @@ struct Ledger {
 
 impl Default for Ledger {
     fn default() -> Self {
-        Ledger { tracked_ns: [0; Phase::COUNT] }
+        Ledger {
+            tracked_ns: [0; Phase::COUNT],
+        }
     }
 }
 
@@ -551,7 +570,10 @@ pub struct Attribution {
 impl Attribution {
     /// An enabled accountant (the always-on default).
     pub fn new() -> Self {
-        Attribution { enabled: true, ..Default::default() }
+        Attribution {
+            enabled: true,
+            ..Default::default()
+        }
     }
 
     /// Turns the accountant on or off.
@@ -647,8 +669,8 @@ impl Attribution {
         if next == cur {
             return;
         }
-        let relabeled = LABEL_LUT[((next >> 32) & 7) as usize]
-            != LABEL_LUT[((cur >> 32) & 7) as usize];
+        let relabeled =
+            LABEL_LUT[((next >> 32) & 7) as usize] != LABEL_LUT[((cur >> 32) & 7) as usize];
         if relabeled && cur as u32 != NO_FIBER {
             self.close_segment(w, at_ns);
         }
@@ -666,7 +688,12 @@ impl Attribution {
             return;
         }
         match *ev {
-            Event::TaskStart { worker, fiber, resumed, switch_ns } => {
+            Event::TaskStart {
+                worker,
+                fiber,
+                resumed,
+                switch_ns,
+            } => {
                 if self.worker_mut(worker).fiber() != NO_FIBER {
                     // Hostile stream: start over an open segment.
                     self.close_segment(worker, at_ns);
@@ -687,7 +714,11 @@ impl Attribution {
                 let wa = self.worker_mut(worker);
                 wa.packed = (wa.packed & (F_DEGRADED | F_BROWNOUT)) | u64::from(NO_FIBER);
             }
-            Event::TaskFinish { worker, fiber, latency_ns } => {
+            Event::TaskFinish {
+                worker,
+                fiber,
+                latency_ns,
+            } => {
                 let wa = *self.worker_mut(worker);
                 if wa.fiber() == fiber && wa.packed & F_DIRTY == 0 {
                     // Common case: the request ran in one clean slice —
@@ -697,12 +728,10 @@ impl Attribution {
                     // breakdown array is needed.
                     let label_ns = at_ns.saturating_sub(wa.mark_ns);
                     let switch_ns = wa.packed >> SWITCH_SHIFT;
-                    let queued_ns =
-                        latency_ns.saturating_sub(label_ns.saturating_add(switch_ns));
+                    let queued_ns = latency_ns.saturating_sub(label_ns.saturating_add(switch_ns));
                     {
                         let wa = self.worker_mut(worker);
-                        wa.packed =
-                            (wa.packed & (F_DEGRADED | F_BROWNOUT)) | u64::from(NO_FIBER);
+                        wa.packed = (wa.packed & (F_DEGRADED | F_BROWNOUT)) | u64::from(NO_FIBER);
                     }
                     self.stats.record_parts(
                         wa.label(),
@@ -721,8 +750,7 @@ impl Attribution {
                     *l = Ledger::default();
                     {
                         let wa = self.worker_mut(worker);
-                        wa.packed =
-                            (wa.packed & (F_DEGRADED | F_BROWNOUT)) | u64::from(NO_FIBER);
+                        wa.packed = (wa.packed & (F_DEGRADED | F_BROWNOUT)) | u64::from(NO_FIBER);
                     }
                     let tracked = phase_ns.iter().fold(0u64, |a, &b| a.saturating_add(b));
                     phase_ns[Phase::Queued as usize] = latency_ns.saturating_sub(tracked);
@@ -760,7 +788,12 @@ mod tests {
     use super::*;
 
     fn start(w: u16, f: u32) -> Event {
-        Event::TaskStart { worker: w, fiber: f, resumed: false, switch_ns: 0 }
+        Event::TaskStart {
+            worker: w,
+            fiber: f,
+            resumed: false,
+            switch_ns: 0,
+        }
     }
 
     #[test]
@@ -770,7 +803,10 @@ mod tests {
         assert_eq!(PhaseHistogram::bucket_index(2), 2);
         assert_eq!(PhaseHistogram::bucket_index(3), 2);
         assert_eq!(PhaseHistogram::bucket_index(4), 3);
-        assert_eq!(PhaseHistogram::bucket_index(u64::MAX), PHASE_HIST_BUCKETS - 1);
+        assert_eq!(
+            PhaseHistogram::bucket_index(u64::MAX),
+            PHASE_HIST_BUCKETS - 1
+        );
         for i in 0..PHASE_HIST_BUCKETS {
             let (lo, hi) = PhaseHistogram::bucket_bounds(i);
             assert!(lo <= hi, "bucket {i}");
@@ -824,9 +860,31 @@ mod tests {
         let mut a = Attribution::new();
         // Fiber 7 arrives at t=0 (implicit), switches in 100ns, runs
         // 400ns on worker 2, finishes with 1000ns end-to-end latency.
-        a.observe(500, &Event::SwitchBegin { worker: 2, fiber: 7, resumed: false });
-        a.observe(600, &Event::TaskStart { worker: 2, fiber: 7, resumed: false, switch_ns: 100 });
-        a.observe(1_000, &Event::TaskFinish { worker: 2, fiber: 7, latency_ns: 1_000 });
+        a.observe(
+            500,
+            &Event::SwitchBegin {
+                worker: 2,
+                fiber: 7,
+                resumed: false,
+            },
+        );
+        a.observe(
+            600,
+            &Event::TaskStart {
+                worker: 2,
+                fiber: 7,
+                resumed: false,
+                switch_ns: 100,
+            },
+        );
+        a.observe(
+            1_000,
+            &Event::TaskFinish {
+                worker: 2,
+                fiber: 7,
+                latency_ns: 1_000,
+            },
+        );
         let ex = a.stats().worst().expect("one completion");
         assert_eq!(ex.fiber, 7);
         assert_eq!(ex.worker, 2);
@@ -845,10 +903,29 @@ mod tests {
         // lost preemption at 1500 and the re-send lands at 2000.
         a.observe(
             1_500,
-            &Event::PreemptRetry { worker: 0, seq: 1, attempt: 1, delay_ns: 500 },
+            &Event::PreemptRetry {
+                worker: 0,
+                seq: 1,
+                attempt: 1,
+                delay_ns: 500,
+            },
         );
-        a.observe(2_000, &Event::PreemptLanded { worker: 0, seq: 1, uintr: true });
-        a.observe(2_000, &Event::TaskFinish { worker: 0, fiber: 1, latency_ns: 2_000 });
+        a.observe(
+            2_000,
+            &Event::PreemptLanded {
+                worker: 0,
+                seq: 1,
+                uintr: true,
+            },
+        );
+        a.observe(
+            2_000,
+            &Event::TaskFinish {
+                worker: 0,
+                fiber: 1,
+                latency_ns: 2_000,
+            },
+        );
         let ex = a.stats().worst().unwrap();
         assert_eq!(ex.phase(Phase::Running), 1_500);
         assert_eq!(ex.phase(Phase::RetryStall), 500);
@@ -859,11 +936,30 @@ mod tests {
     #[test]
     fn degraded_and_brownout_segments_label_by_priority() {
         let mut a = Attribution::new();
-        a.observe(0, &Event::MechBrownout { worker: 3, losses: 2 });
+        a.observe(
+            0,
+            &Event::MechBrownout {
+                worker: 3,
+                losses: 2,
+            },
+        );
         a.observe(0, &start(3, 9));
         // 0..300 browned out, then degradation flips the label.
-        a.observe(300, &Event::MechDegraded { worker: 3, losses: 3 });
-        a.observe(700, &Event::TaskFinish { worker: 3, fiber: 9, latency_ns: 700 });
+        a.observe(
+            300,
+            &Event::MechDegraded {
+                worker: 3,
+                losses: 3,
+            },
+        );
+        a.observe(
+            700,
+            &Event::TaskFinish {
+                worker: 3,
+                fiber: 9,
+                latency_ns: 700,
+            },
+        );
         let ex = a.stats().worst().unwrap();
         assert_eq!(ex.phase(Phase::BrownoutHeld), 300);
         assert_eq!(ex.phase(Phase::DegradedSignal), 400);
@@ -875,12 +971,41 @@ mod tests {
     fn preempted_fiber_resumes_with_fresh_segment() {
         let mut a = Attribution::new();
         a.observe(0, &start(0, 4));
-        a.observe(1_000, &Event::Preempt { worker: 0, fiber: 4, ran_ns: 1_000 });
+        a.observe(
+            1_000,
+            &Event::Preempt {
+                worker: 0,
+                fiber: 4,
+                ran_ns: 1_000,
+            },
+        );
         // Parked 1000..5000 (queued), switch window 5000..5200, second
         // slice 5200..6000.
-        a.observe(5_000, &Event::SwitchBegin { worker: 1, fiber: 4, resumed: true });
-        a.observe(5_200, &Event::TaskStart { worker: 1, fiber: 4, resumed: true, switch_ns: 200 });
-        a.observe(6_000, &Event::TaskFinish { worker: 1, fiber: 4, latency_ns: 6_000 });
+        a.observe(
+            5_000,
+            &Event::SwitchBegin {
+                worker: 1,
+                fiber: 4,
+                resumed: true,
+            },
+        );
+        a.observe(
+            5_200,
+            &Event::TaskStart {
+                worker: 1,
+                fiber: 4,
+                resumed: true,
+                switch_ns: 200,
+            },
+        );
+        a.observe(
+            6_000,
+            &Event::TaskFinish {
+                worker: 1,
+                fiber: 4,
+                latency_ns: 6_000,
+            },
+        );
         let ex = a.stats().worst().unwrap();
         assert_eq!(ex.phase(Phase::Running), 1_800);
         assert_eq!(ex.phase(Phase::PreemptSwitch), 200);
@@ -918,7 +1043,14 @@ mod tests {
         let mut a = Attribution::new();
         a.set_enabled(false);
         a.observe(0, &start(0, 1));
-        a.observe(100, &Event::TaskFinish { worker: 0, fiber: 1, latency_ns: 100 });
+        a.observe(
+            100,
+            &Event::TaskFinish {
+                worker: 0,
+                fiber: 1,
+                latency_ns: 100,
+            },
+        );
         assert_eq!(a.stats().completions(), 0);
         assert!(a.stats().worst().is_none());
     }
@@ -927,10 +1059,24 @@ mod tests {
     fn merge_combines_runs() {
         let mut a = Attribution::new();
         a.observe(0, &start(0, 1));
-        a.observe(100, &Event::TaskFinish { worker: 0, fiber: 1, latency_ns: 100 });
+        a.observe(
+            100,
+            &Event::TaskFinish {
+                worker: 0,
+                fiber: 1,
+                latency_ns: 100,
+            },
+        );
         let mut b = Attribution::new();
         b.observe(0, &start(0, 2));
-        b.observe(900, &Event::TaskFinish { worker: 0, fiber: 2, latency_ns: 900 });
+        b.observe(
+            900,
+            &Event::TaskFinish {
+                worker: 0,
+                fiber: 2,
+                latency_ns: 900,
+            },
+        );
         let mut s = a.take_stats();
         s.merge(b.stats());
         assert_eq!(s.completions(), 2);

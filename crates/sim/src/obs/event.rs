@@ -358,7 +358,10 @@ impl fmt::Display for Event {
             Event::KernelAssistWake { worker } => {
                 write!(f, "kernel-assisted wakeup of worker {worker}")
             }
-            Event::SignalSent { worker, lock_wait_ns } => {
+            Event::SignalSent {
+                worker,
+                lock_wait_ns,
+            } => {
                 write!(f, "signal -> worker {worker} (lock wait {lock_wait_ns}ns)")
             }
             Event::KtimerArmed { worker, target_ns } => {
@@ -377,15 +380,37 @@ impl fmt::Display for Event {
             }
             Event::Arrival { class } => write!(f, "arrival (class {class})"),
             Event::Drop { class } => write!(f, "drop (class {class}, pool full)"),
-            Event::TaskStart { worker, fiber, resumed, switch_ns } => {
+            Event::TaskStart {
+                worker,
+                fiber,
+                resumed,
+                switch_ns,
+            } => {
                 let verb = if resumed { "resume" } else { "start" };
-                write!(f, "{verb} fiber {fiber} on worker {worker} (switch {switch_ns}ns)")
+                write!(
+                    f,
+                    "{verb} fiber {fiber} on worker {worker} (switch {switch_ns}ns)"
+                )
             }
-            Event::TaskFinish { worker, fiber, latency_ns } => {
-                write!(f, "finish fiber {fiber} on worker {worker} (latency {latency_ns}ns)")
+            Event::TaskFinish {
+                worker,
+                fiber,
+                latency_ns,
+            } => {
+                write!(
+                    f,
+                    "finish fiber {fiber} on worker {worker} (latency {latency_ns}ns)"
+                )
             }
-            Event::Preempt { worker, fiber, ran_ns } => {
-                write!(f, "preempt fiber {fiber} on worker {worker} (ran {ran_ns}ns)")
+            Event::Preempt {
+                worker,
+                fiber,
+                ran_ns,
+            } => {
+                write!(
+                    f,
+                    "preempt fiber {fiber} on worker {worker} (ran {ran_ns}ns)"
+                )
             }
             Event::SpuriousPreempt { worker } => {
                 write!(f, "spurious preemption at worker {worker}")
@@ -394,10 +419,21 @@ impl fmt::Display for Event {
                 let how = if explicit { "policy" } else { "jsq" };
                 write!(f, "dispatch to worker {worker} ({how})")
             }
-            Event::SliceGranted { worker, fiber, slice_ns } => {
-                write!(f, "slice {slice_ns}ns granted to fiber {fiber} on worker {worker}")
+            Event::SliceGranted {
+                worker,
+                fiber,
+                slice_ns,
+            } => {
+                write!(
+                    f,
+                    "slice {slice_ns}ns granted to fiber {fiber} on worker {worker}"
+                )
             }
-            Event::SwitchBegin { worker, fiber, resumed } => {
+            Event::SwitchBegin {
+                worker,
+                fiber,
+                resumed,
+            } => {
                 let verb = if resumed { "resume" } else { "launch" };
                 write!(f, "switch toward fiber {fiber} on worker {worker} ({verb})")
             }
@@ -408,7 +444,12 @@ impl fmt::Display for Event {
             Event::FaultInjected { worker, kind } => {
                 write!(f, "fault kind {kind} injected at worker {worker}")
             }
-            Event::PreemptIssued { worker, seq, attempt, uintr } => {
+            Event::PreemptIssued {
+                worker,
+                seq,
+                attempt,
+                uintr,
+            } => {
                 let path = if uintr { "uintr" } else { "signal" };
                 write!(
                     f,
@@ -419,14 +460,22 @@ impl fmt::Display for Event {
                 let path = if uintr { "uintr" } else { "signal" };
                 write!(f, "preempt seq {seq} landed on worker {worker} over {path}")
             }
-            Event::PreemptRetry { worker, seq, attempt, delay_ns } => {
+            Event::PreemptRetry {
+                worker,
+                seq,
+                attempt,
+                delay_ns,
+            } => {
                 write!(
                     f,
                     "preempt seq {seq} re-sent to worker {worker} (attempt {attempt}, backoff {delay_ns}ns)"
                 )
             }
             Event::MechDegraded { worker, losses } => {
-                write!(f, "worker {worker} degraded to signal path after {losses} losses")
+                write!(
+                    f,
+                    "worker {worker} degraded to signal path after {losses} losses"
+                )
             }
             Event::MechRecovered { worker } => {
                 write!(f, "worker {worker} recovered to uintr path")
@@ -438,7 +487,10 @@ impl fmt::Display for Event {
                 write!(f, "shed (class {class}, {queued} queued)")
             }
             Event::Admitted { class, queued } => {
-                write!(f, "admitted under pressure (class {class}, {queued} queued)")
+                write!(
+                    f,
+                    "admitted under pressure (class {class}, {queued} queued)"
+                )
             }
         }
     }
@@ -479,7 +531,10 @@ impl TimedEvent {
             | Event::SpuriousPreempt { worker } => {
                 let _ = write!(out, ",\"worker\":{worker}");
             }
-            Event::SignalSent { worker, lock_wait_ns } => {
+            Event::SignalSent {
+                worker,
+                lock_wait_ns,
+            } => {
                 let _ = write!(out, ",\"worker\":{worker},\"lock_wait_ns\":{lock_wait_ns}");
             }
             Event::KtimerArmed { worker, target_ns } => {
@@ -500,29 +555,59 @@ impl TimedEvent {
             Event::Arrival { class } | Event::Drop { class } => {
                 let _ = write!(out, ",\"class\":{class}");
             }
-            Event::TaskStart { worker, fiber, resumed, switch_ns } => {
+            Event::TaskStart {
+                worker,
+                fiber,
+                resumed,
+                switch_ns,
+            } => {
                 let _ = write!(
                     out,
                     ",\"worker\":{worker},\"fiber\":{fiber},\"resumed\":{resumed},\"switch_ns\":{switch_ns}"
                 );
             }
-            Event::TaskFinish { worker, fiber, latency_ns } => {
+            Event::TaskFinish {
+                worker,
+                fiber,
+                latency_ns,
+            } => {
                 let _ = write!(
                     out,
                     ",\"worker\":{worker},\"fiber\":{fiber},\"latency_ns\":{latency_ns}"
                 );
             }
-            Event::Preempt { worker, fiber, ran_ns } => {
-                let _ = write!(out, ",\"worker\":{worker},\"fiber\":{fiber},\"ran_ns\":{ran_ns}");
+            Event::Preempt {
+                worker,
+                fiber,
+                ran_ns,
+            } => {
+                let _ = write!(
+                    out,
+                    ",\"worker\":{worker},\"fiber\":{fiber},\"ran_ns\":{ran_ns}"
+                );
             }
             Event::PolicyDispatch { worker, explicit } => {
                 let _ = write!(out, ",\"worker\":{worker},\"explicit\":{explicit}");
             }
-            Event::SliceGranted { worker, fiber, slice_ns } => {
-                let _ = write!(out, ",\"worker\":{worker},\"fiber\":{fiber},\"slice_ns\":{slice_ns}");
+            Event::SliceGranted {
+                worker,
+                fiber,
+                slice_ns,
+            } => {
+                let _ = write!(
+                    out,
+                    ",\"worker\":{worker},\"fiber\":{fiber},\"slice_ns\":{slice_ns}"
+                );
             }
-            Event::SwitchBegin { worker, fiber, resumed } => {
-                let _ = write!(out, ",\"worker\":{worker},\"fiber\":{fiber},\"resumed\":{resumed}");
+            Event::SwitchBegin {
+                worker,
+                fiber,
+                resumed,
+            } => {
+                let _ = write!(
+                    out,
+                    ",\"worker\":{worker},\"fiber\":{fiber},\"resumed\":{resumed}"
+                );
             }
             Event::QuantumAdjusted { old_ns, new_ns } => {
                 let _ = write!(out, ",\"old_ns\":{old_ns},\"new_ns\":{new_ns}");
@@ -533,7 +618,12 @@ impl TimedEvent {
             Event::FaultInjected { worker, kind } => {
                 let _ = write!(out, ",\"worker\":{worker},\"kind\":{kind}");
             }
-            Event::PreemptIssued { worker, seq, attempt, uintr } => {
+            Event::PreemptIssued {
+                worker,
+                seq,
+                attempt,
+                uintr,
+            } => {
                 let _ = write!(
                     out,
                     ",\"worker\":{worker},\"seq\":{seq},\"attempt\":{attempt},\"uintr\":{uintr}"
@@ -542,7 +632,12 @@ impl TimedEvent {
             Event::PreemptLanded { worker, seq, uintr } => {
                 let _ = write!(out, ",\"worker\":{worker},\"seq\":{seq},\"uintr\":{uintr}");
             }
-            Event::PreemptRetry { worker, seq, attempt, delay_ns } => {
+            Event::PreemptRetry {
+                worker,
+                seq,
+                attempt,
+                delay_ns,
+            } => {
                 let _ = write!(
                     out,
                     ",\"worker\":{worker},\"seq\":{seq},\"attempt\":{attempt},\"delay_ns\":{delay_ns}"
@@ -589,13 +684,15 @@ impl TimedEvent {
                 worker: field_u64(line, "worker")? as u16,
                 coalesced: field_bool(line, "coalesced")?,
             },
-            "uipi_pended" => Event::UipiPended { worker: field_u64(line, "worker")? as u16 },
-            "uipi_suppressed" => {
-                Event::UipiSuppressed { worker: field_u64(line, "worker")? as u16 }
-            }
-            "kernel_assist_wake" => {
-                Event::KernelAssistWake { worker: field_u64(line, "worker")? as u16 }
-            }
+            "uipi_pended" => Event::UipiPended {
+                worker: field_u64(line, "worker")? as u16,
+            },
+            "uipi_suppressed" => Event::UipiSuppressed {
+                worker: field_u64(line, "worker")? as u16,
+            },
+            "kernel_assist_wake" => Event::KernelAssistWake {
+                worker: field_u64(line, "worker")? as u16,
+            },
             "signal_sent" => Event::SignalSent {
                 worker: field_u64(line, "worker")? as u16,
                 lock_wait_ns: field_u64(line, "lock_wait_ns")?,
@@ -604,7 +701,9 @@ impl TimedEvent {
                 worker: field_u64(line, "worker")? as u16,
                 target_ns: field_u64(line, "target_ns")?,
             },
-            "ktimer_fired" => Event::KtimerFired { worker: field_u64(line, "worker")? as u16 },
+            "ktimer_fired" => Event::KtimerFired {
+                worker: field_u64(line, "worker")? as u16,
+            },
             "ipc_sampled" => Event::IpcSampled {
                 mech: field_u64(line, "mech")? as u8,
                 latency_ns: field_u64(line, "latency_ns")?,
@@ -613,12 +712,18 @@ impl TimedEvent {
                 slot: field_u64(line, "slot")? as u16,
                 deadline_ns: field_u64(line, "deadline_ns")?,
             },
-            "deadline_disarmed" => {
-                Event::DeadlineDisarmed { slot: field_u64(line, "slot")? as u16 }
-            }
-            "timer_poll" => Event::TimerPoll { expired: field_u64(line, "expired")? as u16 },
-            "arrival" => Event::Arrival { class: field_u64(line, "class")? as u8 },
-            "drop" => Event::Drop { class: field_u64(line, "class")? as u8 },
+            "deadline_disarmed" => Event::DeadlineDisarmed {
+                slot: field_u64(line, "slot")? as u16,
+            },
+            "timer_poll" => Event::TimerPoll {
+                expired: field_u64(line, "expired")? as u16,
+            },
+            "arrival" => Event::Arrival {
+                class: field_u64(line, "class")? as u8,
+            },
+            "drop" => Event::Drop {
+                class: field_u64(line, "class")? as u8,
+            },
             "task_start" => Event::TaskStart {
                 worker: field_u64(line, "worker")? as u16,
                 fiber: field_u64(line, "fiber")? as u32,
@@ -635,9 +740,9 @@ impl TimedEvent {
                 fiber: field_u64(line, "fiber")? as u32,
                 ran_ns: field_u64(line, "ran_ns")?,
             },
-            "spurious_preempt" => {
-                Event::SpuriousPreempt { worker: field_u64(line, "worker")? as u16 }
-            }
+            "spurious_preempt" => Event::SpuriousPreempt {
+                worker: field_u64(line, "worker")? as u16,
+            },
             "policy_dispatch" => Event::PolicyDispatch {
                 worker: field_u64(line, "worker")? as u16,
                 explicit: field_bool(line, "explicit")?,
@@ -656,7 +761,9 @@ impl TimedEvent {
                 old_ns: field_u64(line, "old_ns")?,
                 new_ns: field_u64(line, "new_ns")?,
             },
-            "marker" => Event::Marker { code: field_u64(line, "code")? as u32 },
+            "marker" => Event::Marker {
+                code: field_u64(line, "code")? as u32,
+            },
             "fault_injected" => Event::FaultInjected {
                 worker: field_u64(line, "worker")? as u16,
                 kind: field_u64(line, "kind")? as u8,
@@ -682,9 +789,9 @@ impl TimedEvent {
                 worker: field_u64(line, "worker")? as u16,
                 losses: field_u64(line, "losses")? as u8,
             },
-            "mech_recovered" => {
-                Event::MechRecovered { worker: field_u64(line, "worker")? as u16 }
-            }
+            "mech_recovered" => Event::MechRecovered {
+                worker: field_u64(line, "worker")? as u16,
+            },
             "mech_brownout" => Event::MechBrownout {
                 worker: field_u64(line, "worker")? as u16,
                 losses: field_u64(line, "losses")? as u8,
@@ -699,7 +806,10 @@ impl TimedEvent {
             },
             _ => return None,
         };
-        Some(TimedEvent { at: SimTime::from_nanos(t), ev })
+        Some(TimedEvent {
+            at: SimTime::from_nanos(t),
+            ev,
+        })
     }
 }
 
@@ -745,42 +855,116 @@ mod tests {
     /// One instance of every variant, for exhaustive schema tests.
     pub(crate) fn one_of_each() -> Vec<TimedEvent> {
         let evs = [
-            Event::UipiSent { worker: 3, vector: 0 },
-            Event::UipiDelivered { worker: 3, coalesced: true },
+            Event::UipiSent {
+                worker: 3,
+                vector: 0,
+            },
+            Event::UipiDelivered {
+                worker: 3,
+                coalesced: true,
+            },
             Event::UipiPended { worker: 1 },
             Event::UipiSuppressed { worker: 2 },
             Event::KernelAssistWake { worker: 0 },
-            Event::SignalSent { worker: 5, lock_wait_ns: 1_200 },
-            Event::KtimerArmed { worker: 4, target_ns: 60_000 },
+            Event::SignalSent {
+                worker: 5,
+                lock_wait_ns: 1_200,
+            },
+            Event::KtimerArmed {
+                worker: 4,
+                target_ns: 60_000,
+            },
             Event::KtimerFired { worker: 4 },
-            Event::IpcSampled { mech: 5, latency_ns: 4_096 },
-            Event::DeadlineArmed { slot: 7, deadline_ns: 99_000 },
+            Event::IpcSampled {
+                mech: 5,
+                latency_ns: 4_096,
+            },
+            Event::DeadlineArmed {
+                slot: 7,
+                deadline_ns: 99_000,
+            },
             Event::DeadlineDisarmed { slot: 7 },
             Event::TimerPoll { expired: 2 },
             Event::Arrival { class: 0 },
             Event::Drop { class: 1 },
-            Event::TaskStart { worker: 0, fiber: 12, resumed: false, switch_ns: 650 },
-            Event::TaskFinish { worker: 0, fiber: 12, latency_ns: 88_000 },
-            Event::Preempt { worker: 0, fiber: 12, ran_ns: 10_000 },
+            Event::TaskStart {
+                worker: 0,
+                fiber: 12,
+                resumed: false,
+                switch_ns: 650,
+            },
+            Event::TaskFinish {
+                worker: 0,
+                fiber: 12,
+                latency_ns: 88_000,
+            },
+            Event::Preempt {
+                worker: 0,
+                fiber: 12,
+                ran_ns: 10_000,
+            },
             Event::SpuriousPreempt { worker: 6 },
-            Event::PolicyDispatch { worker: 3, explicit: true },
-            Event::SliceGranted { worker: 3, fiber: 12, slice_ns: 10_000 },
-            Event::SwitchBegin { worker: 3, fiber: 12, resumed: true },
-            Event::QuantumAdjusted { old_ns: 30_000, new_ns: 25_000 },
+            Event::PolicyDispatch {
+                worker: 3,
+                explicit: true,
+            },
+            Event::SliceGranted {
+                worker: 3,
+                fiber: 12,
+                slice_ns: 10_000,
+            },
+            Event::SwitchBegin {
+                worker: 3,
+                fiber: 12,
+                resumed: true,
+            },
+            Event::QuantumAdjusted {
+                old_ns: 30_000,
+                new_ns: 25_000,
+            },
             Event::Marker { code: 42 },
             Event::FaultInjected { worker: 1, kind: 0 },
-            Event::PreemptIssued { worker: 1, seq: 9, attempt: 0, uintr: true },
-            Event::PreemptLanded { worker: 1, seq: 9, uintr: true },
-            Event::PreemptRetry { worker: 1, seq: 9, attempt: 2, delay_ns: 40_000 },
-            Event::MechDegraded { worker: 1, losses: 3 },
+            Event::PreemptIssued {
+                worker: 1,
+                seq: 9,
+                attempt: 0,
+                uintr: true,
+            },
+            Event::PreemptLanded {
+                worker: 1,
+                seq: 9,
+                uintr: true,
+            },
+            Event::PreemptRetry {
+                worker: 1,
+                seq: 9,
+                attempt: 2,
+                delay_ns: 40_000,
+            },
+            Event::MechDegraded {
+                worker: 1,
+                losses: 3,
+            },
             Event::MechRecovered { worker: 1 },
-            Event::MechBrownout { worker: 1, losses: 2 },
-            Event::Shed { class: 1, queued: 257 },
-            Event::Admitted { class: 0, queued: 31 },
+            Event::MechBrownout {
+                worker: 1,
+                losses: 2,
+            },
+            Event::Shed {
+                class: 1,
+                queued: 257,
+            },
+            Event::Admitted {
+                class: 0,
+                queued: 31,
+            },
         ];
         evs.iter()
             .enumerate()
-            .map(|(i, &ev)| TimedEvent { at: t(100 * i as u64), ev })
+            .map(|(i, &ev)| TimedEvent {
+                at: t(100 * i as u64),
+                ev,
+            })
             .collect()
     }
 
@@ -788,7 +972,11 @@ mod tests {
     fn events_are_small_and_copy() {
         // The hot-path contract: an event is a handful of words, not a
         // heap structure.
-        assert!(std::mem::size_of::<Event>() <= 24, "{}", std::mem::size_of::<Event>());
+        assert!(
+            std::mem::size_of::<Event>() <= 24,
+            "{}",
+            std::mem::size_of::<Event>()
+        );
         assert!(std::mem::size_of::<TimedEvent>() <= 32);
         let e = Event::Arrival { class: 0 };
         let f = e; // Copy
@@ -799,8 +987,8 @@ mod tests {
     fn jsonl_roundtrip_every_variant() {
         for te in one_of_each() {
             let line = te.to_jsonl();
-            let back = TimedEvent::parse_jsonl(&line)
-                .unwrap_or_else(|| panic!("unparseable: {line}"));
+            let back =
+                TimedEvent::parse_jsonl(&line).unwrap_or_else(|| panic!("unparseable: {line}"));
             assert_eq!(back, te, "{line}");
         }
     }
@@ -809,7 +997,11 @@ mod tests {
     fn jsonl_fixed_key_order() {
         let te = TimedEvent {
             at: t(1_234),
-            ev: Event::Preempt { worker: 2, fiber: 9, ran_ns: 10_000 },
+            ev: Event::Preempt {
+                worker: 2,
+                fiber: 9,
+                ran_ns: 10_000,
+            },
         };
         assert_eq!(
             te.to_jsonl(),

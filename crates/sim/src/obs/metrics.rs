@@ -284,8 +284,14 @@ impl Metrics {
     /// A frozen copy for reports.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
-            counters: Counter::ALL.iter().map(|&c| (c.name(), self.get(c))).collect(),
-            gauges: Gauge::ALL.iter().map(|&g| (g.name(), self.gauge(g))).collect(),
+            counters: Counter::ALL
+                .iter()
+                .map(|&c| (c.name(), self.get(c)))
+                .collect(),
+            gauges: Gauge::ALL
+                .iter()
+                .map(|&g| (g.name(), self.gauge(g)))
+                .collect(),
         }
     }
 }
@@ -303,12 +309,19 @@ impl MetricsSnapshot {
     /// Counter value by name (0 for unknown names, so reports from
     /// before a counter existed read naturally).
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters.iter().find(|(n, _)| *n == name).map(|(_, v)| *v).unwrap_or(0)
+        self.counters
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map(|(_, v)| *v)
+            .unwrap_or(0)
     }
 
     /// Gauge value by name.
     pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.iter().find(|(n, _)| *n == name).map(|(_, v)| *v)
+        self.gauges
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map(|(_, v)| *v)
     }
 
     /// One JSON object with all counters and gauges, keys in snapshot
@@ -344,18 +357,41 @@ mod tests {
         assert_eq!(m.get(Counter::CoreWorkNs), 500);
         assert_eq!(m.get(Counter::Drops), 0);
         m.add(Counter::CoreWorkNs, u64::MAX);
-        assert_eq!(m.get(Counter::CoreWorkNs), u64::MAX, "saturates, never wraps");
+        assert_eq!(
+            m.get(Counter::CoreWorkNs),
+            u64::MAX,
+            "saturates, never wraps"
+        );
     }
 
     #[test]
     fn account_maps_events_to_counters() {
         let mut m = Metrics::new();
-        m.account(&Event::UipiDelivered { worker: 0, coalesced: true });
-        m.account(&Event::UipiDelivered { worker: 0, coalesced: false });
+        m.account(&Event::UipiDelivered {
+            worker: 0,
+            coalesced: true,
+        });
+        m.account(&Event::UipiDelivered {
+            worker: 0,
+            coalesced: false,
+        });
         m.account(&Event::TimerPoll { expired: 3 });
-        m.account(&Event::TaskStart { worker: 0, fiber: 1, resumed: true, switch_ns: 0 });
-        m.account(&Event::TaskStart { worker: 0, fiber: 2, resumed: false, switch_ns: 0 });
-        m.account(&Event::QuantumAdjusted { old_ns: 30_000, new_ns: 25_000 });
+        m.account(&Event::TaskStart {
+            worker: 0,
+            fiber: 1,
+            resumed: true,
+            switch_ns: 0,
+        });
+        m.account(&Event::TaskStart {
+            worker: 0,
+            fiber: 2,
+            resumed: false,
+            switch_ns: 0,
+        });
+        m.account(&Event::QuantumAdjusted {
+            old_ns: 30_000,
+            new_ns: 25_000,
+        });
         assert_eq!(m.get(Counter::UipiDelivered), 2);
         assert_eq!(m.get(Counter::UipiCoalesced), 1);
         assert_eq!(m.get(Counter::TimerPolls), 1);

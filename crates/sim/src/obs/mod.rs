@@ -172,7 +172,14 @@ mod tests {
     #[test]
     fn counters_stay_on_with_ring_disabled() {
         let mut o = Observer::counters_only();
-        o.emit(t(1), Event::Preempt { worker: 0, fiber: 3, ran_ns: 5_000 });
+        o.emit(
+            t(1),
+            Event::Preempt {
+                worker: 0,
+                fiber: 3,
+                ran_ns: 5_000,
+            },
+        );
         assert_eq!(o.metrics().get(Counter::Preemptions), 1);
         assert!(o.ring().is_empty());
         assert_eq!(o.to_jsonl(), "");
@@ -181,9 +188,28 @@ mod tests {
     #[test]
     fn jsonl_round_trips_through_parse() {
         let mut o = Observer::new(8);
-        o.emit(t(10), Event::UipiSent { worker: 1, vector: 0 });
-        o.emit(t(20), Event::UipiDelivered { worker: 1, coalesced: false });
-        o.emit(t(30), Event::Preempt { worker: 1, fiber: 4, ran_ns: 9_000 });
+        o.emit(
+            t(10),
+            Event::UipiSent {
+                worker: 1,
+                vector: 0,
+            },
+        );
+        o.emit(
+            t(20),
+            Event::UipiDelivered {
+                worker: 1,
+                coalesced: false,
+            },
+        );
+        o.emit(
+            t(30),
+            Event::Preempt {
+                worker: 1,
+                fiber: 4,
+                ran_ns: 9_000,
+            },
+        );
         let text = o.to_jsonl();
         let parsed: Vec<TimedEvent> = text
             .lines()

@@ -148,13 +148,21 @@ pub fn chrome_trace(events: &[TimedEvent]) -> String {
             }
             Event::Preempt { fiber, .. } => {
                 if let Some((open_fiber, start_ns)) = open[track as usize].take() {
-                    let end = if open_fiber == fiber { "preempt" } else { "truncated" };
+                    let end = if open_fiber == fiber {
+                        "preempt"
+                    } else {
+                        "truncated"
+                    };
                     close_slice(&mut out, track, open_fiber, start_ns, ns, end);
                 }
             }
             Event::TaskFinish { fiber, .. } => {
                 if let Some((open_fiber, start_ns)) = open[track as usize].take() {
-                    let end = if open_fiber == fiber { "finish" } else { "truncated" };
+                    let end = if open_fiber == fiber {
+                        "finish"
+                    } else {
+                        "truncated"
+                    };
                     close_slice(&mut out, track, open_fiber, start_ns, ns, end);
                 }
             }
@@ -176,7 +184,10 @@ mod tests {
     use crate::time::SimTime;
 
     fn te(ns: u64, ev: Event) -> TimedEvent {
-        TimedEvent { at: SimTime::from_nanos(ns), ev }
+        TimedEvent {
+            at: SimTime::from_nanos(ns),
+            ev,
+        }
     }
 
     #[test]
@@ -190,9 +201,31 @@ mod tests {
     #[test]
     fn switch_window_becomes_a_switch_slice() {
         let events = [
-            te(1_000, Event::SwitchBegin { worker: 0, fiber: 4, resumed: false }),
-            te(1_650, Event::TaskStart { worker: 0, fiber: 4, resumed: false, switch_ns: 650 }),
-            te(3_650, Event::TaskFinish { worker: 0, fiber: 4, latency_ns: 2_650 }),
+            te(
+                1_000,
+                Event::SwitchBegin {
+                    worker: 0,
+                    fiber: 4,
+                    resumed: false,
+                },
+            ),
+            te(
+                1_650,
+                Event::TaskStart {
+                    worker: 0,
+                    fiber: 4,
+                    resumed: false,
+                    switch_ns: 650,
+                },
+            ),
+            te(
+                3_650,
+                Event::TaskFinish {
+                    worker: 0,
+                    fiber: 4,
+                    latency_ns: 2_650,
+                },
+            ),
         ];
         let json = chrome_trace(&events);
         assert!(
@@ -205,11 +238,14 @@ mod tests {
         // The execution slice still starts at the task_start instant.
         assert!(json.contains("\"ts\":1.650,\"dur\":2.000"), "{json}");
         // A switch window left open at the end of the capture is dropped.
-        let open = chrome_trace(&[te(9_000, Event::SwitchBegin {
-            worker: 0,
-            fiber: 9,
-            resumed: true,
-        })]);
+        let open = chrome_trace(&[te(
+            9_000,
+            Event::SwitchBegin {
+                worker: 0,
+                fiber: 9,
+                resumed: true,
+            },
+        )]);
         assert!(!open.contains("switch\""), "{open}");
     }
 
@@ -217,10 +253,40 @@ mod tests {
     fn span_pairs_become_duration_slices() {
         let events = [
             te(1_000, Event::Arrival { class: 0 }),
-            te(1_500, Event::TaskStart { worker: 2, fiber: 7, resumed: false, switch_ns: 0 }),
-            te(11_500, Event::Preempt { worker: 2, fiber: 7, ran_ns: 10_000 }),
-            te(20_000, Event::TaskStart { worker: 2, fiber: 7, resumed: true, switch_ns: 0 }),
-            te(25_000, Event::TaskFinish { worker: 2, fiber: 7, latency_ns: 24_000 }),
+            te(
+                1_500,
+                Event::TaskStart {
+                    worker: 2,
+                    fiber: 7,
+                    resumed: false,
+                    switch_ns: 0,
+                },
+            ),
+            te(
+                11_500,
+                Event::Preempt {
+                    worker: 2,
+                    fiber: 7,
+                    ran_ns: 10_000,
+                },
+            ),
+            te(
+                20_000,
+                Event::TaskStart {
+                    worker: 2,
+                    fiber: 7,
+                    resumed: true,
+                    switch_ns: 0,
+                },
+            ),
+            te(
+                25_000,
+                Event::TaskFinish {
+                    worker: 2,
+                    fiber: 7,
+                    latency_ns: 24_000,
+                },
+            ),
         ];
         let json = chrome_trace(&events);
         // Two slices on worker 2's track (tid 3), µs timestamps.
@@ -235,19 +301,40 @@ mod tests {
         assert!(json.contains("\"end\":\"finish\""), "{json}");
         // The arrival renders as an instant on track 0.
         assert!(
-            json.contains("{\"ph\":\"i\",\"pid\":0,\"tid\":0,\"ts\":1.000,\"s\":\"t\",\"name\":\"arrival\"}"),
+            json.contains(
+                "{\"ph\":\"i\",\"pid\":0,\"tid\":0,\"ts\":1.000,\"s\":\"t\",\"name\":\"arrival\"}"
+            ),
             "{json}"
         );
         // Worker track got named.
-        assert!(json.contains("{\"args\":{\"name\":\"worker 2\"}}".trim_start_matches('{')), "{json}");
+        assert!(
+            json.contains("{\"args\":{\"name\":\"worker 2\"}}".trim_start_matches('{')),
+            "{json}"
+        );
     }
 
     #[test]
     fn unclosed_and_truncated_slices_are_handled() {
         let events = [
-            te(0, Event::TaskStart { worker: 0, fiber: 1, resumed: false, switch_ns: 0 }),
+            te(
+                0,
+                Event::TaskStart {
+                    worker: 0,
+                    fiber: 1,
+                    resumed: false,
+                    switch_ns: 0,
+                },
+            ),
             // A second start without a close truncates the first.
-            te(500, Event::TaskStart { worker: 0, fiber: 2, resumed: false, switch_ns: 0 }),
+            te(
+                500,
+                Event::TaskStart {
+                    worker: 0,
+                    fiber: 2,
+                    resumed: false,
+                    switch_ns: 0,
+                },
+            ),
             // Fiber 2's slice never closes: dropped.
         ];
         let json = chrome_trace(&events);
@@ -258,8 +345,23 @@ mod tests {
     #[test]
     fn output_is_byte_stable() {
         let events = [
-            te(100, Event::TaskStart { worker: 1, fiber: 3, resumed: false, switch_ns: 0 }),
-            te(900, Event::TaskFinish { worker: 1, fiber: 3, latency_ns: 900 }),
+            te(
+                100,
+                Event::TaskStart {
+                    worker: 1,
+                    fiber: 3,
+                    resumed: false,
+                    switch_ns: 0,
+                },
+            ),
+            te(
+                900,
+                Event::TaskFinish {
+                    worker: 1,
+                    fiber: 3,
+                    latency_ns: 900,
+                },
+            ),
             te(950, Event::TimerPoll { expired: 1 }),
         ];
         assert_eq!(chrome_trace(&events), chrome_trace(&events));

@@ -137,7 +137,10 @@ mod tests {
             inner.iter().sum::<u64>()
         });
         assert_eq!(outer, vec![36, 66, 96]);
-        assert!(!in_pool(), "caller thread must not be marked as pool worker");
+        assert!(
+            !in_pool(),
+            "caller thread must not be marked as pool worker"
+        );
     }
 
     #[test]

@@ -368,8 +368,14 @@ mod tests {
     #[test]
     fn clamp_min_max() {
         let d = SimDur::micros(7);
-        assert_eq!(d.clamp(SimDur::micros(1), SimDur::micros(5)), SimDur::micros(5));
-        assert_eq!(d.clamp(SimDur::micros(10), SimDur::micros(20)), SimDur::micros(10));
+        assert_eq!(
+            d.clamp(SimDur::micros(1), SimDur::micros(5)),
+            SimDur::micros(5)
+        );
+        assert_eq!(
+            d.clamp(SimDur::micros(10), SimDur::micros(20)),
+            SimDur::micros(10)
+        );
         assert_eq!(d.min(SimDur::micros(3)), SimDur::micros(3));
         assert_eq!(d.max(SimDur::micros(3)), d);
     }

@@ -683,7 +683,11 @@ impl<E> TimerWheel<E> {
             TAG_WHEEL,
             "unlink of a node not on the wheel"
         );
-        debug_assert_eq!(self.resident_bucket(node), bi, "stale bucket handed to unlink");
+        debug_assert_eq!(
+            self.resident_bucket(node),
+            bi,
+            "stale bucket handed to unlink"
+        );
         let n = &self.links[node as usize];
         let (prev, next) = (n.prev, n.next);
         if next == node {
@@ -819,8 +823,7 @@ impl<E> TimerWheel<E> {
             && !(self.hot.mixed && bi as u64 == self.hot.now & (SLOTS as u64 - 1))
         {
             debug_assert_eq!(
-                self.links[head as usize].time,
-                time,
+                self.links[head as usize].time, time,
                 "level-0 bucket mixes ticks"
             );
             return Min {

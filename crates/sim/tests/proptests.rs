@@ -162,38 +162,112 @@ fn event_from(sel: u8, a: u64, b: u64, c: u64, flag: bool) -> Event {
     let worker = a as u16;
     let fiber = a as u32;
     match sel % EVENT_VARIANTS {
-        0 => Event::UipiSent { worker, vector: b as u8 },
-        1 => Event::UipiDelivered { worker, coalesced: flag },
+        0 => Event::UipiSent {
+            worker,
+            vector: b as u8,
+        },
+        1 => Event::UipiDelivered {
+            worker,
+            coalesced: flag,
+        },
         2 => Event::UipiPended { worker },
         3 => Event::UipiSuppressed { worker },
         4 => Event::KernelAssistWake { worker },
-        5 => Event::SignalSent { worker, lock_wait_ns: b },
-        6 => Event::KtimerArmed { worker, target_ns: b },
+        5 => Event::SignalSent {
+            worker,
+            lock_wait_ns: b,
+        },
+        6 => Event::KtimerArmed {
+            worker,
+            target_ns: b,
+        },
         7 => Event::KtimerFired { worker },
-        8 => Event::IpcSampled { mech: a as u8, latency_ns: b },
-        9 => Event::DeadlineArmed { slot: a as u16, deadline_ns: b },
+        8 => Event::IpcSampled {
+            mech: a as u8,
+            latency_ns: b,
+        },
+        9 => Event::DeadlineArmed {
+            slot: a as u16,
+            deadline_ns: b,
+        },
         10 => Event::DeadlineDisarmed { slot: a as u16 },
         11 => Event::TimerPoll { expired: a as u16 },
         12 => Event::Arrival { class: a as u8 },
         13 => Event::Drop { class: a as u8 },
-        14 => Event::TaskStart { worker, fiber: b as u32, resumed: flag, switch_ns: c as u32 },
-        15 => Event::TaskFinish { worker, fiber: b as u32, latency_ns: c },
-        16 => Event::Preempt { worker, fiber: b as u32, ran_ns: c },
+        14 => Event::TaskStart {
+            worker,
+            fiber: b as u32,
+            resumed: flag,
+            switch_ns: c as u32,
+        },
+        15 => Event::TaskFinish {
+            worker,
+            fiber: b as u32,
+            latency_ns: c,
+        },
+        16 => Event::Preempt {
+            worker,
+            fiber: b as u32,
+            ran_ns: c,
+        },
         17 => Event::SpuriousPreempt { worker },
-        18 => Event::PolicyDispatch { worker, explicit: flag },
-        19 => Event::SliceGranted { worker, fiber: b as u32, slice_ns: c },
-        20 => Event::SwitchBegin { worker, fiber: b as u32, resumed: flag },
-        21 => Event::QuantumAdjusted { old_ns: a, new_ns: b },
+        18 => Event::PolicyDispatch {
+            worker,
+            explicit: flag,
+        },
+        19 => Event::SliceGranted {
+            worker,
+            fiber: b as u32,
+            slice_ns: c,
+        },
+        20 => Event::SwitchBegin {
+            worker,
+            fiber: b as u32,
+            resumed: flag,
+        },
+        21 => Event::QuantumAdjusted {
+            old_ns: a,
+            new_ns: b,
+        },
         22 => Event::Marker { code: fiber },
-        23 => Event::FaultInjected { worker, kind: b as u8 },
-        24 => Event::PreemptIssued { worker, seq: b, attempt: c as u8, uintr: flag },
-        25 => Event::PreemptLanded { worker, seq: b, uintr: flag },
-        26 => Event::PreemptRetry { worker, seq: b, attempt: c as u8, delay_ns: c },
-        27 => Event::MechDegraded { worker, losses: b as u8 },
+        23 => Event::FaultInjected {
+            worker,
+            kind: b as u8,
+        },
+        24 => Event::PreemptIssued {
+            worker,
+            seq: b,
+            attempt: c as u8,
+            uintr: flag,
+        },
+        25 => Event::PreemptLanded {
+            worker,
+            seq: b,
+            uintr: flag,
+        },
+        26 => Event::PreemptRetry {
+            worker,
+            seq: b,
+            attempt: c as u8,
+            delay_ns: c,
+        },
+        27 => Event::MechDegraded {
+            worker,
+            losses: b as u8,
+        },
         28 => Event::MechRecovered { worker },
-        29 => Event::MechBrownout { worker, losses: b as u8 },
-        30 => Event::Shed { class: a as u8, queued: b as u32 },
-        _ => Event::Admitted { class: a as u8, queued: b as u32 },
+        29 => Event::MechBrownout {
+            worker,
+            losses: b as u8,
+        },
+        30 => Event::Shed {
+            class: a as u8,
+            queued: b as u32,
+        },
+        _ => Event::Admitted {
+            class: a as u8,
+            queued: b as u32,
+        },
     }
 }
 

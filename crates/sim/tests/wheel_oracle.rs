@@ -12,7 +12,10 @@ use lp_sim::{EventQueue, SimTime};
 struct Lcg(u64);
 impl Lcg {
     fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        self.0 = self
+            .0
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
         self.0 >> 11
     }
 }
@@ -76,7 +79,9 @@ fn run_episode(ops: &[Op]) -> Result<(), String> {
             .map(|(t, _)| t);
         let got_peek = q.peek_time().map(|t| t.as_nanos());
         if got_peek != want_peek {
-            return Err(format!("op {i} ({op:?}): peek got {got_peek:?} want {want_peek:?}"));
+            return Err(format!(
+                "op {i} ({op:?}): peek got {got_peek:?} want {want_peek:?}"
+            ));
         }
         let want_live = naive.iter().filter(|e| e.3).count();
         if q.live_len() != want_live {
@@ -122,14 +127,26 @@ fn shrink(mut ops: Vec<Op>) -> Vec<Op> {
 
 #[test]
 fn differential_fuzz() {
-    let tmaxes = [8u64, 64, 100, 5_000, 1 << 20, (1 << 36) - 50, 1 << 37, u64::MAX / 2];
+    let tmaxes = [
+        8u64,
+        64,
+        100,
+        5_000,
+        1 << 20,
+        (1 << 36) - 50,
+        1 << 37,
+        u64::MAX / 2,
+    ];
     for seed in 0..400u64 {
         for &tmax in &tmaxes {
             let mut rng = Lcg(seed * 1000 + tmax);
             let ops = gen_episode(&mut rng, 120, tmax);
             if let Err(e) = run_episode(&ops) {
                 let min = shrink(ops);
-                panic!("seed {seed} tmax {tmax}: {e}\nminimal ops ({}):\n{min:#?}", min.len());
+                panic!(
+                    "seed {seed} tmax {tmax}: {e}\nminimal ops ({}):\n{min:#?}",
+                    min.len()
+                );
             }
         }
     }

@@ -7,7 +7,6 @@
 //! sub-buckets, so any recorded value is reproduced within
 //! `2^-precision_bits` relative error (default: 1/128 < 1%).
 
-
 /// Default sub-bucket precision: values quantized within 1/128 (< 1%).
 pub const DEFAULT_PRECISION_BITS: u32 = 7;
 
@@ -249,10 +248,7 @@ impl Histogram {
     /// Number of samples at or below `value`.
     pub fn count_at_or_below(&self, value: u64) -> u64 {
         let idx = self.index_of(value);
-        self.counts
-            .iter()
-            .take(idx + 1)
-            .sum()
+        self.counts.iter().take(idx + 1).sum()
     }
 
     /// Fraction of samples strictly above `value` (e.g. SLO violations).
@@ -310,7 +306,12 @@ mod tests {
         for &v in &vals {
             h.record(v);
         }
-        for (q, expect) in [(0.2, 1_000u64), (0.4, 10_000), (0.6, 100_000), (0.8, 1_000_000)] {
+        for (q, expect) in [
+            (0.2, 1_000u64),
+            (0.4, 10_000),
+            (0.6, 100_000),
+            (0.8, 1_000_000),
+        ] {
             let got = h.quantile(q);
             let rel = (got as f64 - expect as f64).abs() / expect as f64;
             assert!(rel < 0.01, "q={q}: got {got}, want ~{expect}");

@@ -21,8 +21,8 @@
 
 mod histogram;
 mod series;
-pub mod tail;
 mod table;
+pub mod tail;
 
 pub use histogram::{Histogram, DEFAULT_PRECISION_BITS};
 pub use series::{Frame, TimeSeries, WindowStats, WindowSummary};

@@ -8,7 +8,6 @@
 //! metrics (Stats) collected from the previous requests over a given time
 //! window").
 
-
 use crate::histogram::Histogram;
 
 /// Scalar observations bucketed into fixed-width time frames.

@@ -187,7 +187,9 @@ mod tests {
         // Constant -> 0.
         assert_eq!(scv(&[5.0; 100]), 0.0);
         // Two-point 50/50 at 0 and 2: mean 1, var 1 -> SCV 1.
-        let s: Vec<f64> = (0..100).map(|i| if i % 2 == 0 { 0.0 } else { 2.0 }).collect();
+        let s: Vec<f64> = (0..100)
+            .map(|i| if i % 2 == 0 { 0.0 } else { 2.0 })
+            .collect();
         assert!((scv(&s) - 1.0).abs() < 1e-9);
         // Bimodal 99.5/0.5 at 0.5us/500us is very dispersive.
         let mut b = vec![0.5; 995];

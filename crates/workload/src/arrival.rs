@@ -73,11 +73,11 @@ impl RateSchedule {
         match self {
             RateSchedule::Constant(r) => *r,
             RateSchedule::Square {
-                base_rps, spike_rps, ..
+                base_rps,
+                spike_rps,
+                ..
             } => base_rps.max(*spike_rps),
-            RateSchedule::Phases(phases) => {
-                phases.iter().map(|(_, r)| *r).fold(0.0, f64::max)
-            }
+            RateSchedule::Phases(phases) => phases.iter().map(|(_, r)| *r).fold(0.0, f64::max),
         }
     }
 }
@@ -161,10 +161,7 @@ mod tests {
 
     #[test]
     fn phased_schedule() {
-        let s = RateSchedule::Phases(vec![
-            (SimDur::secs(1), 10.0),
-            (SimDur::secs(1), 20.0),
-        ]);
+        let s = RateSchedule::Phases(vec![(SimDur::secs(1), 10.0), (SimDur::secs(1), 20.0)]);
         assert_eq!(s.rate_at(SimTime::ZERO), 10.0);
         assert_eq!(s.rate_at(SimTime::ZERO + SimDur::millis(1_500)), 20.0);
         // Past the end: last phase persists.
@@ -191,10 +188,7 @@ mod tests {
                 spike_n += 1;
             }
         }
-        assert!(
-            spike_n > 7 * base_n,
-            "spike {spike_n} vs base {base_n}"
-        );
+        assert!(spike_n > 7 * base_n, "spike {spike_n} vs base {base_n}");
     }
 
     #[test]

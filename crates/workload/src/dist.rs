@@ -95,7 +95,11 @@ impl ServiceDist {
                 let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
                 mean.mul_f64(-u.ln())
             }
-            ServiceDist::Bimodal { p_long, short, long } => {
+            ServiceDist::Bimodal {
+                p_long,
+                short,
+                long,
+            } => {
                 if rng.gen_bool(p_long) {
                     long
                 } else {
@@ -120,14 +124,14 @@ impl ServiceDist {
         match *self {
             ServiceDist::Constant(d) => d,
             ServiceDist::Exponential { mean } => mean,
-            ServiceDist::Bimodal { p_long, short, long } => {
-                SimDur::from_micros_f64(
-                    short.as_micros_f64() * (1.0 - p_long) + long.as_micros_f64() * p_long,
-                )
-            }
-            ServiceDist::Lognormal { median, sigma } => {
-                median.mul_f64((sigma * sigma / 2.0).exp())
-            }
+            ServiceDist::Bimodal {
+                p_long,
+                short,
+                long,
+            } => SimDur::from_micros_f64(
+                short.as_micros_f64() * (1.0 - p_long) + long.as_micros_f64() * p_long,
+            ),
+            ServiceDist::Lognormal { median, sigma } => median.mul_f64((sigma * sigma / 2.0).exp()),
             ServiceDist::Pareto { scale, alpha, cap } => {
                 if alpha <= 1.0 {
                     cap // untruncated mean diverges; cap bounds it
@@ -145,7 +149,11 @@ impl ServiceDist {
         match *self {
             ServiceDist::Constant(_) => 0.0,
             ServiceDist::Exponential { .. } => 1.0,
-            ServiceDist::Bimodal { p_long, short, long } => {
+            ServiceDist::Bimodal {
+                p_long,
+                short,
+                long,
+            } => {
                 let s = short.as_micros_f64();
                 let l = long.as_micros_f64();
                 let m = s * (1.0 - p_long) + l * p_long;
@@ -181,9 +189,11 @@ impl std::fmt::Display for ServiceDist {
         match self {
             ServiceDist::Constant(d) => write!(f, "constant({d})"),
             ServiceDist::Exponential { mean } => write!(f, "exp(mean={mean})"),
-            ServiceDist::Bimodal { p_long, short, long } =>
-
-                write!(f, "bimodal({:.1}%x{long}, rest {short})", p_long * 100.0),
+            ServiceDist::Bimodal {
+                p_long,
+                short,
+                long,
+            } => write!(f, "bimodal({:.1}%x{long}, rest {short})", p_long * 100.0),
             ServiceDist::Lognormal { median, sigma } => {
                 write!(f, "lognormal(median={median}, sigma={sigma})")
             }
@@ -201,7 +211,10 @@ mod tests {
 
     fn empirical_mean(d: &ServiceDist, n: usize, seed: u64) -> f64 {
         let mut r = rng(seed, 0);
-        (0..n).map(|_| d.sample(&mut r).as_micros_f64()).sum::<f64>() / n as f64
+        (0..n)
+            .map(|_| d.sample(&mut r).as_micros_f64())
+            .sum::<f64>()
+            / n as f64
     }
 
     #[test]

@@ -163,7 +163,10 @@ impl ColocatedWorkload {
     pub fn mean_service(&self) -> SimDur {
         // Estimate analytically: MICA mean ~ hot/miss mix; zlib mean =
         // median * exp(sigma^2/2).
-        let zlib_mean = self.zlib.median.mul_f64((self.zlib.sigma * self.zlib.sigma / 2.0).exp());
+        let zlib_mean = self
+            .zlib
+            .median
+            .mul_f64((self.zlib.sigma * self.zlib.sigma / 2.0).exp());
         // MICA: approximate with hot mass at hot cost.
         let mica_mean = SimDur::nanos(1_600); // see tests for empirical check
         SimDur::from_micros_f64(
@@ -225,7 +228,9 @@ mod tests {
     fn zlib_median_near_100us() {
         let z = ZlibModel::paper_config();
         let mut r = rng(4, 5);
-        let mut xs: Vec<f64> = (0..20_000).map(|_| z.sample(&mut r).as_micros_f64()).collect();
+        let mut xs: Vec<f64> = (0..20_000)
+            .map(|_| z.sample(&mut r).as_micros_f64())
+            .collect();
         xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let median = xs[xs.len() / 2];
         assert!((90.0..110.0).contains(&median), "median = {median} us");
@@ -248,7 +253,10 @@ mod tests {
         let w = ColocatedWorkload::paper_config();
         let mut r = rng(6, 5);
         let n = 200_000;
-        let emp = (0..n).map(|_| w.sample(&mut r).1.as_micros_f64()).sum::<f64>() / n as f64;
+        let emp = (0..n)
+            .map(|_| w.sample(&mut r).1.as_micros_f64())
+            .sum::<f64>()
+            / n as f64;
         let th = w.mean_service().as_micros_f64();
         assert!(
             (emp - th).abs() / th < 0.15,

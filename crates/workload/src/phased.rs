@@ -24,7 +24,10 @@ impl PhasedService {
     ///
     /// Panics if `phases` is empty.
     pub fn new(phases: Vec<(SimDur, ServiceDist)>) -> Self {
-        assert!(!phases.is_empty(), "phased service needs at least one phase");
+        assert!(
+            !phases.is_empty(),
+            "phased service needs at least one phase"
+        );
         PhasedService { phases }
     }
 

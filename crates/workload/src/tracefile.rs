@@ -32,7 +32,10 @@ impl EmpiricalDist {
             "zero-length service time in trace"
         );
         let mean_ns = samples_ns.iter().map(|&s| s as f64).sum::<f64>() / samples_ns.len() as f64;
-        EmpiricalDist { samples_ns, mean_ns }
+        EmpiricalDist {
+            samples_ns,
+            mean_ns,
+        }
     }
 
     /// Parses one service time per line (fractional microseconds),
@@ -128,7 +131,10 @@ mod tests {
         let d = EmpiricalDist::new(vec![SimDur::micros(2), SimDur::micros(8)]);
         let mut r = rng(2, 0);
         let n = 100_000;
-        let mean = (0..n).map(|_| d.sample(&mut r).as_micros_f64()).sum::<f64>() / n as f64;
+        let mean = (0..n)
+            .map(|_| d.sample(&mut r).as_micros_f64())
+            .sum::<f64>()
+            / n as f64;
         assert!((mean - 5.0).abs() < 0.1, "mean {mean}");
     }
 

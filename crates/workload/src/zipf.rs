@@ -35,7 +35,10 @@ impl Zipf {
     /// Panics if `n == 0` or `theta` is outside `(0, 1)`.
     pub fn new(n: u64, theta: f64) -> Self {
         assert!(n > 0, "zipf over zero items");
-        assert!((0.0..1.0).contains(&theta) && theta > 0.0, "theta must be in (0,1)");
+        assert!(
+            (0.0..1.0).contains(&theta) && theta > 0.0,
+            "theta must be in (0,1)"
+        );
         let zetan = Self::zeta(n, theta);
         let zeta2 = Self::zeta(2, theta);
         let alpha = 1.0 / (1.0 - theta);
@@ -57,7 +60,9 @@ impl Zipf {
         if n <= EXACT_LIMIT {
             (1..=n).map(|i| 1.0 / (i as f64).powf(theta)).sum()
         } else {
-            let head: f64 = (1..=EXACT_LIMIT).map(|i| 1.0 / (i as f64).powf(theta)).sum();
+            let head: f64 = (1..=EXACT_LIMIT)
+                .map(|i| 1.0 / (i as f64).powf(theta))
+                .sum();
             // integral_{EXACT_LIMIT}^{n} x^-theta dx
             let a = EXACT_LIMIT as f64;
             let b = n as f64;

@@ -83,7 +83,13 @@ fn main() {
         ..RuntimeConfig::default()
     };
 
-    let custom = run(cfg(), Box::new(TailAgingPolicy { quantum: SimDur::micros(50) }), spec());
+    let custom = run(
+        cfg(),
+        Box::new(TailAgingPolicy {
+            quantum: SimDur::micros(50),
+        }),
+        spec(),
+    );
     let fcfs = run(cfg(), Box::new(Fifo::new(SimDur::micros(25))), spec());
 
     println!("workload A2 at {:.0} kRPS, 4 workers\n", rate / 1_000.0);

@@ -47,7 +47,10 @@ fn main() {
         a.period = control;
         a.t_min = SimDur::micros(10);
         a.t_max = SimDur::micros(50);
-        Box::new(AdaptiveQuantum::new(QuantumController::new(a, SimDur::micros(50))))
+        Box::new(AdaptiveQuantum::new(QuantumController::new(
+            a,
+            SimDur::micros(50),
+        )))
     };
 
     println!("MICA (98% LC) + zlib (2% BE), bursty 40->110 kRPS, 1 worker\n");

@@ -94,7 +94,9 @@ fn colocated(policy: Box<dyn SchedPolicy>) -> RunReport {
 }
 
 fn main() {
-    let pinned = colocated(Box::new(BePinned { slice: SimDur::micros(10) }));
+    let pinned = colocated(Box::new(BePinned {
+        slice: SimDur::micros(10),
+    }));
     let jsq = colocated(Box::new(libpreemptible::Fifo::new(SimDur::micros(10))));
 
     let explicit = pinned

@@ -48,7 +48,10 @@ fn run_with_slice(slice: Duration) -> (Vec<&'static str>, u32) {
 fn main() {
     println!("9 requests on one core: 1 x 2ms + 8 x 50us\n");
     for (label, slice) in [
-        ("10 ms slice (effectively run-to-completion)", Duration::from_millis(10)),
+        (
+            "10 ms slice (effectively run-to-completion)",
+            Duration::from_millis(10),
+        ),
         ("100 us slice", Duration::from_micros(100)),
     ] {
         let start = Instant::now();

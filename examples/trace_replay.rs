@@ -37,7 +37,11 @@ fn main() {
         trace.len(),
         trace.mean(),
         trace.scv(),
-        if trace.scv() > 10.0 { "heavy-tailed" } else { "light-tailed" },
+        if trace.scv() > 10.0 {
+            "heavy-tailed"
+        } else {
+            "light-tailed"
+        },
     );
 
     // The runtime's ServiceSource is distribution-driven; EmpiricalDist

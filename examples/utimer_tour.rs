@@ -19,7 +19,11 @@ fn main() {
     for (i, &slot) in workers.iter().enumerate() {
         reg.arm(slot, SimTime::from_nanos(5_000 * (i as u64 + 1)));
     }
-    println!("armed {} deadline slots; earliest = {:?}", reg.armed(), reg.next_deadline());
+    println!(
+        "armed {} deadline slots; earliest = {:?}",
+        reg.armed(),
+        reg.next_deadline()
+    );
 
     // The timer core polls the TSC and collects expiries.
     let mut fired = Vec::new();

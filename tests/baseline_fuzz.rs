@@ -2,10 +2,10 @@
 
 mod oracle;
 
+use libpreemptible::runtime::{ServiceSource, WorkloadSpec};
 use lp_baselines::{run_libinger, run_shinjuku, LibingerConfig, ShinjukuConfig};
 use lp_sim::SimDur;
 use lp_workload::{PhasedService, RateSchedule, ServiceDist};
-use libpreemptible::runtime::{ServiceSource, WorkloadSpec};
 use proptest::prelude::*;
 
 fn dist(which: u8) -> ServiceDist {

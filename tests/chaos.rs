@@ -163,7 +163,11 @@ fn corpus_replays_and_hardening_beats_every_cliff() {
             "{}: hardened drifted",
             e.name
         );
-        assert!(u.conserved && h.conserved, "{}: conservation broken", e.name);
+        assert!(
+            u.conserved && h.conserved,
+            "{}: conservation broken",
+            e.name
+        );
         assert!(
             h.worst_ns < u.worst_ns,
             "{}: hardened worst {} >= unhardened worst {}",

@@ -21,8 +21,7 @@ fn root() -> &'static Path {
 /// The doc with runs of whitespace collapsed to single spaces, so
 /// needles are immune to prose re-wrapping.
 fn checks_md_normalized() -> String {
-    let raw =
-        std::fs::read_to_string(root().join("docs/CHECKS.md")).expect("read docs/CHECKS.md");
+    let raw = std::fs::read_to_string(root().join("docs/CHECKS.md")).expect("read docs/CHECKS.md");
     raw.split_whitespace().collect::<Vec<_>>().join(" ")
 }
 

@@ -9,7 +9,9 @@
 //! and (c) with faults disabled, be byte-identical to a run that never
 //! heard of fault injection.
 
-use libpreemptible::{run, Fifo, PreemptMech, RunReport, RuntimeConfig, ServiceSource, WorkloadSpec};
+use libpreemptible::{
+    run, Fifo, PreemptMech, RunReport, RuntimeConfig, ServiceSource, WorkloadSpec,
+};
 use lp_sim::fault::{FaultKind, FaultPlan};
 use lp_sim::obs::Event;
 use lp_sim::SimDur;
@@ -59,7 +61,11 @@ fn assert_no_stranded_fibers(name: &str, r: &RunReport) {
         "{name}: {} fibers still in flight at the horizon",
         r.in_flight
     );
-    assert!(r.completions > 100, "{name}: only {} completions", r.completions);
+    assert!(
+        r.completions > 100,
+        "{name}: only {} completions",
+        r.completions
+    );
 }
 
 /// Every recovery event must trace back to an injected fault on the
@@ -96,7 +102,10 @@ fn assert_fault_chains(name: &str, r: &RunReport) {
         r.events
             .iter()
             .filter(|te| {
-                matches!(te.ev, Event::PreemptRetry { .. } | Event::MechDegraded { .. })
+                matches!(
+                    te.ev,
+                    Event::PreemptRetry { .. } | Event::MechDegraded { .. }
+                )
             })
             .count() as u64,
         "{name}: counters disagree with the trace"
@@ -137,7 +146,10 @@ fn missed_timer_expiries_are_resent() {
     // No UINTR in this stack, so no degradation ladder — just retries.
     assert!(r.metrics.counter("preempt_retries") > 0);
     assert_eq!(r.metrics.counter("mech_degradations"), 0);
-    assert!(r.preemptions > 0, "watchdog never recovered a missed expiry");
+    assert!(
+        r.preemptions > 0,
+        "watchdog never recovered a missed expiry"
+    );
 }
 
 #[test]
@@ -160,7 +172,10 @@ fn core_hogs_defer_but_never_lose_preemptions() {
     // 200us window to the victim's remaining work, so the rate must
     // keep expected stall below quantum-sized progress or service time
     // diverges. 2% of 20us slices ≈ +4us expected stall per slice.
-    let r = faulty_run(PreemptMech::Uintr, FaultPlan::only(FaultKind::CoreHog, 0.02));
+    let r = faulty_run(
+        PreemptMech::Uintr,
+        FaultPlan::only(FaultKind::CoreHog, 0.02),
+    );
     assert_no_stranded_fibers("core_hog", &r);
     assert_fault_chains("core_hog", &r);
     // A 200us stall window swallows the quantum several times over; the

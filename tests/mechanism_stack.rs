@@ -100,9 +100,7 @@ fn sharded_stats_compose() {
     let mut r = rng(4, 0);
     let ipc = IpcLatency::new(HwCosts::default());
     for i in 0..10_000u64 {
-        let v = ipc
-            .sample(IpcMechanism::MessageQueue, &mut r)
-            .as_nanos();
+        let v = ipc.sample(IpcMechanism::MessageQueue, &mut r).as_nanos();
         shards[(i % 4) as usize].record(v);
         global.record(v);
     }

@@ -10,7 +10,9 @@
 //!    same increments by construction, not a parallel bookkeeping;
 //! 3. the JSONL export is lossless and byte-deterministic per seed.
 
-use libpreemptible::{run, Fifo, PreemptMech, RunReport, RuntimeConfig, ServiceSource, WorkloadSpec};
+use libpreemptible::{
+    run, Fifo, PreemptMech, RunReport, RuntimeConfig, ServiceSource, WorkloadSpec,
+};
 use lp_hw::TimeClass;
 use lp_sim::obs::{Event, TimedEvent};
 use lp_sim::SimDur;
@@ -88,13 +90,21 @@ fn preemption_round_trip_is_causally_ordered() {
         evs[armed_idx + poll_idx + sent_idx + delivered_idx + preempt_idx],
     ];
     for w in cycle.windows(2) {
-        assert!(w[0].at <= w[1].at, "cycle out of order: {:?} {:?}", w[0], w[1]);
+        assert!(
+            w[0].at <= w[1].at,
+            "cycle out of order: {:?} {:?}",
+            w[0],
+            w[1]
+        );
     }
 
     // Every delivered UIPI was sent first.
     let sent = r.metrics.counter("uipi_sent");
     let delivered = r.metrics.counter("uipi_delivered");
-    assert!(sent > 0 && delivered <= sent, "sent {sent} delivered {delivered}");
+    assert!(
+        sent > 0 && delivered <= sent,
+        "sent {sent} delivered {delivered}"
+    );
 }
 
 #[test]
@@ -124,10 +134,7 @@ fn counters_match_run_report_totals() {
             m.counter("preempts_landed") + r.spurious_preemptions,
             "{mech:?}"
         );
-        assert!(
-            m.counter("preempts_landed") >= r.preemptions,
-            "{mech:?}"
-        );
+        assert!(m.counter("preempts_landed") >= r.preemptions, "{mech:?}");
         // task_starts = first launches + resumptions after preemption.
         assert_eq!(
             m.counter("task_starts"),
@@ -136,7 +143,10 @@ fn counters_match_run_report_totals() {
         );
         match mech {
             PreemptMech::Uintr => {
-                assert_eq!(m.counter("uipi_sent"), r.preemptions + r.spurious_preemptions);
+                assert_eq!(
+                    m.counter("uipi_sent"),
+                    r.preemptions + r.spurious_preemptions
+                );
                 assert_eq!(m.counter("signals_sent"), 0);
             }
             PreemptMech::TimerCoreSignal | PreemptMech::KernelTimerSignal => {
@@ -186,9 +196,8 @@ fn core_time_counters_mirror_core_clocks() {
     // (SENDUIPI issue); `cores` aggregates workers + dispatcher only.
     assert_eq!(
         m.counter("core_preemption_ns"),
-        (r.cores.charged(TimeClass::Preemption)
-            + r.timer_core.charged(TimeClass::Preemption))
-        .as_nanos()
+        (r.cores.charged(TimeClass::Preemption) + r.timer_core.charged(TimeClass::Preemption))
+            .as_nanos()
     );
     // The timer core's idle-fill poll time is synthesized after the run
     // (not an emission point), so the counter stays at the polls the

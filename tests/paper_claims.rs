@@ -182,7 +182,10 @@ fn three_microsecond_quantum_functions() {
         spec(dist.clone(), dist.rate_for_utilization(0.6, 4), 60),
     );
     assert!(r.is_conserved());
-    assert!(r.preemptions > r.completions, "20us work at 3us quanta must preempt repeatedly");
+    assert!(
+        r.preemptions > r.completions,
+        "20us work at 3us quanta must preempt repeatedly"
+    );
     // Still delivers reasonable latency despite aggressive slicing.
     assert!(r.median_us() < 100.0, "median {}", r.median_us());
 }

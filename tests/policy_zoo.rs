@@ -46,8 +46,18 @@ fn zoo() -> Vec<(&'static str, Box<dyn SchedPolicy>)> {
                 SimDur::micros(10),
             ))) as Box<dyn SchedPolicy>,
         ),
-        ("class-quantum", Box::new(ClassQuantum::new(SimDur::micros(10), SimDur::micros(100)))),
-        ("edf", Box::new(Edf::new(SimDur::micros(10), SimDur::micros(100), SimDur::millis(1)))),
+        (
+            "class-quantum",
+            Box::new(ClassQuantum::new(SimDur::micros(10), SimDur::micros(100))),
+        ),
+        (
+            "edf",
+            Box::new(Edf::new(
+                SimDur::micros(10),
+                SimDur::micros(100),
+                SimDur::millis(1),
+            )),
+        ),
         ("fifo", Box::new(Fifo::new(SimDur::micros(10)))),
         ("mlfq", Box::new(Mlfq::new(SimDur::micros(5), 4))),
         ("round-robin", Box::new(RoundRobin::new(SimDur::micros(10)))),
@@ -75,7 +85,10 @@ fn every_zoo_policy_completes_fig2_with_zero_stranded_fibers() {
             r.completions,
             r.arrivals
         );
-        assert!(r.preemptions > 0, "{name}: never preempted a 500us tail task");
+        assert!(
+            r.preemptions > 0,
+            "{name}: never preempted a 500us tail task"
+        );
     }
 }
 

@@ -202,8 +202,7 @@ fn json_key_paths(json: &str) -> std::collections::BTreeSet<String> {
                 }
                 if chars.peek() == Some(&':') {
                     chars.next();
-                    let mut path: Vec<&str> =
-                        stack.iter().map(|(_, seg)| seg.as_str()).collect();
+                    let mut path: Vec<&str> = stack.iter().map(|(_, seg)| seg.as_str()).collect();
                     path.push(&s);
                     paths.insert(path.join("."));
                     pending_key = Some(s);
@@ -263,8 +262,9 @@ fn all_json_schema_matches_golden() {
         std::fs::write(&golden_path, format!("{actual}\n")).expect("write golden");
         return;
     }
-    let golden = std::fs::read_to_string(&golden_path)
-        .expect("read tests/golden/lp_check_all_json_keys.txt (run with LP_UPDATE_GOLDEN=1 to create)");
+    let golden = std::fs::read_to_string(&golden_path).expect(
+        "read tests/golden/lp_check_all_json_keys.txt (run with LP_UPDATE_GOLDEN=1 to create)",
+    );
     assert_eq!(
         actual,
         golden.trim_end(),
