@@ -295,6 +295,28 @@ fn kernel_timer_signal_lost_cell() -> RunReport {
     run(cfg, Box::new(Fifo::new(SimDur::micros(20))), spec)
 }
 
+/// The kernel-timer geometry above with timer spikes, spurious timer
+/// fires and lost expiry signals together: the watchdog arms at each
+/// expiry's send while stale extra fires land on the same workers.
+fn kernel_timer_faults_cell() -> RunReport {
+    let cfg = RuntimeConfig {
+        workers: 4,
+        mech: PreemptMech::KernelTimerSignal,
+        seed: SEED,
+        control_period: SimDur::millis(10),
+        trace_capacity: 4096,
+        faults: FaultPlan {
+            timer_spike: 0.2,
+            timer_spurious: 0.2,
+            signal_lost: 0.3,
+            ..FaultPlan::default()
+        },
+        ..RuntimeConfig::default()
+    };
+    let spec = phased(ServiceDist::Constant(SimDur::micros(400)), 8_000.0, 60);
+    run(cfg, Box::new(Fifo::new(SimDur::micros(20))), spec)
+}
+
 /// The colocation mix under Algorithm 1 with series and an SLO on.
 fn colocated_cell() -> RunReport {
     let cfg = RuntimeConfig {
@@ -329,12 +351,13 @@ fn shinjuku_cell(quantum: SimDur, trace_capacity: usize) -> RunReport {
 type Cell = (&'static str, fn() -> RunReport);
 
 /// `(cell, FNV-1a-64 of every report field)` at [`SEED`].
-const REPORT_PINS: [(&str, u64); 11] = [
+const REPORT_PINS: [(&str, u64); 12] = [
     ("runtime/uintr", 0x0674_3612_7be7_4f45),
     ("runtime/timer_core_signal", 0xa5b3_8b10_a8e8_f746),
     ("runtime/kernel_timer_signal", 0xe772_5dd8_781c_2b1c),
     ("runtime/none", 0x8e2b_b0d1_06e6_323c),
     ("runtime/kernel_timer_signal_lost", 0x7c94_1f7b_e6c6_3ba0),
+    ("runtime/kernel_timer_faults", 0xaf04_c738_ce3e_abd4),
     ("libinger", 0xf47a_d5d9_c6ca_ca9c),
     ("fault_overload", 0x53ad_5714_c71e_ac6c),
     ("colocated", 0x4024_e805_eb16_dd92),
@@ -345,7 +368,7 @@ const REPORT_PINS: [(&str, u64); 11] = [
 
 #[test]
 fn run_reports_are_pinned_across_commits() {
-    let cells: [Cell; 11] = [
+    let cells: [Cell; 12] = [
         ("runtime/uintr", || runtime_cell(PreemptMech::Uintr)),
         ("runtime/timer_core_signal", || {
             runtime_cell(PreemptMech::TimerCoreSignal)
@@ -358,6 +381,7 @@ fn run_reports_are_pinned_across_commits() {
             "runtime/kernel_timer_signal_lost",
             kernel_timer_signal_lost_cell,
         ),
+        ("runtime/kernel_timer_faults", kernel_timer_faults_cell),
         ("libinger", || {
             let cfg = LibingerConfig {
                 workers: 2,
@@ -400,6 +424,15 @@ fn run_reports_are_pinned_across_commits() {
             .counter("preempt_retries")
             > 0,
         "no lost-signal retry to pin"
+    );
+    let faults = by_name("runtime/kernel_timer_faults");
+    assert!(
+        faults.spurious_preemptions > 0,
+        "no spurious kernel-timer fire to pin"
+    );
+    assert!(
+        faults.metrics.counter("preempt_retries") > 0,
+        "no kernel-timer retry to pin"
     );
     for (name, r) in &reports {
         assert!(r.is_conserved(), "{name}: not conserved");
