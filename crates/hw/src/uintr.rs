@@ -360,7 +360,7 @@ impl UintrDomain {
 
     /// [`senduipi`](Self::senduipi) with a pre-sampled fault decision
     /// applied. The decision comes from
-    /// [`FaultInjector::ipi`](lp_sim::fault::FaultInjector::ipi) — this
+    /// [`FaultInjector::ipi_at`](lp_sim::fault::FaultInjector::ipi_at) — this
     /// layer stays a pure state machine and never draws randomness.
     ///
     /// * `None` — behaves exactly like [`senduipi`](Self::senduipi)

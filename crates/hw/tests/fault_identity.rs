@@ -59,11 +59,11 @@ proptest! {
         for (i, &(kind, vector, rstate)) in ops.iter().enumerate() {
             // Exercise every injection site each step: a rate-0 plan
             // must never produce a decision anywhere.
-            let ipi = inj.ipi();
+            let ipi = inj.ipi_at(0);
             prop_assert_eq!(ipi, None, "op {}: rate-0 plan injected an IPI fault", i);
-            prop_assert_eq!(inj.timer(), None, "op {}: timer fault", i);
-            prop_assert_eq!(inj.signal(), None, "op {}: signal fault", i);
-            prop_assert_eq!(inj.core(), None, "op {}: core fault", i);
+            prop_assert_eq!(inj.timer_at(0), None, "op {}: timer fault", i);
+            prop_assert_eq!(inj.signal_at(0), None, "op {}: signal fault", i);
+            prop_assert_eq!(inj.core_at(0), None, "op {}: core fault", i);
 
             let r = receiver(rstate);
             match kind {
@@ -110,10 +110,10 @@ proptest! {
         let mut b = FaultInjector::new(plan, seeds.1);
         for &s in &sites {
             match s {
-                0 => prop_assert_eq!((a.ipi(), b.ipi()), (None, None)),
-                1 => prop_assert_eq!((a.timer(), b.timer()), (None, None)),
-                2 => prop_assert_eq!((a.signal(), b.signal()), (None, None)),
-                _ => prop_assert_eq!((a.core(), b.core()), (None, None)),
+                0 => prop_assert_eq!((a.ipi_at(0), b.ipi_at(0)), (None, None)),
+                1 => prop_assert_eq!((a.timer_at(0), b.timer_at(0)), (None, None)),
+                2 => prop_assert_eq!((a.signal_at(0), b.signal_at(0)), (None, None)),
+                _ => prop_assert_eq!((a.core_at(0), b.core_at(0)), (None, None)),
             }
         }
     }

@@ -111,7 +111,7 @@ impl SignalPath {
 
     /// [`deliver`](Self::deliver) with a pre-sampled fault decision
     /// applied. The decision comes from
-    /// [`FaultInjector::signal`](lp_sim::fault::FaultInjector::signal).
+    /// [`FaultInjector::signal_at`](lp_sim::fault::FaultInjector::signal_at).
     ///
     /// * `None` — identical to [`deliver`](Self::deliver) (same lock
     ///   state transitions, same RNG draws), wrapped in `Some`.

@@ -98,7 +98,7 @@ impl KernelTimer {
 
     /// [`sample_expiry`](Self::sample_expiry) with a pre-sampled fault
     /// decision applied. The decision comes from
-    /// [`FaultInjector::timer`](lp_sim::fault::FaultInjector::timer) —
+    /// [`FaultInjector::timer_at`](lp_sim::fault::FaultInjector::timer_at) —
     /// this layer never draws fault randomness itself.
     ///
     /// * `None` — identical to [`sample_expiry`](Self::sample_expiry)

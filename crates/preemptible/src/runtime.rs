@@ -27,7 +27,9 @@ use lp_hw::cpu::HogWindow;
 use lp_hw::uintr::{ReceiverState, SendOutcome, UintrDomain, Uitt};
 use lp_hw::{CoreClock, HwCosts, TimeClass};
 use lp_kernel::{KernelCosts, KernelTimer, SignalPath};
-use lp_sim::fault::{CoreFault, FaultInjector, FaultPlan, IpiFault, TimerFault};
+use lp_sim::fault::{
+    CoreFault, FaultInjector, FaultKind, FaultPlan, IpiFault, SignalFault, TimerFault,
+};
 use lp_sim::obs::Event;
 use lp_sim::rng::{rng, streams};
 use lp_sim::{Ctx, EventId, Model, SimDur, SimTime, Simulation};
@@ -342,8 +344,6 @@ pub struct LibPreemptibleSystem {
     registry: UtimerRegistry,
     uintr: UintrDomain,
     timer_uitt: Uitt,
-    /// (worker, seq) the armed deadline of each slot belongs to.
-    armed_for: Vec<Option<(usize, u64)>>,
     timer_check: Option<(SimTime, EventId)>,
     /// Next lost-preemption scan tick, in nanos (`u64::MAX` when
     /// injection is disabled). Checked with one compare at the top of
@@ -429,7 +429,6 @@ impl LibPreemptibleSystem {
                 }
             })
             .collect();
-        let armed_for = vec![None; cfg.workers];
         LibPreemptibleSystem {
             arrivals_gen: ArrivalGen::new(spec.arrivals.clone(), rng(cfg.seed, streams::ARRIVALS)),
             service_rng: rng(cfg.seed, streams::SERVICE),
@@ -444,7 +443,6 @@ impl LibPreemptibleSystem {
             registry,
             uintr,
             timer_uitt,
-            armed_for,
             timer_check: None,
             wd_scan_at: if cfg.faults.enabled() { 0 } else { u64::MAX },
             wd_scan_period: (cfg.watchdog.timeout.as_nanos() / 2).max(1),
@@ -553,7 +551,6 @@ impl LibPreemptibleSystem {
                 let slot = self.workers[worker].slot;
                 self.registry
                     .arm_observed(slot, start + q, start, &mut self.ledger.obs);
-                self.armed_for[slot.index()] = Some((worker, seq));
                 self.update_timer_check(ctx);
                 // utimer_arm_deadline is one cache-line write (which
                 // can bounce with the timer core's polling reads).
@@ -564,21 +561,14 @@ impl LibPreemptibleSystem {
                     .injector
                     .as_mut()
                     .and_then(|i| i.timer_at(start.as_nanos()));
-                if let Some(f) = fault {
-                    self.ledger.obs.emit(
-                        start,
-                        Event::FaultInjected {
-                            worker: worker as u16,
-                            kind: f.kind() as u8,
-                        },
-                    );
-                }
+                self.note_fault(start, worker, fault.map(TimerFault::kind));
                 let w = &mut self.workers[worker];
                 w.ktimer
                     .arm_observed(q, worker as u16, start, &mut self.ledger.obs);
                 // Record the expiry at its modelled fire instant now,
                 // whether or not it fires: a disarm before that instant
-                // cancels the event, so it never reaches `handle`.
+                // cancels the event, so it never reaches `handle`. The
+                // expiry's signal send arms the watchdog.
                 let actual = w.ktimer.sample_expiry_with_fault_observed(
                     fault,
                     worker as u16,
@@ -604,9 +594,6 @@ impl LibPreemptibleSystem {
                                 },
                             );
                         }
-                        if self.injector.is_some() {
-                            self.arm_watchdog(worker, seq, start + delay, 0, ctx);
-                        }
                     }
                     None => {
                         // The kernel lost the arming: no expiry will ever
@@ -628,7 +615,6 @@ impl LibPreemptibleSystem {
                 let slot = self.workers[worker].slot;
                 self.registry
                     .disarm_observed(slot, ctx.now(), &mut self.ledger.obs);
-                self.armed_for[slot.index()] = None;
                 self.update_timer_check(ctx);
             }
             PreemptMech::KernelTimerSignal => {
@@ -728,20 +714,14 @@ impl LibPreemptibleSystem {
         }
 
         let mut remaining = remaining;
-        if let Some(CoreFault::Hog(stall)) = self
+        let hog = self
             .injector
             .as_mut()
-            .and_then(|i| i.core_at(start.as_nanos()))
-        {
+            .and_then(|i| i.core_at(start.as_nanos()));
+        self.note_fault(start, worker, hog.map(CoreFault::kind));
+        if let Some(CoreFault::Hog(stall)) = hog {
             // The core stalls mid-slice: the fiber burns `stall` extra
             // on-CPU time and no preemption can land inside the window.
-            self.ledger.obs.emit(
-                start,
-                Event::FaultInjected {
-                    worker: worker as u16,
-                    kind: lp_sim::fault::FaultKind::CoreHog as u8,
-                },
-            );
             self.workers[worker].hog.begin(start, stall);
             self.pool.get_mut(id).remaining += stall;
             remaining += stall;
@@ -849,41 +829,42 @@ impl LibPreemptibleSystem {
         let fired = self.registry.expired_observed(now, &mut self.ledger.obs);
         let mut issue_at = now;
         for slot in fired {
-            let Some((worker, seq)) = self.armed_for[slot.index()].take() else {
-                continue;
-            };
-            match self.cfg.mech {
-                PreemptMech::Uintr => {
-                    match self.workers[worker].retry.step(RetryInput::Send { seq }) {
-                        RetryOutput::Signal => {
-                            // Degraded worker: the timer core tgkill()s it
-                            // instead of trusting the broken UINTR path.
-                            self.send_preempt_signal(worker, seq, issue_at, 0, ctx);
-                            issue_at += self.kernel.syscall;
-                        }
-                        verdict => {
-                            // The timer core executes SENDUIPI per target,
-                            // serially. A degraded worker gets here only on
-                            // its probe turns.
-                            let issue = self.jitter(self.cfg.hw.senduipi_issue);
-                            issue_at += issue;
-                            self.timer_clock.charge_observed(
-                                TimeClass::Preemption,
-                                issue,
-                                &mut self.ledger.obs,
-                            );
-                            let probe = verdict == RetryOutput::Probe;
-                            self.send_preempt_uipi(worker, seq, issue_at, 0, probe, ctx);
-                        }
-                    }
-                }
-                PreemptMech::TimerCoreSignal => {
-                    // The timer core tgkill()s the worker; the kernel
-                    // signal path serializes and jitters delivery.
-                    self.send_preempt_signal(worker, seq, issue_at, 0, ctx);
-                    issue_at += self.kernel.syscall;
-                }
+            // Slot i belongs to worker i (`new`), and a slot stays armed
+            // only while its worker runs the seq that armed it: finish
+            // and landing both disarm before `seq` moves.
+            let worker = slot.index();
+            let seq = self.workers[worker].seq;
+            debug_assert!(
+                matches!(self.workers[worker].state, WState::Running { .. })
+                    && self.workers[worker].slot == slot,
+                "slot {slot:?} fired for a worker not running its armed seq"
+            );
+            let verdict = match self.cfg.mech {
+                PreemptMech::Uintr => self.workers[worker].retry.step(RetryInput::Send { seq }),
+                // Signal-only delivery has no UINTR path to degrade, so
+                // it never steps the retry machine.
+                PreemptMech::TimerCoreSignal => RetryOutput::Signal,
                 _ => unreachable!("timer core disabled for {:?}", self.cfg.mech),
+            };
+            if verdict == RetryOutput::Signal {
+                // The timer core tgkill()s the worker (a degraded UINTR
+                // worker off its probe turn, or every worker without
+                // UINTR); the kernel signal path serializes and jitters
+                // delivery.
+                self.send_preempt_signal(worker, seq, issue_at, 0, ctx);
+                issue_at += self.kernel.syscall;
+            } else {
+                // The timer core executes SENDUIPI per target, serially.
+                // A degraded worker gets here only on its probe turns.
+                let issue = self.jitter(self.cfg.hw.senduipi_issue);
+                issue_at += issue;
+                self.timer_clock.charge_observed(
+                    TimeClass::Preemption,
+                    issue,
+                    &mut self.ledger.obs,
+                );
+                let probe = verdict == RetryOutput::Probe;
+                self.send_preempt_uipi(worker, seq, issue_at, 0, probe, ctx);
             }
         }
         self.update_timer_check(ctx);
@@ -913,15 +894,7 @@ impl LibPreemptibleSystem {
             },
         );
         let fault = self.injector.as_mut().and_then(|i| i.ipi_at(at.as_nanos()));
-        if let Some(f) = fault {
-            self.ledger.obs.emit(
-                at,
-                Event::FaultInjected {
-                    worker: worker as u16,
-                    kind: f.kind() as u8,
-                },
-            );
-        }
+        self.note_fault(at, worker, fault.map(IpiFault::kind));
         let entry = self
             .timer_uitt
             .get(self.workers[worker].uitt_index)
@@ -974,8 +947,10 @@ impl LibPreemptibleSystem {
 
     /// Sends one preemption through the kernel signal path at `at`,
     /// applying a freshly sampled fault decision, and arms the watchdog
-    /// when injection is enabled. Used by the `TimerCoreSignal` and
-    /// `KernelTimerSignal` retries, and by degraded-UINTR workers.
+    /// when injection is enabled. Carries every signal the runtime
+    /// sends: the timer core's `tgkill` (`TimerCoreSignal`, and
+    /// degraded UINTR workers), the kernel timer's expiry
+    /// (`KernelTimerSignal`), and every signal-path retry.
     fn send_preempt_signal(
         &mut self,
         worker: usize,
@@ -997,15 +972,7 @@ impl LibPreemptibleSystem {
             .injector
             .as_mut()
             .and_then(|i| i.signal_at(at.as_nanos()));
-        if let Some(f) = fault {
-            self.ledger.obs.emit(
-                at,
-                Event::FaultInjected {
-                    worker: worker as u16,
-                    kind: f.kind() as u8,
-                },
-            );
-        }
+        self.note_fault(at, worker, fault.map(SignalFault::kind));
         if self.cfg.mech == PreemptMech::Uintr {
             // The signal handler of a degraded worker drains whatever
             // the failed UINTR sends left posted in the UPID (e.g. a
@@ -1035,8 +1002,8 @@ impl LibPreemptibleSystem {
                     &mut self.ledger.obs,
                 );
             } else {
-                // No timer core: the kernel's send work lands on the
-                // victim's own core.
+                // No timer core: the sender is the kernel timer
+                // softirq, so its send work lands on the victim's core.
                 self.workers[worker].clock.charge_observed(
                     TimeClass::Kernel,
                     d.sender_busy,
@@ -1055,6 +1022,20 @@ impl LibPreemptibleSystem {
         // A lost signal schedules nothing; the watchdog recovers it.
         if self.injector.is_some() {
             self.arm_watchdog(worker, seq, at, attempt, ctx);
+        }
+    }
+
+    /// Emits [`Event::FaultInjected`] at `at` for `worker` when the
+    /// fault decision just drawn there injected `kind`.
+    fn note_fault(&mut self, at: SimTime, worker: usize, kind: Option<FaultKind>) {
+        if let Some(kind) = kind {
+            self.ledger.obs.emit(
+                at,
+                Event::FaultInjected {
+                    worker: worker as u16,
+                    kind: kind as u8,
+                },
+            );
         }
     }
 
@@ -1543,53 +1524,10 @@ impl Model for LibPreemptibleSystem {
                     "disarmed kernel-timer expiry fired (worker {worker})"
                 );
                 if current {
-                    let now = ctx.now();
-                    self.ledger.obs.emit(
-                        now,
-                        Event::PreemptIssued {
-                            worker: worker as u16,
-                            seq,
-                            attempt: 0,
-                            uintr: false,
-                        },
-                    );
-                    let fault = self
-                        .injector
-                        .as_mut()
-                        .and_then(|i| i.signal_at(now.as_nanos()));
-                    if let Some(f) = fault {
-                        self.ledger.obs.emit(
-                            now,
-                            Event::FaultInjected {
-                                worker: worker as u16,
-                                kind: f.kind() as u8,
-                            },
-                        );
-                    }
-                    // Sender is the kernel timer softirq: charge kernel
-                    // time to the victim's core. A lost signal schedules
-                    // nothing — the watchdog armed at the expiry instant
-                    // recovers it.
-                    if let Some(d) = self.signal_path.deliver_with_fault_observed(
-                        now,
-                        fault,
-                        worker as u16,
-                        &mut self.ledger.obs,
-                    ) {
-                        self.workers[worker].clock.charge_observed(
-                            TimeClass::Kernel,
-                            d.sender_busy,
-                            &mut self.ledger.obs,
-                        );
-                        ctx.at(
-                            d.handler_start,
-                            Ev::PreemptArrive {
-                                worker,
-                                seq,
-                                uintr: false,
-                            },
-                        );
-                    }
+                    // The kernel timer softirq signals the worker. A lost
+                    // signal schedules nothing: the watchdog this send
+                    // arms recovers it.
+                    self.send_preempt_signal(worker, seq, ctx.now(), 0, ctx);
                 }
             }
             Ev::PreemptArrive { worker, seq, uintr } => {

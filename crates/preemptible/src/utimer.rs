@@ -14,11 +14,9 @@
 //!
 //! The registry mirrors the paper's layout: per slot, one
 //! 64-byte-aligned **hot line** holding exactly what the timer core's
-//! scan loop reads (the deadline plus its arm generation), with cold
-//! metadata (labels) in a separate table so the scan never drags it
-//! through the cache. With one slot per worker the linear pass *is*
-//! the fast path, exactly like the paper's per-worker deadline
-//! cachelines.
+//! scan loop reads (the deadline). With one slot per worker the linear
+//! pass *is* the fast path, exactly like the paper's per-worker
+//! deadline cachelines.
 //!
 //! For "applications with large thread counts and request for higher
 //! number of timers" the paper opts into a **timing wheel** (its ref.
@@ -52,15 +50,6 @@ impl SlotId {
 struct DeadlineLine {
     /// The armed deadline, if any (absolute simulated TSC).
     deadline: Option<SimTime>,
-    /// Bumped on every [`UtimerRegistry::arm`]: distinguishes re-arms
-    /// of the same slot in traces.
-    arm_gen: u32,
-}
-
-/// Cold per-slot metadata, deliberately *off* the scan path.
-#[derive(Debug, Clone, Default)]
-struct SlotMeta {
-    label: Option<String>,
 }
 
 /// The deadline-slot registry the timer core scans.
@@ -82,11 +71,9 @@ struct SlotMeta {
 /// ```
 #[derive(Debug, Default)]
 pub struct UtimerRegistry {
-    /// Hot: one aligned line per slot; the only thing `expired`'s scan
-    /// loop reads.
+    /// One aligned line per slot; the only thing `expired`'s scan loop
+    /// reads.
     lines: Vec<DeadlineLine>,
-    /// Cold: same indexing as `lines`.
-    meta: Vec<SlotMeta>,
     armed: usize,
 }
 
@@ -101,28 +88,7 @@ impl UtimerRegistry {
     /// the runtime charges separately.
     pub fn register(&mut self) -> SlotId {
         self.lines.push(DeadlineLine::default());
-        self.meta.push(SlotMeta::default());
         SlotId(self.lines.len() - 1)
-    }
-
-    /// [`register`](Self::register) with a diagnostic label, kept in
-    /// the cold table so the scan path never loads it.
-    pub fn register_labeled(&mut self, label: &str) -> SlotId {
-        let slot = self.register();
-        self.meta[slot.0].label = Some(label.to_string());
-        slot
-    }
-
-    /// The diagnostic label of `slot`, if one was given at
-    /// registration.
-    pub fn label(&self, slot: SlotId) -> Option<&str> {
-        self.meta.get(slot.0).and_then(|m| m.label.as_deref())
-    }
-
-    /// How many times `slot` has been armed — re-arms of one slot are
-    /// distinguishable in traces.
-    pub fn arm_generation(&self, slot: SlotId) -> u32 {
-        self.lines.get(slot.0).map_or(0, |l| l.arm_gen)
     }
 
     /// Arms `slot` to fire at `deadline` (`utimer_arm_deadline`): just a
@@ -140,7 +106,6 @@ impl UtimerRegistry {
             self.armed += 1;
         }
         line.deadline = Some(deadline);
-        line.arm_gen = line.arm_gen.wrapping_add(1);
     }
 
     /// Disarms `slot` (worker finished or yielded before expiry).
@@ -229,11 +194,6 @@ impl UtimerRegistry {
     /// instant instead of spinning).
     pub fn next_deadline(&self) -> Option<SimTime> {
         self.lines.iter().filter_map(|l| l.deadline).min()
-    }
-
-    /// Number of registered slots.
-    pub fn slots(&self) -> usize {
-        self.lines.len()
     }
 
     /// Number of armed slots.
@@ -376,34 +336,6 @@ mod tests {
         r.arm(a, t(10));
         r.arm(b, t(10));
         assert_eq!(r.expired(t(10)), vec![a, b, c]);
-    }
-
-    #[test]
-    fn registry_labels_live_in_the_cold_table() {
-        let mut r = UtimerRegistry::new();
-        let plain = r.register();
-        let named = r.register_labeled("worker-3");
-        assert_eq!(r.label(plain), None);
-        assert_eq!(r.label(named), Some("worker-3"));
-        // Labels are inert metadata: arming/firing ignores them.
-        r.arm(named, t(10));
-        assert_eq!(r.expired(t(10)), vec![named]);
-        assert_eq!(r.label(named), Some("worker-3"));
-        assert_eq!(r.label(SlotId(99)), None);
-    }
-
-    #[test]
-    fn registry_arm_generation_counts_rearms() {
-        let mut r = UtimerRegistry::new();
-        let a = r.register();
-        assert_eq!(r.arm_generation(a), 0);
-        r.arm(a, t(100));
-        r.arm(a, t(200)); // re-arm, same slot
-        assert_eq!(r.arm_generation(a), 2);
-        r.disarm(a);
-        assert_eq!(r.arm_generation(a), 2, "disarm is not an arm");
-        r.arm(a, t(300));
-        assert_eq!(r.arm_generation(a), 3);
     }
 
     #[test]

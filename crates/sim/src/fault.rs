@@ -9,13 +9,13 @@
 //!
 //! The injector is consulted at four sites, one decision method each:
 //!
-//! * [`ipi`](FaultInjector::ipi) — before every `SENDUIPI`
+//! * [`ipi_at`](FaultInjector::ipi_at) — before every `SENDUIPI`
 //!   (drop / delay / duplicate / stuck `SN` / stale `NDST`);
-//! * [`timer`](FaultInjector::timer) — at every kernel-timer arming
-//!   (missed expiry / jitter spike / spurious fire);
-//! * [`signal`](FaultInjector::signal) — before every kernel signal
-//!   (lost delivery / runqueue-lock contention burst);
-//! * [`core`](FaultInjector::core) — at every task launch
+//! * [`timer_at`](FaultInjector::timer_at) — at every kernel-timer
+//!   arming (missed expiry / jitter spike / spurious fire);
+//! * [`signal_at`](FaultInjector::signal_at) — before every kernel
+//!   signal (lost delivery / runqueue-lock contention burst);
+//! * [`core_at`](FaultInjector::core_at) — at every task launch
 //!   (core stall/hog window that masks preemption delivery).
 //!
 //! The taxonomy, the recovery protocol each fault exercises, and the
@@ -537,12 +537,6 @@ impl FaultInjector {
         &self.plan
     }
 
-    /// Decide the fate of the next `SENDUIPI` (windows evaluated at
-    /// sim time zero; windowless plans are unaffected).
-    pub fn ipi(&mut self) -> Option<IpiFault> {
-        self.ipi_at(0)
-    }
-
     /// Decide the fate of the next `SENDUIPI` at sim time `now_ns`.
     pub fn ipi_at(&mut self, now_ns: u64) -> Option<IpiFault> {
         let kind = self.decide(Site::Ipi, now_ns)?;
@@ -554,12 +548,6 @@ impl FaultInjector {
             FaultKind::StaleNdst => IpiFault::StaleNdst,
             _ => unreachable!("non-IPI kind decided at the IPI site"),
         })
-    }
-
-    /// Decide the fate of the next kernel-timer arming (windows
-    /// evaluated at sim time zero).
-    pub fn timer(&mut self) -> Option<TimerFault> {
-        self.timer_at(0)
     }
 
     /// Decide the fate of the next kernel-timer arming at `now_ns`.
@@ -575,12 +563,6 @@ impl FaultInjector {
         })
     }
 
-    /// Decide the fate of the next kernel-signal delivery (windows
-    /// evaluated at sim time zero).
-    pub fn signal(&mut self) -> Option<SignalFault> {
-        self.signal_at(0)
-    }
-
     /// Decide the fate of the next kernel-signal delivery at `now_ns`.
     pub fn signal_at(&mut self, now_ns: u64) -> Option<SignalFault> {
         let kind = self.decide(Site::Signal, now_ns)?;
@@ -591,12 +573,6 @@ impl FaultInjector {
             }
             _ => unreachable!("non-signal kind decided at the signal site"),
         })
-    }
-
-    /// Decide the fate of the next task launch on a worker core
-    /// (windows evaluated at sim time zero).
-    pub fn core(&mut self) -> Option<CoreFault> {
-        self.core_at(0)
     }
 
     /// Decide the fate of the next task launch at `now_ns`.
@@ -746,10 +722,10 @@ mod tests {
     fn disabled_plan_never_injects() {
         let mut inj = FaultInjector::new(FaultPlan::disabled(), 42);
         for _ in 0..100 {
-            assert_eq!(inj.ipi(), None);
-            assert_eq!(inj.timer(), None);
-            assert_eq!(inj.signal(), None);
-            assert_eq!(inj.core(), None);
+            assert_eq!(inj.ipi_at(0), None);
+            assert_eq!(inj.timer_at(0), None);
+            assert_eq!(inj.signal_at(0), None);
+            assert_eq!(inj.core_at(0), None);
         }
     }
 
@@ -765,27 +741,27 @@ mod tests {
         let mut a = FaultInjector::new(plan.clone(), 7);
         let mut b = FaultInjector::new(plan, 7);
         for _ in 0..200 {
-            assert_eq!(a.ipi(), b.ipi());
-            assert_eq!(a.timer(), b.timer());
-            assert_eq!(a.signal(), b.signal());
-            assert_eq!(a.core(), b.core());
+            assert_eq!(a.ipi_at(0), b.ipi_at(0));
+            assert_eq!(a.timer_at(0), b.timer_at(0));
+            assert_eq!(a.signal_at(0), b.signal_at(0));
+            assert_eq!(a.core_at(0), b.core_at(0));
         }
     }
 
     #[test]
     fn schedule_fires_exactly_once_at_its_occurrence() {
         let mut inj = FaultInjector::new(FaultPlan::once(FaultKind::StuckSn, 2), 1);
-        assert_eq!(inj.ipi(), None);
-        assert_eq!(inj.ipi(), None);
-        assert_eq!(inj.ipi(), Some(IpiFault::StuckSn));
+        assert_eq!(inj.ipi_at(0), None);
+        assert_eq!(inj.ipi_at(0), None);
+        assert_eq!(inj.ipi_at(0), Some(IpiFault::StuckSn));
         for _ in 0..32 {
-            assert_eq!(inj.ipi(), None);
+            assert_eq!(inj.ipi_at(0), None);
         }
         // Scheduling at the IPI site does not disturb the others.
         let mut inj = FaultInjector::new(FaultPlan::once(FaultKind::IpiDrop, 0), 1);
-        assert_eq!(inj.timer(), None);
-        assert_eq!(inj.signal(), None);
-        assert_eq!(inj.ipi(), Some(IpiFault::Drop));
+        assert_eq!(inj.timer_at(0), None);
+        assert_eq!(inj.signal_at(0), None);
+        assert_eq!(inj.ipi_at(0), Some(IpiFault::Drop));
     }
 
     #[test]
@@ -799,19 +775,19 @@ mod tests {
         plan.core_hog = 1.0;
         plan.core_hog_ns = 999;
         let mut inj = FaultInjector::new(plan, 3);
-        assert_eq!(inj.ipi(), Some(IpiFault::Delay(SimDur::nanos(777))));
+        assert_eq!(inj.ipi_at(0), Some(IpiFault::Delay(SimDur::nanos(777))));
         assert_eq!(
-            inj.timer(),
+            inj.timer_at(0),
             Some(TimerFault::JitterSpike(SimDur::nanos(888)))
         );
-        assert_eq!(inj.signal(), Some(SignalFault::ContentionBurst(9)));
-        assert_eq!(inj.core(), Some(CoreFault::Hog(SimDur::nanos(999))));
+        assert_eq!(inj.signal_at(0), Some(SignalFault::ContentionBurst(9)));
+        assert_eq!(inj.core_at(0), Some(CoreFault::Hog(SimDur::nanos(999))));
     }
 
     #[test]
     fn probabilistic_rate_hits_near_expectation() {
         let mut inj = FaultInjector::new(FaultPlan::only(FaultKind::SignalLost, 0.5), 11);
-        let hits = (0..2_000).filter(|_| inj.signal().is_some()).count();
+        let hits = (0..2_000).filter(|_| inj.signal_at(0).is_some()).count();
         assert!((800..1_200).contains(&hits), "{hits} hits at rate 0.5");
     }
 
@@ -827,7 +803,7 @@ mod tests {
         assert!(armed.site_armed(Site::Ipi));
         let mut inj = FaultInjector::new(armed, 9);
         assert_eq!(
-            inj.ipi(),
+            inj.ipi_at(0),
             Some(IpiFault::Drop),
             "occurrence 0 is the first decision"
         );
@@ -867,8 +843,8 @@ mod tests {
         let mut a = FaultInjector::new(plan.clone(), 23);
         let mut b = FaultInjector::new(plan, 23);
         for i in 0..200u64 {
-            assert_eq!(a.ipi(), b.ipi_at(i * 1_000));
-            assert_eq!(a.signal(), b.signal_at(i * 7_777));
+            assert_eq!(a.ipi_at(0), b.ipi_at(i * 1_000));
+            assert_eq!(a.signal_at(0), b.signal_at(i * 7_777));
         }
     }
 
@@ -878,10 +854,10 @@ mod tests {
         plan.core_hog = 1.0;
         let mut inj = FaultInjector::new(plan, 4);
         for _ in 0..3 {
-            inj.ipi();
+            inj.ipi_at(0);
         }
-        inj.core();
-        inj.timer();
+        inj.core_at(0);
+        inj.timer_at(0);
         let sites = inj.site_decisions();
         assert_eq!(sites[0], ("ipi", 3));
         assert_eq!(sites[1], ("timer", 1));
@@ -907,16 +883,16 @@ mod tests {
         }
         let mut inj = FaultInjector::new(plan, 5);
         for _ in 0..200 {
-            if let Some(f) = inj.ipi() {
+            if let Some(f) = inj.ipi_at(0) {
                 assert_eq!(f.kind().site(), Site::Ipi);
             }
-            if let Some(f) = inj.timer() {
+            if let Some(f) = inj.timer_at(0) {
                 assert_eq!(f.kind().site(), Site::Timer);
             }
-            if let Some(f) = inj.signal() {
+            if let Some(f) = inj.signal_at(0) {
                 assert_eq!(f.kind().site(), Site::Signal);
             }
-            if let Some(f) = inj.core() {
+            if let Some(f) = inj.core_at(0) {
                 assert_eq!(f.kind().site(), Site::Core);
             }
         }

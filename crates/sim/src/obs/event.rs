@@ -8,8 +8,6 @@
 //! and the paper figure each event speaks to, is documented in
 //! `docs/TRACING.md`.
 
-use std::fmt;
-
 use crate::time::SimTime;
 
 /// One observable occurrence somewhere in the stack.
@@ -332,166 +330,6 @@ impl Event {
             Event::MechBrownout { .. } => "mech_brownout",
             Event::Shed { .. } => "shed",
             Event::Admitted { .. } => "admitted",
-        }
-    }
-}
-
-impl fmt::Display for Event {
-    /// Human-oriented one-line rendering of the event, for logs and
-    /// the `trace_dump` example's filtered life-cycle view.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match *self {
-            Event::UipiSent { worker, vector } => {
-                write!(f, "SENDUIPI -> worker {worker} (vector {vector})")
-            }
-            Event::UipiDelivered { worker, coalesced } => {
-                if coalesced {
-                    write!(f, "uintr delivered to worker {worker} (coalesced)")
-                } else {
-                    write!(f, "uintr delivered to worker {worker}")
-                }
-            }
-            Event::UipiPended { worker } => write!(f, "uintr pended at worker {worker} (UIF=0)"),
-            Event::UipiSuppressed { worker } => {
-                write!(f, "uintr suppressed at worker {worker} (SN=1)")
-            }
-            Event::KernelAssistWake { worker } => {
-                write!(f, "kernel-assisted wakeup of worker {worker}")
-            }
-            Event::SignalSent {
-                worker,
-                lock_wait_ns,
-            } => {
-                write!(f, "signal -> worker {worker} (lock wait {lock_wait_ns}ns)")
-            }
-            Event::KtimerArmed { worker, target_ns } => {
-                write!(f, "ktimer armed on worker {worker} for {target_ns}ns")
-            }
-            Event::KtimerFired { worker } => write!(f, "ktimer fired on worker {worker}"),
-            Event::IpcSampled { mech, latency_ns } => {
-                write!(f, "ipc sample mech {mech}: {latency_ns}ns")
-            }
-            Event::DeadlineArmed { slot, deadline_ns } => {
-                write!(f, "deadline slot {slot} armed for t={deadline_ns}ns")
-            }
-            Event::DeadlineDisarmed { slot } => write!(f, "deadline slot {slot} disarmed"),
-            Event::TimerPoll { expired } => {
-                write!(f, "timer core poll: {expired} deadline(s) expired")
-            }
-            Event::Arrival { class } => write!(f, "arrival (class {class})"),
-            Event::Drop { class } => write!(f, "drop (class {class}, pool full)"),
-            Event::TaskStart {
-                worker,
-                fiber,
-                resumed,
-                switch_ns,
-            } => {
-                let verb = if resumed { "resume" } else { "start" };
-                write!(
-                    f,
-                    "{verb} fiber {fiber} on worker {worker} (switch {switch_ns}ns)"
-                )
-            }
-            Event::TaskFinish {
-                worker,
-                fiber,
-                latency_ns,
-            } => {
-                write!(
-                    f,
-                    "finish fiber {fiber} on worker {worker} (latency {latency_ns}ns)"
-                )
-            }
-            Event::Preempt {
-                worker,
-                fiber,
-                ran_ns,
-            } => {
-                write!(
-                    f,
-                    "preempt fiber {fiber} on worker {worker} (ran {ran_ns}ns)"
-                )
-            }
-            Event::SpuriousPreempt { worker } => {
-                write!(f, "spurious preemption at worker {worker}")
-            }
-            Event::PolicyDispatch { worker, explicit } => {
-                let how = if explicit { "policy" } else { "jsq" };
-                write!(f, "dispatch to worker {worker} ({how})")
-            }
-            Event::SliceGranted {
-                worker,
-                fiber,
-                slice_ns,
-            } => {
-                write!(
-                    f,
-                    "slice {slice_ns}ns granted to fiber {fiber} on worker {worker}"
-                )
-            }
-            Event::SwitchBegin {
-                worker,
-                fiber,
-                resumed,
-            } => {
-                let verb = if resumed { "resume" } else { "launch" };
-                write!(f, "switch toward fiber {fiber} on worker {worker} ({verb})")
-            }
-            Event::QuantumAdjusted { old_ns, new_ns } => {
-                write!(f, "quantum {old_ns}ns -> {new_ns}ns")
-            }
-            Event::Marker { code } => write!(f, "marker {code}"),
-            Event::FaultInjected { worker, kind } => {
-                write!(f, "fault kind {kind} injected at worker {worker}")
-            }
-            Event::PreemptIssued {
-                worker,
-                seq,
-                attempt,
-                uintr,
-            } => {
-                let path = if uintr { "uintr" } else { "signal" };
-                write!(
-                    f,
-                    "preempt seq {seq} issued to worker {worker} over {path} (attempt {attempt})"
-                )
-            }
-            Event::PreemptLanded { worker, seq, uintr } => {
-                let path = if uintr { "uintr" } else { "signal" };
-                write!(f, "preempt seq {seq} landed on worker {worker} over {path}")
-            }
-            Event::PreemptRetry {
-                worker,
-                seq,
-                attempt,
-                delay_ns,
-            } => {
-                write!(
-                    f,
-                    "preempt seq {seq} re-sent to worker {worker} (attempt {attempt}, backoff {delay_ns}ns)"
-                )
-            }
-            Event::MechDegraded { worker, losses } => {
-                write!(
-                    f,
-                    "worker {worker} degraded to signal path after {losses} losses"
-                )
-            }
-            Event::MechRecovered { worker } => {
-                write!(f, "worker {worker} recovered to uintr path")
-            }
-            Event::MechBrownout { worker, losses } => {
-                write!(f, "worker {worker} browned out after {losses} losses")
-            }
-            Event::Shed { class, queued } => {
-                write!(f, "shed (class {class}, {queued} queued)")
-            }
-            Event::Admitted { class, queued } => {
-                write!(
-                    f,
-                    "admitted under pressure (class {class}, {queued} queued)"
-                )
-            }
         }
     }
 }
@@ -1023,14 +861,6 @@ mod tests {
         let te = TimedEvent::parse_jsonl(line).unwrap();
         assert_eq!(te.at, t(77));
         assert_eq!(te.ev, Event::Arrival { class: 1 });
-    }
-
-    #[test]
-    fn display_is_single_line() {
-        for te in one_of_each() {
-            let s = te.ev.to_string();
-            assert!(!s.is_empty() && !s.contains('\n'), "{s:?}");
-        }
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //!   never drift from the event stream.
 //!
 //! Event logs export as deterministic JSONL ([`TimedEvent::write_jsonl`]
-//! / [`TimedEvent::parse_jsonl`]) — same seed, same bytes — and each
-//! [`Event`] also renders as one human-readable line through `Display`.
+//! / [`TimedEvent::parse_jsonl`]) — same seed, same bytes — the one
+//! text format for events.
 //! The full event schema is documented in `docs/TRACING.md`.
 //!
 //! ```

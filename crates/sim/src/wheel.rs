@@ -839,18 +839,6 @@ impl<E> TimerWheel<E> {
         }
     }
 
-    /// Recomputes `wmin` from scratch. By stratification the minimum is
-    /// the head of the first occupied level-0 bucket when one exists
-    /// (walked only if it is the cursor's own, tick-mixing bucket).
-    /// Otherwise the lowest nonempty level's first occupied bucket
-    /// holds the minimum, so one advance to that bucket's window start
-    /// cascades *exactly that bucket* (every finer level is empty, and
-    /// the window start stays at or before the earliest live event);
-    /// [`TimerWheel::file`] tracks the minimum of everything the
-    /// cascade refiles against the pre-seeded sentinel, leaving the
-    /// exact new minimum behind with no separate walk. An empty wheel
-    /// pulls the earliest heap block the same way: the pulled block's
-    /// minimum is the global minimum and `file` catches it in flight.
     /// First occupied slot of `level`, or `None`. The bitmap words of
     /// a level are scanned low to high; stratification guarantees no
     /// set bit below the cursor's slot, so the first hit is nearest.
@@ -869,6 +857,18 @@ impl<E> TimerWheel<E> {
         None
     }
 
+    /// Recomputes `wmin` from scratch. By stratification the minimum is
+    /// the head of the first occupied level-0 bucket when one exists
+    /// (walked only if it is the cursor's own, tick-mixing bucket).
+    /// Otherwise the lowest nonempty level's first occupied bucket
+    /// holds the minimum, so one advance to that bucket's window start
+    /// cascades *exactly that bucket* (every finer level is empty, and
+    /// the window start stays at or before the earliest live event);
+    /// [`TimerWheel::file`] tracks the minimum of everything the
+    /// cascade refiles against the pre-seeded sentinel, leaving the
+    /// exact new minimum behind with no separate walk. An empty wheel
+    /// pulls the earliest heap block the same way: the pulled block's
+    /// minimum is the global minimum and `file` catches it in flight.
     fn refresh_min(&mut self) {
         if let Some(slot) = self.first_occupied(0) {
             let head = self.buckets[slot];

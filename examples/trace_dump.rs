@@ -1,6 +1,6 @@
 //! Trace dump: capture the typed cross-layer event trace of a short
-//! run and print it three ways — raw JSONL, each event's human-readable
-//! `Display` line, and the metrics registry snapshot.
+//! run and print it as JSONL (its head, then a filtered view of the
+//! preemption life-cycle), followed by the metrics registry snapshot.
 //!
 //! ```text
 //! cargo run --release --example trace_dump
@@ -61,7 +61,7 @@ fn main() {
                 | Event::Preempt { .. }
         );
         if keep {
-            println!("{:>10} ns  {}", te.at.as_nanos(), te.ev);
+            println!("{}", te.to_jsonl());
             shown += 1;
             if shown == 16 {
                 break;
