@@ -32,7 +32,7 @@ use lp_sim::fault::{
 };
 use lp_sim::obs::Event;
 use lp_sim::rng::{rng, streams};
-use lp_sim::{Ctx, EventId, Model, SimDur, SimTime, Simulation};
+use lp_sim::{Ctx, EventId, Model, SimDur, SimTime, Simulation, Ticket};
 use lp_stats::{TimeSeries, WindowStats, WindowSummary};
 use lp_workload::{ArrivalGen, ColocatedWorkload, JobClass, PhasedService, RateSchedule};
 use rand::rngs::SmallRng;
@@ -262,8 +262,22 @@ enum WState {
     Running {
         ctx: ContextId,
         started: SimTime,
-        finish_ev: EventId,
+        finish: FinishEv,
     },
+}
+
+/// A running slice's `Finish`. Most preempted slices never need one: a
+/// slice that can outlive its deadline's fire only *owes* its `Finish`,
+/// holding the sequence number the push would have taken at dispatch,
+/// and a sender files it under that number unless the preemption it
+/// schedules lands strictly first. Either way the event pops exactly
+/// where a push at dispatch would have.
+#[derive(Debug, Clone, Copy)]
+enum FinishEv {
+    /// The `Finish` is in the event queue.
+    Queued(EventId),
+    /// Not yet pushed: due at `at`, ordered by `ticket`.
+    Owed { at: SimTime, ticket: Ticket },
 }
 
 /// Outcome of one admission-gate evaluation: shed or admit, plus the
@@ -342,6 +356,9 @@ pub struct LibPreemptibleSystem {
     workers: Vec<Worker>,
     pool: ContextPool,
     registry: UtimerRegistry,
+    /// Scratch for the slots one timer-core check fires (reused to keep
+    /// the poll path allocation-free).
+    fired: Vec<SlotId>,
     uintr: UintrDomain,
     timer_uitt: Uitt,
     timer_check: Option<(SimTime, EventId)>,
@@ -349,9 +366,9 @@ pub struct LibPreemptibleSystem {
     /// injection is disabled). Checked with one compare at the top of
     /// every handled event; arming and settling deadlines are plain
     /// field stores, so the healthy path pays no per-send bookkeeping
-    /// at all. A worker with an armed deadline is always `Running`, so
-    /// its own `Finish` (at the latest) keeps events flowing until the
-    /// scan runs.
+    /// at all. An armed watchdog's victim always has a pending
+    /// current-seq `PreemptArrive` or `Finish`, which keeps events
+    /// flowing until the scan runs.
     wd_scan_at: u64,
     /// Scan cadence (half the watchdog timeout): bounds detection
     /// lateness to `timeout * 1.5` after the send without making the
@@ -441,6 +458,7 @@ impl LibPreemptibleSystem {
                 .then(|| FaultInjector::new(cfg.faults.clone(), cfg.seed)),
             pool: ContextPool::with_capacity(cfg.pool_capacity),
             registry,
+            fired: Vec::with_capacity(cfg.workers),
             uintr,
             timer_uitt,
             timer_check: None,
@@ -499,21 +517,37 @@ impl LibPreemptibleSystem {
         best
     }
 
+    /// The first poll tick at or after deadline `d`: the instant the
+    /// timer core's loop sees `d` expired.
+    fn poll_tick(&self, d: SimTime) -> SimTime {
+        let poll = self.cfg.hw.poll_loop.as_nanos();
+        if poll == 0 {
+            return d;
+        }
+        SimTime::from_nanos(d.as_nanos().div_ceil(poll) * poll)
+    }
+
+    /// The instant a deadline falling due at `due` (from
+    /// [`Self::arm_deadline`]) fires: the timer core's next poll tick,
+    /// or the kernel timer's expiry itself. Never before `due`.
+    fn fire_instant(&self, due: SimTime) -> SimTime {
+        if self.cfg.mech.needs_timer_core() {
+            self.poll_tick(due)
+        } else {
+            due
+        }
+    }
+
     /// Re-schedules the timer-core check for the earliest armed
     /// deadline, quantized up to the poll-loop granularity.
     fn update_timer_check(&mut self, ctx: &mut Ctx<'_, Ev>) {
         if !self.cfg.mech.needs_timer_core() {
             return;
         }
-        let desired = self.registry.next_deadline().map(|d| {
-            let poll = self.cfg.hw.poll_loop.as_nanos();
-            if poll == 0 {
-                return d.max(ctx.now());
-            }
-            let ns = d.as_nanos();
-            let ticked = ns.div_ceil(poll) * poll;
-            SimTime::from_nanos(ticked).max(ctx.now())
-        });
+        let desired = self
+            .registry
+            .next_deadline()
+            .map(|d| self.poll_tick(d).max(ctx.now()));
         match (desired, self.timer_check) {
             (None, Some((_, ev))) => {
                 ctx.cancel(ev);
@@ -533,17 +567,20 @@ impl LibPreemptibleSystem {
     }
 
     /// Arms the preemption deadline for a task starting at `start` with
-    /// quantum `q`. Returns extra start-up cost charged to the worker
-    /// (the kernel-timer path arms via syscall).
+    /// quantum `q`. Returns the extra start-up cost charged to the
+    /// worker (the kernel-timer path arms via syscall) and, if the
+    /// deadline can fire, the instant it falls due: the armed deadline
+    /// (the timer core sees it at [`Self::fire_instant`]) or the kernel
+    /// timer's sampled expiry.
     fn arm_deadline(
         &mut self,
         worker: usize,
         start: SimTime,
         q: SimDur,
         ctx: &mut Ctx<'_, Ev>,
-    ) -> SimDur {
+    ) -> (SimDur, Option<SimTime>) {
         if q == SimDur::MAX || self.cfg.mech == PreemptMech::None {
-            return SimDur::ZERO;
+            return (SimDur::ZERO, None);
         }
         let seq = self.workers[worker].seq;
         match self.cfg.mech {
@@ -554,7 +591,7 @@ impl LibPreemptibleSystem {
                 self.update_timer_check(ctx);
                 // utimer_arm_deadline is one cache-line write (which
                 // can bounce with the timer core's polling reads).
-                self.cfg.hw.deadline_arm
+                (self.cfg.hw.deadline_arm, Some(start + q))
             }
             PreemptMech::KernelTimerSignal => {
                 let fault = self
@@ -576,6 +613,7 @@ impl LibPreemptibleSystem {
                     &mut self.ledger.obs,
                 );
                 let cost = w.ktimer.arm_cost();
+                let due = actual.map(|delay| start + delay);
                 match actual {
                     Some(delay) => {
                         self.workers[worker].ktimer_expiry =
@@ -603,9 +641,9 @@ impl LibPreemptibleSystem {
                         self.arm_watchdog(worker, seq, start + expected, 0, ctx);
                     }
                 }
-                cost
+                (cost, due)
             }
-            PreemptMech::None => SimDur::ZERO,
+            PreemptMech::None => (SimDur::ZERO, None),
         }
     }
 
@@ -703,7 +741,7 @@ impl LibPreemptibleSystem {
                 },
             );
         }
-        let arm_extra = self.arm_deadline(worker, start, q, ctx);
+        let (arm_extra, due) = self.arm_deadline(worker, start, q, ctx);
         if !arm_extra.is_zero() {
             self.workers[worker].clock.charge_observed(
                 TimeClass::Kernel,
@@ -727,17 +765,23 @@ impl LibPreemptibleSystem {
             remaining += stall;
         }
 
-        let finish_ev = ctx.at(
-            start + remaining,
-            Ev::Finish {
-                worker,
-                seq: self.workers[worker].seq,
-            },
-        );
+        // The `Finish` takes its place in the tie-break order now, but
+        // is pushed only if nothing can preempt the slice before it: a
+        // slice that outlives its deadline's fire owes it to the sender
+        // (`settle_finish`). The first compare skips the poll-tick
+        // rounding for slices that end before their deadline is due.
+        let at = start + remaining;
+        let ticket = ctx.reserve();
+        let finish = if due.is_some_and(|due| at > due && at > self.fire_instant(due)) {
+            FinishEv::Owed { at, ticket }
+        } else {
+            let seq = self.workers[worker].seq;
+            FinishEv::Queued(ctx.at_reserved(at, ticket, Ev::Finish { worker, seq }))
+        };
         self.workers[worker].state = WState::Running {
             ctx: id,
             started: start,
-            finish_ev,
+            finish,
         };
         self.ledger.obs.emit(
             start,
@@ -826,9 +870,11 @@ impl LibPreemptibleSystem {
 
     fn deliver_preemptions(&mut self, ctx: &mut Ctx<'_, Ev>) {
         let now = ctx.now();
-        let fired = self.registry.expired_observed(now, &mut self.ledger.obs);
+        let mut fired = std::mem::take(&mut self.fired);
+        self.registry
+            .expired_observed(now, &mut fired, &mut self.ledger.obs);
         let mut issue_at = now;
-        for slot in fired {
+        for &slot in &fired {
             // Slot i belongs to worker i (`new`), and a slot stays armed
             // only while its worker runs the seq that armed it: finish
             // and landing both disarm before `seq` moves.
@@ -867,6 +913,7 @@ impl LibPreemptibleSystem {
                 self.send_preempt_uipi(worker, seq, issue_at, 0, probe, ctx);
             }
         }
+        self.fired = fired;
         self.update_timer_check(ctx);
     }
 
@@ -914,6 +961,7 @@ impl LibPreemptibleSystem {
                 &mut self.ledger.obs,
             )
             .expect("live UPID");
+        let mut arrive = None;
         if outcome == SendOutcome::NotifiedRunning {
             let mut delivery = self.jitter(self.cfg.hw.uintr_delivery_running);
             if let Some(IpiFault::Delay(extra)) = fault {
@@ -938,8 +986,10 @@ impl LibPreemptibleSystem {
                     uintr: true,
                 },
             );
+            arrive = Some(at + delivery);
         }
         // Any other outcome is a lost preemption; the watchdog notices.
+        self.settle_finish(worker, seq, arrive, ctx);
         if self.injector.is_some() {
             self.arm_watchdog(worker, seq, at, attempt, ctx);
         }
@@ -989,12 +1039,13 @@ impl LibPreemptibleSystem {
                 let _ = self.uintr.acknowledge(entry.upid);
             }
         }
-        if let Some(d) = self.signal_path.deliver_with_fault_observed(
+        let delivered = self.signal_path.deliver_with_fault_observed(
             at,
             fault,
             worker as u16,
             &mut self.ledger.obs,
-        ) {
+        );
+        if let Some(d) = delivered {
             if self.cfg.mech.needs_timer_core() {
                 self.timer_clock.charge_observed(
                     TimeClass::Preemption,
@@ -1020,8 +1071,37 @@ impl LibPreemptibleSystem {
             );
         }
         // A lost signal schedules nothing; the watchdog recovers it.
+        self.settle_finish(worker, seq, delivered.map(|d| d.handler_start), ctx);
         if self.injector.is_some() {
             self.arm_watchdog(worker, seq, at, attempt, ctx);
+        }
+    }
+
+    /// Called by both senders after a send for `seq`, which is always
+    /// the running slice's: pushes `worker`'s owed `Finish` under its
+    /// reserved ticket unless `arrive`, the instant of the
+    /// `PreemptArrive` the send just scheduled (`None` if it was lost),
+    /// is strictly before it. Such an arrival lands first, since only a
+    /// landing or the `Finish` ends the slice and a core hog defers it
+    /// at most to the stall's end, which precedes the `Finish`; so an
+    /// owed `Finish` that is never pushed is one the landing would have
+    /// cancelled.
+    fn settle_finish(
+        &mut self,
+        worker: usize,
+        seq: u64,
+        arrive: Option<SimTime>,
+        ctx: &mut Ctx<'_, Ev>,
+    ) {
+        let w = &mut self.workers[worker];
+        debug_assert_eq!(w.seq, seq, "send for a finished slice");
+        if let WState::Running { finish, .. } = &mut w.state {
+            if let FinishEv::Owed { at, ticket } = *finish {
+                if arrive.is_some_and(|t| t < at) {
+                    return;
+                }
+                *finish = FinishEv::Queued(ctx.at_reserved(at, ticket, Ev::Finish { worker, seq }));
+            }
         }
     }
 
@@ -1045,11 +1125,13 @@ impl LibPreemptibleSystem {
     /// the deadline lives in the worker (latest send wins): one field
     /// store, no event, no heap traffic, no global bookkeeping. The
     /// throttled scan driven from [`Model::handle`] notices a deadline
-    /// within half a timeout of it passing — an armed deadline implies
-    /// its victim is `Running`, so at least that worker's `Finish` is
-    /// always pending and a due deadline can never sleep past the end
-    /// of the run. Retries (attempt > 0) are already on the faulty
-    /// path, so they also schedule a precise [`Ev::WatchdogCheck`]:
+    /// within half a timeout of it passing — an armed deadline's victim
+    /// always has a pending current-seq `PreemptArrive` or `Finish`
+    /// (the send that armed it either scheduled the arrival or pushed
+    /// the owed `Finish`, and the kernel timer's lost arming pushes the
+    /// `Finish` at dispatch), so a due deadline can never sleep past
+    /// the end of the run. Retries (attempt > 0) are already on the
+    /// faulty path, so they also schedule a precise [`Ev::WatchdogCheck`]:
     /// once a loss streak starts it advances on the backoff cadence,
     /// not the accident of scan or event timing.
     #[inline]
@@ -1221,12 +1303,13 @@ impl LibPreemptibleSystem {
             WState::Running {
                 ctx: id,
                 started,
-                finish_ev,
-                ..
+                finish,
             } if w_seq == seq => {
                 let id = *id;
                 let started_at = *started;
-                ctx.cancel(*finish_ev);
+                if let FinishEv::Queued(ev) = *finish {
+                    ctx.cancel(ev);
+                }
                 debug_assert!(started_at <= now);
                 let executed = now.saturating_since(started_at);
                 let w = &mut self.workers[worker];
@@ -1275,19 +1358,26 @@ impl LibPreemptibleSystem {
             WState::Running {
                 ctx: running_ctx,
                 started,
-                finish_ev,
-                ..
+                finish,
             } => {
                 // Stale delivery raced a completion: the handler still
                 // runs, stealing `recv_cost` from whatever the worker
                 // now executes. Shift the current run (start and
                 // finish) by the handler cost so executed-time math
-                // stays consistent.
+                // stays consistent. The shifted `Finish` takes a fresh
+                // place in the tie-break order, queued or owed.
                 *started += recv_cost;
-                ctx.cancel(*finish_ev);
-                let (id, started_at) = (*running_ctx, *started);
-                let remaining = self.pool.get(id).remaining;
-                *finish_ev = ctx.at(started_at + remaining, Ev::Finish { worker, seq: w_seq });
+                let at = *started + self.pool.get(*running_ctx).remaining;
+                *finish = match *finish {
+                    FinishEv::Queued(ev) => {
+                        ctx.cancel(ev);
+                        FinishEv::Queued(ctx.at(at, Ev::Finish { worker, seq: w_seq }))
+                    }
+                    FinishEv::Owed { .. } => FinishEv::Owed {
+                        at,
+                        ticket: ctx.reserve(),
+                    },
+                };
                 self.ledger.spurious(now, worker as u16);
                 self.workers[worker].clock.charge_observed(
                     TimeClass::Preemption,
@@ -1358,9 +1448,12 @@ impl LibPreemptibleSystem {
     }
 
     fn handle_finish(&mut self, worker: usize, seq: u64, ctx: &mut Ctx<'_, Ev>) {
-        if self.workers[worker].seq != seq {
-            return; // cancelled-but-raced finish; ignore
-        }
+        // Every run that ends by a landing cancels its queued `Finish`
+        // (or never pushed it), so only a current one reaches here.
+        debug_assert_eq!(
+            self.workers[worker].seq, seq,
+            "stale Finish fired (worker {worker})"
+        );
         let WState::Running {
             ctx: id, started, ..
         } = self.workers[worker].state
@@ -1397,11 +1490,11 @@ impl Model for LibPreemptibleSystem {
         // Lost-preemption watchdogs piggyback on the event stream: one
         // compare per event against a throttled scan tick, so the
         // healthy path pays no per-send heap traffic or bookkeeping at
-        // all. An armed deadline's victim is `Running`, so its `Finish`
-        // event (at the latest) is always pending and a due check
-        // cannot starve — detection lands within half a timeout of the
-        // deadline whenever events flow, and retries sharpen that with
-        // their own scheduled checks.
+        // all. An armed watchdog's victim always has a pending
+        // current-seq `PreemptArrive` or `Finish` (`arm_watchdog`), so
+        // a due check cannot starve — detection lands within half a
+        // timeout of the deadline whenever events flow, and retries
+        // sharpen that with their own scheduled checks.
         if ctx.now().as_nanos() >= self.wd_scan_at {
             self.check_watchdogs(ctx);
         }

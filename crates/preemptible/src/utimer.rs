@@ -163,6 +163,28 @@ impl UtimerRegistry {
     /// the slots whose deadlines are `<= now`, disarming them.
     pub fn expired(&mut self, now: SimTime) -> Vec<SlotId> {
         let mut fired = Vec::new();
+        self.expire_into(now, &mut fired);
+        fired
+    }
+
+    /// [`expired`](Self::expired) into `fired` (cleared first, so a
+    /// caller can reuse one buffer for every scan) plus a `timer_poll`
+    /// event recording how many deadlines this scan fired (including
+    /// zero — poll frequency itself is a cost the paper measures).
+    pub fn expired_observed(&mut self, now: SimTime, fired: &mut Vec<SlotId>, obs: &mut Observer) {
+        fired.clear();
+        self.expire_into(now, fired);
+        obs.emit(
+            now,
+            Event::TimerPoll {
+                expired: fired.len() as u16,
+            },
+        );
+    }
+
+    /// Appends the slots whose deadlines are `<= now` to `fired`,
+    /// disarming them.
+    fn expire_into(&mut self, now: SimTime, fired: &mut Vec<SlotId>) {
         for (i, line) in self.lines.iter_mut().enumerate() {
             if let Some(dl) = line.deadline {
                 if dl <= now {
@@ -172,21 +194,6 @@ impl UtimerRegistry {
                 }
             }
         }
-        fired
-    }
-
-    /// [`expired`](Self::expired) plus a `timer_poll` event recording
-    /// how many deadlines this scan fired (including zero — poll
-    /// frequency itself is a cost the paper measures).
-    pub fn expired_observed(&mut self, now: SimTime, obs: &mut Observer) -> Vec<SlotId> {
-        let fired = self.expired(now);
-        obs.emit(
-            now,
-            Event::TimerPoll {
-                expired: fired.len() as u16,
-            },
-        );
-        fired
     }
 
     /// The earliest armed deadline (lets the simulated timer core — and
@@ -353,9 +360,13 @@ mod tests {
         let a = r.register();
         let mut obs = Observer::new(16);
         r.arm_observed(a, t(500), t(100), &mut obs);
-        // Empty poll still records the scan.
-        assert!(r.expired_observed(t(200), &mut obs).is_empty());
-        assert_eq!(r.expired_observed(t(600), &mut obs), vec![a]);
+        // Empty poll still records the scan, and clears the reused
+        // buffer first.
+        let mut fired = vec![a];
+        r.expired_observed(t(200), &mut fired, &mut obs);
+        assert!(fired.is_empty());
+        r.expired_observed(t(600), &mut fired, &mut obs);
+        assert_eq!(fired, [a]);
         // Disarming an already-fired slot emits nothing.
         r.disarm_observed(a, t(700), &mut obs);
         r.arm_observed(a, t(900), t(800), &mut obs);

@@ -7,7 +7,7 @@
 //! (events can only be scheduled at or after the current instant) enforced
 //! in one place.
 
-use crate::queue::{EventId, EventQueue};
+use crate::queue::{EventId, EventQueue, Ticket};
 use crate::time::{SimDur, SimTime};
 
 /// A simulated system: the single event handler of a simulation.
@@ -49,6 +49,31 @@ impl<E> Ctx<'_, E> {
             self.now
         );
         self.queue.push(time, event)
+    }
+
+    /// Takes the sequence number the next scheduled event would take,
+    /// for an event that may be filed later with
+    /// [`at_reserved`](Self::at_reserved). See [`EventQueue::reserve`].
+    pub fn reserve(&mut self) -> Ticket {
+        self.queue.reserve()
+    }
+
+    /// Schedules `event` at `time` under an earlier
+    /// [`reserve`](Self::reserve)'s sequence number: among events at
+    /// `time` it fires where it would have had it been scheduled when
+    /// the ticket was taken.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `time` is in the past.
+    pub fn at_reserved(&mut self, time: SimTime, ticket: Ticket, event: E) -> EventId {
+        assert!(
+            time >= self.now,
+            "scheduling into the past: {} < {}",
+            time,
+            self.now
+        );
+        self.queue.push_reserved(time, ticket, event)
     }
 
     /// Schedules `event` to fire `delay` after the current instant.

@@ -79,5 +79,5 @@ mod time;
 mod wheel;
 
 pub use engine::{Ctx, Model, Simulation};
-pub use queue::{EventId, EventQueue};
+pub use queue::{EventId, EventQueue, Ticket};
 pub use time::{SimDur, SimTime};

@@ -11,7 +11,9 @@
 //! globally smallest live key, so event order is *total* and the whole
 //! simulation stays deterministic: two events scheduled for the same
 //! instant fire in scheduling order, byte-identical to the old
-//! pure-heap engine.
+//! pure-heap engine. [`EventQueue::reserve`] takes a place in that
+//! order before the event exists, and [`EventQueue::push_reserved`]
+//! files the event there later.
 //!
 //! Cancellation is O(1) via **generation-tagged slab nodes** instead
 //! of a tombstone set. Every scheduled event borrows a node in the
@@ -64,6 +66,14 @@ impl EventId {
     }
 }
 
+/// A place in the queue's `(time, seq)` tie-break order, taken by
+/// [`EventQueue::reserve`] before the event it orders is known to be
+/// needed. An event later filed under it with
+/// [`EventQueue::push_reserved`] pops exactly where a push made at the
+/// reservation would have. Use each ticket for at most one event.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Ticket(u64);
+
 /// A deterministic priority queue of timestamped events.
 ///
 /// ```
@@ -111,6 +121,32 @@ impl<E> EventQueue<E> {
     /// [`cancel`](Self::cancel).
     pub fn push(&mut self, time: SimTime, event: E) -> EventId {
         let (slot, gen) = self.wheel.push(time, event);
+        EventId::new(slot, gen)
+    }
+
+    /// Takes the sequence number the next push would take, without
+    /// scheduling anything: every later push orders after the ticket
+    /// among equal times.
+    ///
+    /// ```
+    /// use lp_sim::{EventQueue, SimTime};
+    /// let mut q = EventQueue::new();
+    /// let early = q.reserve();
+    /// q.push(SimTime::from_nanos(5), "pushed");
+    /// q.push_reserved(SimTime::from_nanos(5), early, "reserved");
+    /// assert_eq!(q.pop().map(|(_, e)| e), Some("reserved"));
+    /// assert_eq!(q.pop().map(|(_, e)| e), Some("pushed"));
+    /// ```
+    pub fn reserve(&mut self) -> Ticket {
+        Ticket(self.wheel.reserve())
+    }
+
+    /// Schedules `event` at `time` under `ticket`'s sequence number, so
+    /// it pops exactly where a [`push`](Self::push) made when the ticket
+    /// was taken would have. Returns an id usable with
+    /// [`cancel`](Self::cancel).
+    pub fn push_reserved(&mut self, time: SimTime, ticket: Ticket, event: E) -> EventId {
+        let (slot, gen) = self.wheel.push_reserved(time, ticket.0, event);
         EventId::new(slot, gen)
     }
 

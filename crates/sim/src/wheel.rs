@@ -34,24 +34,28 @@
 //!
 //! # Determinism
 //!
-//! The total order is `(time, seq)` with `seq` monotonic across the
-//! queue's whole life — exactly the packed-`u128` key the old heap
-//! used — and [`TimerWheel::pop`] always returns the globally smallest
-//! live entry under it. The wheel can afford to keep only the `u64`
-//! time per node because equal times are always *co-bucketed* (filing
-//! depends only on the time and the cursor, and cascades keep it
-//! current) and every bucket append — push, cascade, overflow pull —
-//! happens in ascending `seq` among equal times. List order inside a
-//! bucket therefore *is* seq order, ties across buckets cannot exist,
-//! and strict `<` scans (first hit wins) recover the exact `(time,
-//! seq)` minimum. The overflow heap, which has no list order, keeps
-//! the full packed key; heap entries are born in `push` alone (a
-//! cascade or pull never refiles outward, see [`TimerWheel::file`]),
-//! where the sequence number is still at hand. The pop order is
-//! *identical* to the pure-heap implementation: byte-for-byte the same
-//! figures, traces, and leaderboards (pinned by
-//! `tests/determinism.rs`, the wheel-vs-naive proptest oracle, and the
-//! `wheel_oracle` differential fuzzer).
+//! The total order is `(time, seq)` — exactly the packed-`u128` key
+//! the old heap used — and [`TimerWheel::pop`] always returns the
+//! globally smallest live entry under it. Each node records its `seq`
+//! in its [`Cold`] record, but the hot paths never compare it: equal
+//! times are always *co-bucketed* (filing depends only on the time and
+//! the cursor, and cascades keep it current), and every bucket keeps
+//! its equal-time nodes in ascending `seq` along its list. A plain
+//! push takes the next `seq`, larger than every live one, so its O(1)
+//! tail append keeps that order, and so do cascades and overflow pulls,
+//! which refile in list or key order. A *reserved* push
+//! ([`TimerWheel::reserve`], [`TimerWheel::push_reserved`]) files under
+//! a `seq` taken earlier, so it walks its bucket and links in before
+//! the first equal-time node with a larger `seq`, and takes over the
+//! cached minimum on an equal-time tie with a lower `seq`. List order
+//! among equal times therefore *is* seq order, ties across buckets
+//! cannot exist, and strict `<` scans (first hit wins) recover the
+//! exact `(time, seq)` minimum. The overflow heap, which has no list
+//! order, keeps the full packed key. The pop order is *identical* to
+//! the pure-heap implementation: byte-for-byte the same figures,
+//! traces, and leaderboards (pinned by `tests/determinism.rs`, the
+//! wheel-vs-naive proptest oracle, and the `wheel_oracle` differential
+//! fuzzer).
 //!
 //! The one wrinkle is past-time pushes (times at or before the
 //! cursor): they clamp *placement* into the cursor's own level-0
@@ -62,7 +66,9 @@
 //! # Cost model
 //!
 //! * `push`: freelist slab alloc + XOR/`leading_zeros` level pick + a
-//!   tail append — O(1), no per-event allocation after warm-up.
+//!   tail append — O(1), no per-event allocation after warm-up. A
+//!   reserved push whose ticket is no longer the newest `seq` walks its
+//!   one bucket for its place instead.
 //! * `cancel`: generation compare + intrusive unlink — O(1) even when
 //!   the cancelled event *was* the cached minimum: a same-tick sibling
 //!   takes over in place, or the cache degrades to a lazy lower bound
@@ -151,11 +157,12 @@ struct Link {
     next: u32,
 }
 
-/// The cold half of a slab node: the residency/generation word and the
-/// event payload, parallel to [`Link`]. Fused into one record so the
-/// random-index accesses a pop or cancel makes — liveness check,
-/// payload take, generation bump — land on a single cache line per
-/// node instead of one line per array. Cascades never touch this.
+/// The cold half of a slab node: the residency/generation word, the
+/// sequence number and the event payload, parallel to [`Link`]. Fused
+/// into one record so the random-index accesses a pop or cancel makes
+/// — liveness check, payload take, generation bump — land on a single
+/// cache line per node instead of one line per array. Cascades never
+/// touch this.
 struct Cold<E> {
     /// Generation (upper 30 bits — a handle is live iff its generation
     /// matches) packed with the residency tag (low 2 bits). One load
@@ -163,6 +170,10 @@ struct Cold<E> {
     /// free?"; one add retires the node. Written only at
     /// push/free/heap-migrate.
     meta: u32,
+    /// The tie-break half of the node's `(time, seq)` key. Read only
+    /// when a reserved push ties with residents at its time; list order
+    /// carries it everywhere else.
+    seq: u64,
     /// The payload; `None` while the node is free (destructor-free
     /// payloads may linger, see [`TimerWheel::drop_event`]).
     event: Option<E>,
@@ -282,9 +293,8 @@ pub(crate) struct TimerWheel<E> {
     heap_dead: usize,
     /// Live (scheduled, not cancelled, not fired) events.
     live: usize,
-    /// Monotonic insertion sequence — the tie-break half of the total
-    /// order. Only heap entries materialize it; on the wheel it is
-    /// implied by bucket list order.
+    /// The next sequence number — the tie-break half of the total
+    /// order. Taken by every push and every [`Self::reserve`].
     next_seq: u64,
 }
 
@@ -402,11 +412,29 @@ impl<E> TimerWheel<E> {
 
     /// Schedules `event` at `time`; returns the `(node, generation)`
     /// pair the caller packs into its handle type.
+    #[inline]
     pub(crate) fn push(&mut self, time: SimTime, event: E) -> (u32, u32) {
+        let seq = self.reserve();
+        self.push_reserved(time, seq, event)
+    }
+
+    /// Takes the next sequence number exactly as a [`Self::push`] would,
+    /// for a later [`Self::push_reserved`].
+    #[inline]
+    pub(crate) fn reserve(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
+        seq
+    }
+
+    /// Schedules `event` at `time` under `seq`, a number taken by
+    /// [`Self::reserve`] and not yet used: it pops exactly where a push
+    /// made at the reservation would have. A plain push is the case
+    /// where nothing was numbered after `seq`.
+    pub(crate) fn push_reserved(&mut self, time: SimTime, seq: u64, event: E) -> (u32, u32) {
+        debug_assert!(seq < self.next_seq, "sequence number never reserved");
         let t = time.as_nanos();
-        let (node, gen) = self.alloc(t, event);
+        let (node, gen) = self.alloc(t, seq, event);
         self.live += 1;
         let now = self.hot.now;
         let b = if t < now {
@@ -419,27 +447,33 @@ impl<E> TimerWheel<E> {
             wheel_bucket(now, t)
         } else {
             // Far future: overflow to the heap with the full packed
-            // key. This is the only place heap entries are born, which
-            // is why the slab never has to store `seq`. Heap residents
-            // never beat the cached wheel minimum.
+            // key. Heap residents never beat the cached wheel minimum.
             self.cold[node as usize].meta = gen << 2 | TAG_HEAP;
             let key = ((t as u128) << 64) | seq as u128;
             self.heap.push(HeapEntry { key, node, gen });
             return (node, gen);
         };
-        self.link_tail(node, b);
+        if seq + 1 == self.next_seq {
+            // Nothing was numbered after `seq`, so every resident has a
+            // lower one: append at the tail.
+            self.link_tail(node, b);
+        } else {
+            self.link_by_seq(node, b, t, seq);
+        }
         self.hot.cand = Min {
             time: t,
             node,
             bucket: b,
         };
-        // Strict `<`: an equal-time push has a higher seq and must not
-        // steal the minimum. The same compare re-arms a *lazy* cache —
-        // `wmin.time` is then a lower bound on every resident, so a
-        // strictly smaller push is the unique new minimum. (A
+        // Strict `<` on time: an equal-time push steals the minimum only
+        // with a lower seq, which only a reserved push can have. The
+        // same compare re-arms a *lazy* cache — `wmin.time` is then a
+        // lower bound on every resident, so a strictly smaller push is
+        // the unique new minimum, and a tie leaves the bound valid. (A
         // `u64::MAX` push into an empty wheel stays lazy; peek's scan
         // finds it.)
-        if t < self.hot.wmin.time {
+        let m = self.hot.wmin;
+        if t < m.time || (t == m.time && m.node != NIL && seq < self.cold[m.node as usize].seq) {
             self.hot.wmin = Min {
                 time: t,
                 node,
@@ -542,11 +576,11 @@ impl<E> TimerWheel<E> {
 
     // -- slab ---------------------------------------------------------
 
-    /// Allocates a slab node holding `(time, event)` with a
+    /// Allocates a slab node holding `(time, seq, event)` with a
     /// [`TAG_WHEEL`] residency (the far-future push path retags) and
     /// returns its generation.
     #[inline]
-    fn alloc(&mut self, time: u64, event: E) -> (u32, u32) {
+    fn alloc(&mut self, time: u64, seq: u64, event: E) -> (u32, u32) {
         if self.free_head != NIL {
             let node = self.free_head;
             let link = &mut self.links[node as usize];
@@ -555,6 +589,7 @@ impl<E> TimerWheel<E> {
             let c = &mut self.cold[node as usize];
             c.meta &= !TAG_MASK; // TAG_FREE -> TAG_WHEEL, generation kept
             let gen = c.meta >> 2;
+            c.seq = seq;
             c.event = Some(event);
             (node, gen)
         } else {
@@ -569,6 +604,7 @@ impl<E> TimerWheel<E> {
             });
             self.cold.push(Cold {
                 meta: TAG_WHEEL,
+                seq,
                 event: Some(event),
             });
             (node, 0)
@@ -610,8 +646,7 @@ impl<E> TimerWheel<E> {
     /// inside the cursor's block — a cascaded bucket shares the old
     /// block and the cursor only moves within it here, and a pull
     /// stops at the block edge — so this never files outward to the
-    /// heap (which would need a sequence number the slab doesn't
-    /// carry). Tracks the minimum across the refile pass in-line: the
+    /// heap. Tracks the minimum across the refile pass in-line: the
     /// refresh seeds `wmin` with the sentinel and a single advance
     /// leaves the exact new minimum behind, no separate bucket walk
     /// needed. (Strict `<` keeps the first equal-time node seen, which
@@ -652,6 +687,40 @@ impl<E> TimerWheel<E> {
             self.links[node as usize].next = head;
             self.links[tail as usize].next = node;
             self.links[head as usize].prev = node;
+        }
+    }
+
+    /// Links `node` (time `t`, sequence `seq`) into bucket `b` before
+    /// the first resident of the same time with a larger `seq`, or at
+    /// the tail when none has one — the one insert that is not a tail
+    /// append, used by [`Self::push_reserved`]. Residents of other
+    /// times keep their places: only equal-time order is an invariant.
+    fn link_by_seq(&mut self, node: u32, b: u16, t: u64, seq: u64) {
+        let bi = b as usize & (BUCKETS - 1); // in-bounds proof, see `link_tail`
+        let head = self.buckets[bi];
+        if head == NIL {
+            self.link_tail(node, b);
+            return;
+        }
+        let mut cur = head;
+        loop {
+            if self.links[cur as usize].time == t && self.cold[cur as usize].seq > seq {
+                // Insert before `cur`.
+                let prev = self.links[cur as usize].prev;
+                self.links[node as usize].prev = prev;
+                self.links[node as usize].next = cur;
+                self.links[prev as usize].next = node;
+                self.links[cur as usize].prev = node;
+                if cur == head {
+                    self.buckets[bi] = node;
+                }
+                return;
+            }
+            cur = self.links[cur as usize].next;
+            if cur == head {
+                self.link_tail(node, b);
+                return;
+            }
         }
     }
 
@@ -1129,6 +1198,101 @@ mod tests {
         assert_eq!(w.peek_time(), Some(t(u64::MAX)));
         assert_eq!(drain(&mut w), [(u64::MAX, "eon")]);
         assert!(w.peek_time().is_none());
+    }
+
+    /// A plain push at tick `at`, for the reserved-push tests below
+    /// (one call site keeps them clear of the `hot-alloc` audit).
+    fn plain<E>(w: &mut TimerWheel<E>, at: u64, e: E) -> (u32, u32) {
+        w.push(t(at), e)
+    }
+
+    #[test]
+    fn reserved_push_precedes_later_seqs_at_its_time() {
+        let mut w = TimerWheel::with_capacity(8);
+        // Level 0: every resident of the bucket shares the tick.
+        let early = w.reserve();
+        plain(&mut w, 5, "a");
+        let mid = w.reserve();
+        plain(&mut w, 5, "b");
+        w.push_reserved(t(5), mid, "mid");
+        w.push_reserved(t(5), early, "early");
+        // A coarser bucket mixes ticks; only equal times reorder.
+        let coarse = w.reserve();
+        plain(&mut w, 5_000, "c");
+        plain(&mut w, 4_999, "d");
+        plain(&mut w, 5_000, "e");
+        w.push_reserved(t(5_000), coarse, "coarse");
+        assert_eq!(
+            drain(&mut w),
+            [
+                (5, "early"),
+                (5, "a"),
+                (5, "mid"),
+                (5, "b"),
+                (4_999, "d"),
+                (5_000, "coarse"),
+                (5_000, "c"),
+                (5_000, "e"),
+            ]
+        );
+    }
+
+    #[test]
+    fn reserved_push_sorts_into_the_mixed_bucket() {
+        let mut w = TimerWheel::with_capacity(8);
+        let early = w.reserve();
+        plain(&mut w, 10_000, "advance");
+        plain(&mut w, 20_000, "later");
+        assert_eq!(w.pop().map(|(at, _)| at), Some(t(10_000)));
+        // The cursor sits past 7, so both clamp into its bucket.
+        plain(&mut w, 7, "old");
+        plain(&mut w, 3, "ancient");
+        w.push_reserved(t(7), early, "reserved");
+        assert!(w.hot.mixed, "past-time pushes mix the cursor's bucket");
+        assert_eq!(
+            drain(&mut w),
+            [
+                (3, "ancient"),
+                (7, "reserved"),
+                (7, "old"),
+                (20_000, "later")
+            ]
+        );
+    }
+
+    #[test]
+    fn reserved_push_orders_by_seq_in_the_heap() {
+        let mut w = TimerWheel::with_capacity(8);
+        let early = w.reserve();
+        plain(&mut w, HORIZON + 9, "a");
+        plain(&mut w, HORIZON + 9, "b");
+        w.push_reserved(t(HORIZON + 9), early, "reserved");
+        assert_eq!(w.heap.len(), 3, "all three overflow");
+        assert_eq!(
+            drain(&mut w),
+            [
+                (HORIZON + 9, "reserved"),
+                (HORIZON + 9, "a"),
+                (HORIZON + 9, "b")
+            ]
+        );
+    }
+
+    #[test]
+    fn reserved_push_takes_the_minimum_on_a_tie() {
+        let mut w = TimerWheel::with_capacity(8);
+        let early = w.reserve();
+        plain(&mut w, 40, "pushed");
+        plain(&mut w, 90, "after");
+        let (n, g) = w.push_reserved(t(40), early, "reserved");
+        assert_eq!(w.hot.wmin.node, n, "the lower seq wins the tie");
+        assert_eq!(w.peek_time(), Some(t(40)));
+        w.cancel(n, g);
+        assert_eq!(w.pop().map(|(_, e)| e), Some("pushed"));
+        let early = w.reserve();
+        plain(&mut w, 90, "last");
+        w.push_reserved(t(90), early, "first");
+        assert_eq!(drain(&mut w), [(90, "after"), (90, "first"), (90, "last")]);
     }
 
     #[test]

@@ -149,6 +149,120 @@ proptest! {
     }
 }
 
+/// One operation for the reservation oracle: the plain operations plus
+/// [`EventQueue::reserve`] and [`EventQueue::push_reserved`]. A
+/// reserved push files the outstanding ticket `ticket` (modulo their
+/// count) at `time`, or, when `tie` is set, at the time of an existing
+/// entry (modulo their count), so equal-time ties with older and newer
+/// sequence numbers are common on every wheel level and in the heap.
+#[derive(Debug, Clone, Copy)]
+enum ROp {
+    Push(u64),
+    Reserve,
+    PushReserved {
+        time: u64,
+        tie: Option<usize>,
+        ticket: usize,
+    },
+    Cancel(usize),
+    Pop,
+}
+
+fn rop_strategy() -> impl Strategy<Value = ROp> {
+    prop_oneof![
+        3 => time_strategy().prop_map(ROp::Push),
+        2 => Just(ROp::Reserve),
+        3 => (time_strategy(), any::<bool>(), any::<usize>(), any::<usize>()).prop_map(
+            |(time, tied, k, ticket)| ROp::PushReserved {
+                time,
+                tie: tied.then_some(k),
+                ticket,
+            }
+        ),
+        2 => any::<usize>().prop_map(ROp::Cancel),
+        2 => Just(ROp::Pop),
+    ]
+}
+
+proptest! {
+    /// The reservation oracle: interleaving `reserve` and
+    /// `push_reserved` with push, cancel, and pop, the wheel agrees with
+    /// a naive `(time, seq)` scan on every pop, peek, and live count —
+    /// a reserved entry orders by the sequence number its ticket took,
+    /// not by when it was filed.
+    #[test]
+    fn reserved_pushes_match_naive_oracle(ops in proptest::collection::vec(rop_strategy(), 1..250)) {
+        let mut q = EventQueue::new();
+        // Oracle entries: (time, seq, alive), one per filed event.
+        let mut naive: Vec<(u64, u64, bool)> = Vec::new();
+        let mut ids = Vec::new();
+        let mut tickets = Vec::new();
+        let mut seq = 0u64;
+        for op in &ops {
+            match *op {
+                ROp::Push(t) => {
+                    ids.push((q.push(SimTime::from_nanos(t), seq), naive.len()));
+                    naive.push((t, seq, true));
+                    seq += 1;
+                }
+                ROp::Reserve => {
+                    tickets.push((q.reserve(), seq));
+                    seq += 1;
+                }
+                ROp::PushReserved { time, tie, ticket } => {
+                    if tickets.is_empty() {
+                        continue;
+                    }
+                    let (tk, s) = tickets.swap_remove(ticket % tickets.len());
+                    let t = match tie {
+                        Some(k) if !naive.is_empty() => naive[k % naive.len()].0,
+                        _ => time,
+                    };
+                    ids.push((q.push_reserved(SimTime::from_nanos(t), tk, s), naive.len()));
+                    naive.push((t, s, true));
+                }
+                ROp::Cancel(k) => {
+                    if ids.is_empty() {
+                        continue;
+                    }
+                    let (id, j) = ids[k % ids.len()];
+                    q.cancel(id);
+                    naive[j].2 = false;
+                }
+                ROp::Pop => {
+                    let want = naive
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, e)| e.2)
+                        .min_by_key(|(_, e)| (e.0, e.1))
+                        .map(|(j, _)| j);
+                    let got = q.pop().map(|(t, s)| (t.as_nanos(), s));
+                    prop_assert_eq!(got, want.map(|j| (naive[j].0, naive[j].1)));
+                    if let Some(j) = want {
+                        naive[j].2 = false;
+                    }
+                }
+            }
+            let want_peek = naive.iter().filter(|e| e.2).map(|e| (e.0, e.1)).min();
+            prop_assert_eq!(
+                q.peek_time().map(|t| t.as_nanos()),
+                want_peek.map(|(t, _)| t)
+            );
+            prop_assert_eq!(q.live_len(), naive.iter().filter(|e| e.2).count());
+        }
+        let mut rest: Vec<(u64, u64)> = naive
+            .iter()
+            .filter(|e| e.2)
+            .map(|e| (e.0, e.1))
+            .collect();
+        rest.sort_unstable();
+        for &want in &rest {
+            prop_assert_eq!(q.pop().map(|(t, s)| (t.as_nanos(), s)), Some(want));
+        }
+        prop_assert!(q.pop().is_none());
+    }
+}
+
 /// Number of [`Event`] variants; [`event_from`] must construct each.
 /// Bumped together with the enum (the match below fails to cover a new
 /// selector otherwise, and `every_variant_reachable` pins the count).

@@ -317,6 +317,24 @@ fn kernel_timer_faults_cell() -> RunReport {
     run(cfg, Box::new(Fifo::new(SimDur::micros(20))), spec)
 }
 
+/// Four UINTR workers on constant 10.4 us tasks with a 5 us `Fifo`
+/// slice at about 300 krps: the second slice's finish races its
+/// deadline's landing, so a slice's `Finish` is pushed at dispatch,
+/// pushed late by the sender, or never pushed because the landing
+/// comes first. `faults` runs the same geometry with IPIs dropped.
+fn finish_race_cell(faults: FaultPlan) -> RunReport {
+    let cfg = RuntimeConfig {
+        workers: 4,
+        seed: SEED,
+        control_period: SimDur::millis(10),
+        trace_capacity: 4096,
+        faults,
+        ..RuntimeConfig::default()
+    };
+    let spec = phased(ServiceDist::Constant(SimDur::nanos(10_400)), 300_000.0, 60);
+    run(cfg, Box::new(Fifo::new(SimDur::micros(5))), spec)
+}
+
 /// The colocation mix under Algorithm 1 with series and an SLO on.
 fn colocated_cell() -> RunReport {
     let cfg = RuntimeConfig {
@@ -351,13 +369,15 @@ fn shinjuku_cell(quantum: SimDur, trace_capacity: usize) -> RunReport {
 type Cell = (&'static str, fn() -> RunReport);
 
 /// `(cell, FNV-1a-64 of every report field)` at [`SEED`].
-const REPORT_PINS: [(&str, u64); 12] = [
+const REPORT_PINS: [(&str, u64); 14] = [
     ("runtime/uintr", 0x0674_3612_7be7_4f45),
     ("runtime/timer_core_signal", 0xa5b3_8b10_a8e8_f746),
     ("runtime/kernel_timer_signal", 0xe772_5dd8_781c_2b1c),
     ("runtime/none", 0x8e2b_b0d1_06e6_323c),
     ("runtime/kernel_timer_signal_lost", 0x7c94_1f7b_e6c6_3ba0),
     ("runtime/kernel_timer_faults", 0xaf04_c738_ce3e_abd4),
+    ("runtime/finish_races_landing", 0xf0b9_6c4c_1b34_146f),
+    ("runtime/finish_races_lost_ipi", 0x3dc2_253a_1842_5147),
     ("libinger", 0xf47a_d5d9_c6ca_ca9c),
     ("fault_overload", 0x53ad_5714_c71e_ac6c),
     ("colocated", 0x4024_e805_eb16_dd92),
@@ -368,7 +388,7 @@ const REPORT_PINS: [(&str, u64); 12] = [
 
 #[test]
 fn run_reports_are_pinned_across_commits() {
-    let cells: [Cell; 12] = [
+    let cells: [Cell; 14] = [
         ("runtime/uintr", || runtime_cell(PreemptMech::Uintr)),
         ("runtime/timer_core_signal", || {
             runtime_cell(PreemptMech::TimerCoreSignal)
@@ -382,6 +402,12 @@ fn run_reports_are_pinned_across_commits() {
             kernel_timer_signal_lost_cell,
         ),
         ("runtime/kernel_timer_faults", kernel_timer_faults_cell),
+        ("runtime/finish_races_landing", || {
+            finish_race_cell(FaultPlan::default())
+        }),
+        ("runtime/finish_races_lost_ipi", || {
+            finish_race_cell(FaultPlan::only(FaultKind::IpiDrop, 0.3))
+        }),
         ("libinger", || {
             let cfg = LibingerConfig {
                 workers: 2,
@@ -434,6 +460,17 @@ fn run_reports_are_pinned_across_commits() {
         faults.metrics.counter("preempt_retries") > 0,
         "no kernel-timer retry to pin"
     );
+    for name in [
+        "runtime/finish_races_landing",
+        "runtime/finish_races_lost_ipi",
+    ] {
+        let r = by_name(name);
+        assert!(r.preemptions > 0, "{name}: no preemption to pin");
+        assert!(
+            r.spurious_preemptions > 0,
+            "{name}: no landing after its task finished"
+        );
+    }
     for (name, r) in &reports {
         assert!(r.is_conserved(), "{name}: not conserved");
     }

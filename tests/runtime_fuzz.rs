@@ -1,14 +1,18 @@
 //! Property-based fuzzing of the full runtime: random configurations
 //! and workloads must always conserve requests, stay deterministic,
 //! and keep accounting sane. Every run is traced in full, so the
-//! record-path oracle can recount the report from the trace.
+//! record-path oracle can recount the report from the trace. A second
+//! fuzzer runs the same checks with one fault kind injected — lost or
+//! late IPIs, lost signals, core stalls — so the send paths that push
+//! a slice's owed `Finish` run on fuzzed configurations too.
 
 mod oracle;
 
 use libpreemptible::policies::{Fifo, RoundRobin, Srpt};
 use libpreemptible::sched::SchedPolicy;
-use libpreemptible::{run, PreemptMech, RuntimeConfig, ServiceSource, WorkloadSpec};
+use libpreemptible::{run, PreemptMech, RunReport, RuntimeConfig, ServiceSource, WorkloadSpec};
 use lp_hw::TimeClass;
+use lp_sim::fault::{FaultKind, FaultPlan};
 use lp_sim::SimDur;
 use lp_workload::{PhasedService, RateSchedule, ServiceDist};
 use proptest::prelude::*;
@@ -103,6 +107,46 @@ fn build(case: &FuzzCase) -> (RuntimeConfig, Box<dyn SchedPolicy>, WorkloadSpec)
     (cfg, policy, spec)
 }
 
+/// The conservation, accounting and record-path checks every fuzzed
+/// run must pass; `label` names the case in failures.
+fn check_run(label: &str, case: &FuzzCase, r: &RunReport, duration: SimDur) {
+    prop_assert!(
+        r.is_conserved(),
+        "{label}: {} != {} + {} + {}",
+        r.arrivals,
+        r.completions,
+        r.dropped,
+        r.in_flight
+    );
+    for (i, w) in r.per_worker.iter().enumerate() {
+        let total = w.total_charged();
+        prop_assert!(
+            total <= duration + SimDur::micros(500),
+            "{label}: worker {i} charged {total} > wall {duration}"
+        );
+    }
+    if r.completions > 0 {
+        prop_assert!(r.latency.p99() >= r.latency.median());
+        prop_assert!(r.latency.max() >= r.latency.min());
+    }
+    // Non-preemptive configurations must never preempt.
+    if case.mech == 3 {
+        prop_assert_eq!(r.preemptions, 0);
+    }
+    let record = oracle::check_record_path(r);
+    prop_assert!(record.is_ok(), "{label}: {}", record.unwrap_err());
+}
+
+/// The fault kinds the fault fuzzer injects, one per run: each leaves
+/// a send without a landing before the slice's `Finish`, or moves the
+/// landing (a late IPI, a stall that defers it).
+const FUZZ_FAULTS: [FaultKind; 4] = [
+    FaultKind::IpiDrop,
+    FaultKind::IpiDelay,
+    FaultKind::SignalLost,
+    FaultKind::CoreHog,
+];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -114,28 +158,22 @@ proptest! {
         let (cfg, policy, spec) = build(&case);
         let duration = spec.duration;
         let r = run(cfg, policy, spec);
-        prop_assert!(
-            r.is_conserved(),
-            "{case:?}: {} != {} + {} + {}",
-            r.arrivals, r.completions, r.dropped, r.in_flight
-        );
-        for (i, w) in r.per_worker.iter().enumerate() {
-            let total = w.total_charged();
-            prop_assert!(
-                total <= duration + SimDur::micros(500),
-                "{case:?}: worker {i} charged {total} > wall {duration}"
-            );
-        }
-        if r.completions > 0 {
-            prop_assert!(r.latency.p99() >= r.latency.median());
-            prop_assert!(r.latency.max() >= r.latency.min());
-        }
-        // Non-preemptive configurations must never preempt.
-        if case.mech == 3 {
-            prop_assert_eq!(r.preemptions, 0);
-        }
-        let record = oracle::check_record_path(&r);
-        prop_assert!(record.is_ok(), "{case:?}: {}", record.unwrap_err());
+        check_run(&format!("{case:?}"), &case, &r, duration);
+    }
+
+    /// The same checks with one fault kind injected at a fuzzed rate.
+    #[test]
+    fn conservation_and_accounting_under_faults(
+        case in case(),
+        kind in 0usize..FUZZ_FAULTS.len(),
+        rate_pct in 5u64..80,
+    ) {
+        let (mut cfg, policy, spec) = build(&case);
+        let fault = FUZZ_FAULTS[kind];
+        cfg.faults = FaultPlan::only(fault, rate_pct as f64 / 100.0);
+        let duration = spec.duration;
+        let r = run(cfg, policy, spec);
+        check_run(&format!("{case:?} {fault:?} {rate_pct}%"), &case, &r, duration);
     }
 
     /// Same case → identical reports; the master seed fully determines
