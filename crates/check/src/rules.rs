@@ -188,15 +188,15 @@ pub const NONDET_TOKENS: [&str; 9] = [
 /// The static per-file allowance for [`RuleId::Nondet`]: `(file,
 /// tokens, reason)` triples naming the only places a banned token may
 /// appear without an inline suppression. These are *architectural*
-/// allowances — the deterministic parallel runner and the wall-clock
-/// bench harness — documented in `docs/CHECKS.md`; hits here are
+/// allowances — the deterministic parallel runner and its default job
+/// count — documented in `docs/CHECKS.md`; hits here are
 /// reported as suppressed diagnostics so the audit trail stays visible.
 ///
 /// The invariant that keeps the list sound: every entry is code that
-/// parallelizes or times *whole runs*; no simulated state ever crosses
+/// parallelizes *whole runs*; no simulated state ever crosses
 /// a thread, and no listed token can change output bytes (see
 /// `docs/PERFORMANCE.md` for the determinism argument).
-pub const NONDET_FILE_ALLOWLIST: [(&str, &[&str], &str); 3] = [
+pub const NONDET_FILE_ALLOWLIST: [(&str, &[&str], &str); 2] = [
     (
         "crates/sim/src/par.rs",
         &["thread::scope"],
@@ -206,11 +206,6 @@ pub const NONDET_FILE_ALLOWLIST: [(&str, &[&str], &str); 3] = [
         "crates/experiments/src/runner.rs",
         &["available_parallelism"],
         "default job count only — affects wall-clock, never output bytes",
-    ),
-    (
-        "crates/bench/src/main.rs",
-        &["Instant::now"],
-        "lp-bench measures wall-clock by design; it is not on any simulated path",
     ),
 ];
 

@@ -177,17 +177,15 @@ pub struct RuntimeConfig {
     /// Tail attribution (per-phase latency accounting, always-on
     /// histograms, and p99 exemplars in
     /// [`RunReport::phases`](crate::RunReport::phases)). Ships enabled;
-    /// the off switch exists only so `lp-bench` can measure the
-    /// accountant's overhead (see `docs/TRACING.md`).
+    /// the off switch exists only so the benchmark's paired `attr`
+    /// ablation can measure the accountant's overhead (see
+    /// `docs/TRACING.md`).
     pub attribution: bool,
     /// Fault-injection plan (see `lp_sim::fault` and `docs/FAULTS.md`).
     /// The default plan is disabled, in which case no injector is
     /// built, no watchdog events are scheduled, and the run is
     /// byte-identical to one without the fault subsystem.
     pub faults: FaultPlan,
-    /// Lost-preemption watchdog parameters; consulted only when
-    /// [`faults`](Self::faults) is enabled.
-    pub watchdog: WatchdogConfig,
     /// Overload admission control; disabled by default. An armed but
     /// never-triggered admission gate leaves the run byte-identical to
     /// a run without it.
@@ -209,7 +207,6 @@ impl Default for RuntimeConfig {
             trace_capacity: 0,
             attribution: true,
             faults: FaultPlan::disabled(),
-            watchdog: WatchdogConfig::default(),
             admission: AdmissionConfig::default(),
         }
     }
@@ -345,6 +342,9 @@ struct PendingReq {
 /// The simulation model. Use [`run`] rather than driving it manually.
 pub struct LibPreemptibleSystem {
     cfg: RuntimeConfig,
+    /// Lost-preemption watchdog parameters, always the defaults;
+    /// consulted only when fault injection is enabled.
+    watchdog: WatchdogConfig,
     spec: WorkloadSpec,
     policy: Box<dyn SchedPolicy>,
     /// Scratch for per-worker queue depths handed to policy hooks
@@ -417,6 +417,7 @@ impl LibPreemptibleSystem {
     fn new(cfg: RuntimeConfig, spec: WorkloadSpec, policy: Box<dyn SchedPolicy>) -> Self {
         assert!(cfg.workers > 0, "need at least one worker");
         let kernel = KernelCosts::default();
+        let watchdog = WatchdogConfig::default();
         let mut registry = UtimerRegistry::new();
         let mut uintr = UintrDomain::new();
         let mut timer_uitt = Uitt::new();
@@ -441,7 +442,7 @@ impl LibPreemptibleSystem {
                     ),
                     ktimer_expiry: None,
                     hog: HogWindow::none(),
-                    retry: RetryMachine::new(&cfg.watchdog),
+                    retry: RetryMachine::new(&watchdog),
                     wd: None,
                 }
             })
@@ -463,7 +464,7 @@ impl LibPreemptibleSystem {
             timer_uitt,
             timer_check: None,
             wd_scan_at: if cfg.faults.enabled() { 0 } else { u64::MAX },
-            wd_scan_period: (cfg.watchdog.timeout.as_nanos() / 2).max(1),
+            wd_scan_period: (watchdog.timeout.as_nanos() / 2).max(1),
             timer_clock: CoreClock::new(),
             dispatch_free_at: SimTime::ZERO,
             dispatch_queue: VecDeque::new(),
@@ -484,6 +485,7 @@ impl LibPreemptibleSystem {
             last_window: None,
             workers,
             cfg,
+            watchdog,
             spec,
             policy,
         }
@@ -1143,7 +1145,7 @@ impl LibPreemptibleSystem {
         attempt: u32,
         ctx: &mut Ctx<'_, Ev>,
     ) {
-        let at = issued + self.cfg.watchdog.timeout;
+        let at = issued + self.watchdog.timeout;
         self.workers[worker].wd = Some(WdArm { at, seq, attempt });
         if attempt > 0 {
             ctx.at(at, Ev::WatchdogCheck);
@@ -1219,7 +1221,7 @@ impl LibPreemptibleSystem {
                         losses: losses.min(u32::from(u8::MAX)) as u8,
                     },
                 );
-                let delay = self.cfg.watchdog.backoff.delay(attempt);
+                let delay = self.watchdog.backoff.delay(attempt);
                 self.ledger.obs.emit(
                     now,
                     Event::PreemptRetry {
@@ -1232,7 +1234,7 @@ impl LibPreemptibleSystem {
                 self.send_preempt_uipi(worker, seq, now + delay, attempt + 1, true, ctx);
             }
             RetryOutput::Retry { uintr } => {
-                let delay = self.cfg.watchdog.backoff.delay(attempt);
+                let delay = self.watchdog.backoff.delay(attempt);
                 self.ledger.obs.emit(
                     now,
                     Event::PreemptRetry {
@@ -2052,8 +2054,8 @@ mod tests {
 
     #[test]
     fn attribution_off_switch_changes_no_results() {
-        // `attribution: false` exists only for lp-bench's overhead
-        // A/B; it must not perturb the simulation itself.
+        // `attribution: false` exists only for the benchmark's overhead
+        // ablation; it must not perturb the simulation itself.
         let mk = |attribution: bool| {
             run(
                 RuntimeConfig {

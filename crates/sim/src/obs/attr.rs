@@ -578,10 +578,10 @@ impl Attribution {
 
     /// Turns the accountant on or off.
     ///
-    /// Attribution ships always-on; the off switch exists so
-    /// `lp-bench` can measure the accountant's healthy-path overhead
-    /// (the `attribution_overhead` section, gated <2% in CI) against
-    /// an otherwise byte-identical run. Turning it off must not change
+    /// Attribution ships always-on; the off switch exists so the
+    /// benchmark's paired `attr` ablation can measure the accountant's
+    /// healthy-path overhead (`obs.attr_share`, gated <2% in CI)
+    /// against an otherwise byte-identical run. Turning it off must not change
     /// any other observable output.
     pub fn set_enabled(&mut self, on: bool) {
         self.enabled = on;

@@ -97,8 +97,8 @@ impl Observer {
     }
 
     /// Turns the phase accountant on or off. Attribution ships
-    /// always-on; the off switch exists only for `lp-bench`'s
-    /// attribution-overhead section (see [`Attribution::set_enabled`]).
+    /// always-on; the off switch exists only for the benchmark's
+    /// attribution-overhead ablation (see [`Attribution::set_enabled`]).
     pub fn set_attribution_enabled(&mut self, on: bool) {
         self.attr.set_enabled(on);
     }

@@ -477,8 +477,8 @@ mod tests {
 
     #[test]
     fn million_rearm_cycles_do_not_grow_the_slab() {
-        // Satellite regression: the lp-bench arm/cancel/re-arm shape at
-        // 1M cycles. After warm-up the freelist must satisfy every
+        // Regression: the deadline arm/cancel/re-arm shape at 1M
+        // cycles. After warm-up the freelist must satisfy every
         // push — the slab high-water mark may not move.
         let mut q = EventQueue::with_capacity(64);
         for i in 0..32u64 {

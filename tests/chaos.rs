@@ -212,8 +212,8 @@ fn healthy_run(admission: AdmissionConfig) -> RunReport {
 /// Arming the admission gate on a healthy run — caps never reached,
 /// every worker on the fast path — leaves the run byte-identical to
 /// one with admission disabled: same trace, same counters, same
-/// latency distribution. This is the contract the < 2% lp-bench
-/// overhead gate rides on.
+/// latency distribution. This is the contract the < 2% admission
+/// overhead gate (perfbench's paired `admission` ablation) rides on.
 #[test]
 fn armed_but_idle_admission_is_byte_identical() {
     let off = healthy_run(AdmissionConfig::default());

@@ -22,10 +22,11 @@
 //! reproduced figure fails until the constants are updated on purpose.
 //!
 //! Below the figures, [`run_reports_are_pinned_across_commits`] pins
-//! whole [`RunReport`]s: every field of one small run per system and
-//! mechanism (totals, histograms, series, core clocks, metrics, trace
-//! and tail attribution) is folded into one digest per run, so a
-//! refactor of the record path cannot move a byte of any report.
+//! whole [`RunReport`]s: every field of one small run per system,
+//! mechanism and zoo policy (totals, histograms, series, core clocks,
+//! metrics, trace and tail attribution) is folded into one digest per
+//! run, so a refactor of the record path cannot move a byte of any
+//! report.
 //!
 //! Every other test pins its job count per call with
 //! `runner::with_jobs`, so it is independent of the environment and of
@@ -37,8 +38,8 @@ use std::sync::OnceLock;
 use libpreemptible::adaptive::{AdaptiveConfig, QuantumController};
 use libpreemptible::runtime::AdmissionConfig;
 use libpreemptible::{
-    run, AdaptiveQuantum, Fifo, PreemptMech, RunReport, RuntimeConfig, SchedPolicy, ServiceSource,
-    WorkloadSpec,
+    run, AdaptiveQuantum, ClassQuantum, Edf, Fifo, Mlfq, PreemptMech, RunReport, RuntimeConfig,
+    SchedPolicy, ServiceSource, Srpt, Vruntime, WorkloadSpec,
 };
 use lp_baselines::{run_libinger, run_shinjuku, LibingerConfig, ShinjukuConfig};
 use lp_experiments::runner::{self, with_jobs};
@@ -355,6 +356,23 @@ fn colocated_cell() -> RunReport {
     run(cfg, Box::new(AdaptiveQuantum::new(ctl)), spec)
 }
 
+/// The colocation mix on two workers under `policy`: the 100 us
+/// best-effort chunks outrun every zoo slice, so each policy preempts.
+fn policy_cell(policy: impl SchedPolicy + 'static) -> RunReport {
+    let cfg = RuntimeConfig {
+        workers: 2,
+        seed: SEED,
+        control_period: SimDur::millis(2),
+        trace_capacity: 4096,
+        ..RuntimeConfig::default()
+    };
+    let spec = WorkloadSpec {
+        source: ServiceSource::Colocated(ColocatedWorkload::paper_config()),
+        ..phased(ServiceDist::workload_b(), 80_000.0, 10)
+    };
+    run(cfg, Box::new(policy), spec)
+}
+
 fn shinjuku_cell(quantum: SimDur, trace_capacity: usize) -> RunReport {
     let cfg = ShinjukuConfig {
         workers: 3,
@@ -369,7 +387,7 @@ fn shinjuku_cell(quantum: SimDur, trace_capacity: usize) -> RunReport {
 type Cell = (&'static str, fn() -> RunReport);
 
 /// `(cell, FNV-1a-64 of every report field)` at [`SEED`].
-const REPORT_PINS: [(&str, u64); 14] = [
+const REPORT_PINS: [(&str, u64); 19] = [
     ("runtime/uintr", 0x0674_3612_7be7_4f45),
     ("runtime/timer_core_signal", 0xa5b3_8b10_a8e8_f746),
     ("runtime/kernel_timer_signal", 0xe772_5dd8_781c_2b1c),
@@ -381,6 +399,11 @@ const REPORT_PINS: [(&str, u64); 14] = [
     ("libinger", 0xf47a_d5d9_c6ca_ca9c),
     ("fault_overload", 0x53ad_5714_c71e_ac6c),
     ("colocated", 0x4024_e805_eb16_dd92),
+    ("policy/mlfq", 0x7c67_22a8_ba31_9a17),
+    ("policy/edf", 0x2481_8cee_3669_d91f),
+    ("policy/srpt", 0xa5b2_110c_8e73_86cb),
+    ("policy/vruntime", 0x61b2_ab4b_bba4_3168),
+    ("policy/class_quantum", 0x7798_b10c_d813_5de3),
     ("shinjuku/q5us", 0x5e02_f219_9b10_10ab),
     ("shinjuku/no_preemption", 0x4663_e658_07ef_ff0c),
     ("shinjuku/traced", 0x7fa3_92cf_02f2_6327),
@@ -388,7 +411,7 @@ const REPORT_PINS: [(&str, u64); 14] = [
 
 #[test]
 fn run_reports_are_pinned_across_commits() {
-    let cells: [Cell; 14] = [
+    let cells: [Cell; 19] = [
         ("runtime/uintr", || runtime_cell(PreemptMech::Uintr)),
         ("runtime/timer_core_signal", || {
             runtime_cell(PreemptMech::TimerCoreSignal)
@@ -421,6 +444,23 @@ fn run_reports_are_pinned_across_commits() {
         }),
         ("fault_overload", fault_overload_cell),
         ("colocated", colocated_cell),
+        ("policy/mlfq", || {
+            policy_cell(Mlfq::new(SimDur::micros(5), 4))
+        }),
+        ("policy/edf", || {
+            policy_cell(Edf::new(
+                SimDur::micros(10),
+                SimDur::micros(100),
+                SimDur::millis(1),
+            ))
+        }),
+        ("policy/srpt", || policy_cell(Srpt::new(SimDur::micros(10)))),
+        ("policy/vruntime", || {
+            policy_cell(Vruntime::new(SimDur::micros(10)))
+        }),
+        ("policy/class_quantum", || {
+            policy_cell(ClassQuantum::new(SimDur::micros(10), SimDur::micros(20)))
+        }),
         ("shinjuku/q5us", || shinjuku_cell(SimDur::micros(5), 0)),
         ("shinjuku/no_preemption", || shinjuku_cell(SimDur::MAX, 0)),
         ("shinjuku/traced", || shinjuku_cell(SimDur::micros(5), 4096)),
@@ -460,6 +500,18 @@ fn run_reports_are_pinned_across_commits() {
         faults.metrics.counter("preempt_retries") > 0,
         "no kernel-timer retry to pin"
     );
+    for name in [
+        "policy/mlfq",
+        "policy/edf",
+        "policy/srpt",
+        "policy/vruntime",
+        "policy/class_quantum",
+    ] {
+        assert!(
+            by_name(name).preemptions > 0,
+            "{name}: no preemption to pin"
+        );
+    }
     for name in [
         "runtime/finish_races_landing",
         "runtime/finish_races_lost_ipi",
