@@ -21,6 +21,7 @@
 
 use std::collections::VecDeque;
 
+use lp_hw::jitter::Jitter;
 use lp_hw::{CoreClock, HwCosts, TimeClass};
 use lp_sim::obs::Event;
 use lp_sim::rng::{rng, streams};
@@ -146,7 +147,8 @@ struct ShinjukuSystem {
     dispatcher_free_at: SimTime,
     arrivals_gen: ArrivalGen,
     service_rng: SmallRng,
-    hw_rng: SmallRng,
+    /// Hardware delivery jitter, on a stream nothing else reads.
+    hw_jitter: Jitter,
     assign_pending: bool,
 
     /// Same request ledger and event/metrics/attribution hub as the
@@ -163,6 +165,7 @@ impl ShinjukuSystem {
                 clock: CoreClock::new(),
             })
             .collect();
+        let hw = HwCosts::default();
         ShinjukuSystem {
             ledger: Ledger::new(
                 cfg.trace_capacity,
@@ -171,10 +174,10 @@ impl ShinjukuSystem {
                 SERIES_FRAME,
                 None,
             ),
-            hw: HwCosts::default(),
+            hw_jitter: Jitter::new(rng(cfg.seed, streams::HW_JITTER), hw.jitter_sigma),
+            hw,
             arrivals_gen: ArrivalGen::new(spec.arrivals.clone(), rng(cfg.seed, streams::ARRIVALS)),
             service_rng: rng(cfg.seed, streams::SERVICE),
-            hw_rng: rng(cfg.seed, streams::HW_JITTER),
             queue: VecDeque::new(),
             workers,
             dispatcher: CoreClock::new(),
@@ -186,7 +189,7 @@ impl ShinjukuSystem {
     }
 
     fn jitter(&mut self, base: SimDur) -> SimDur {
-        lp_hw::jitter::sample(&mut self.hw_rng, base, self.hw.jitter_sigma)
+        self.hw_jitter.sample(base)
     }
 
     /// Schedules an Assign if work and an idle worker exist and none is

@@ -110,7 +110,9 @@ impl Yielder<'_> {
         // caller written by the `resume` that entered us.
         let resume = unsafe { switch_stacks(save, restore, code) };
         if resume == RESUME_CANCEL || self.inner.cancel.get() {
-            std::panic::panic_any(Cancelled);
+            // `resume_unwind` skips the panic hook: a cancel is not a
+            // panic and must not print one.
+            resume_unwind(Box::new(Cancelled));
         }
     }
 

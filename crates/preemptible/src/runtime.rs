@@ -24,6 +24,7 @@
 use std::collections::VecDeque;
 
 use lp_hw::cpu::HogWindow;
+use lp_hw::jitter::Jitter;
 use lp_hw::uintr::{ReceiverState, SendOutcome, UintrDomain, Uitt};
 use lp_hw::{CoreClock, HwCosts, TimeClass};
 use lp_kernel::{KernelCosts, KernelTimer, SignalPath};
@@ -378,7 +379,8 @@ pub struct LibPreemptibleSystem {
 
     arrivals_gen: ArrivalGen,
     service_rng: SmallRng,
-    hw_rng: SmallRng,
+    /// Hardware delivery jitter, on a stream nothing else reads.
+    hw_jitter: Jitter,
     /// The kernel cost model: the stock one, as in every experiment.
     kernel: KernelCosts,
     signal_path: SignalPath,
@@ -450,7 +452,7 @@ impl LibPreemptibleSystem {
         LibPreemptibleSystem {
             arrivals_gen: ArrivalGen::new(spec.arrivals.clone(), rng(cfg.seed, streams::ARRIVALS)),
             service_rng: rng(cfg.seed, streams::SERVICE),
-            hw_rng: rng(cfg.seed, streams::HW_JITTER),
+            hw_jitter: Jitter::new(rng(cfg.seed, streams::HW_JITTER), cfg.hw.jitter_sigma),
             signal_path: SignalPath::new(kernel.clone(), rng(cfg.seed, streams::KERNEL_JITTER)),
             kernel,
             injector: cfg
@@ -500,7 +502,7 @@ impl LibPreemptibleSystem {
     }
 
     fn jitter(&mut self, base: SimDur) -> SimDur {
-        lp_hw::jitter::sample(&mut self.hw_rng, base, self.cfg.hw.jitter_sigma)
+        self.hw_jitter.sample(base)
     }
 
     /// Picks the shortest local queue (ties broken by a rotating

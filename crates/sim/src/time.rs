@@ -122,7 +122,7 @@ impl SimDur {
         if us <= 0.0 || !us.is_finite() {
             return SimDur::ZERO;
         }
-        SimDur((us * 1_000.0).round() as u64)
+        SimDur(round_positive(us * 1_000.0))
     }
 
     /// Creates a span from fractional seconds, rounding to the nearest
@@ -131,7 +131,7 @@ impl SimDur {
         if s <= 0.0 || !s.is_finite() {
             return SimDur::ZERO;
         }
-        SimDur((s * 1_000_000_000.0).round() as u64)
+        SimDur(round_positive(s * 1_000_000_000.0))
     }
 
     /// The span in whole nanoseconds.
@@ -189,6 +189,22 @@ impl SimDur {
     pub fn clamp(self, lo: SimDur, hi: SimDur) -> SimDur {
         assert!(lo <= hi, "SimDur::clamp: lo > hi");
         SimDur(self.0.clamp(lo.0, hi.0))
+    }
+}
+
+/// `x.round() as u64` for `x > 0`, rounding ties away from zero.
+///
+/// Below `2^52`, `x as u64` is `floor(x)` and `x - floor(x)` is exact,
+/// so one compare finishes the rounding without `f64::round` (a call
+/// into a software routine on targets without SSE4.1). Larger and
+/// non-finite values keep `f64::round`.
+fn round_positive(x: f64) -> u64 {
+    const TWO_POW_52: f64 = (1u64 << 52) as f64;
+    if x < TWO_POW_52 {
+        let t = x as u64;
+        t + u64::from(x - t as f64 >= 0.5)
+    } else {
+        x.round() as u64
     }
 }
 
@@ -352,6 +368,59 @@ mod tests {
         assert_eq!(SimDur::from_micros_f64(-3.0), SimDur::ZERO);
         assert_eq!(SimDur::from_secs_f64(0.25), SimDur::millis(250));
         assert_eq!(SimDur::from_secs_f64(f64::INFINITY), SimDur::ZERO);
+    }
+
+    #[test]
+    fn integer_round_matches_f64_round() {
+        let two52 = (1u64 << 52) as f64;
+        for x in [
+            0.5,
+            1.5,
+            2.5,
+            0.49999999999999994,
+            1e-300,
+            999.4999999999999,
+            two52 - 0.5,
+            two52 - 1.5,
+            two52,
+            two52 + 1.0,
+            1e19,
+            1e300,
+            f64::MAX,
+            f64::INFINITY,
+        ] {
+            assert_eq!(round_positive(x), x.round() as u64, "{x:e}");
+        }
+        for us in [0.0005f64, 0.0015, 0.0025, 1.0005, 123.4565] {
+            let want = SimDur::nanos((us * 1_000.0).round() as u64);
+            assert_eq!(SimDur::from_micros_f64(us), want, "{us}");
+        }
+        assert_eq!(SimDur::from_secs_f64(2.5e-9), SimDur::nanos(3));
+    }
+
+    mod round_props {
+        use super::round_positive;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(20_000))]
+            #[test]
+            fn integer_round_agrees_with_f64_round(bits in any::<u64>(), half in 0u64..(1u64 << 54)) {
+                // Any positive non-NaN bit pattern, every half-integer
+                // (ties) up to 2^53, and the double just below each.
+                let x = f64::from_bits(bits >> 1);
+                if x > 0.0 && !x.is_nan() {
+                    prop_assert_eq!(round_positive(x), x.round() as u64);
+                }
+                let tie = half as f64 * 0.5;
+                let below = tie * (1.0 - f64::EPSILON / 2.0);
+                for y in [tie, below] {
+                    if y > 0.0 {
+                        prop_assert_eq!(round_positive(y), y.round() as u64, "{}", y);
+                    }
+                }
+            }
+        }
     }
 
     #[test]
