@@ -78,7 +78,7 @@ const ALL_FAMILIES: [&str; 4] = ["drop", "hog", "jitter", "spike"];
 /// Samples one random plan: 2–4 components overlaid, each a primitive
 /// optionally windowed into the horizon. `families` restricts the
 /// atom pool (empty = all four).
-pub fn sample_plan(rng: &mut SmallRng, horizon_us: u64, families: &[&str]) -> ChaosPlan {
+fn sample_plan(rng: &mut SmallRng, horizon_us: u64, families: &[&str]) -> ChaosPlan {
     let n = rng.gen_range(2..5usize);
     let parts = (0..n)
         .map(|_| sample_component(rng, horizon_us, families))

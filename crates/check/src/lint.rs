@@ -70,7 +70,7 @@ pub struct LintReport {
 
 impl LintReport {
     /// Findings that actually fail the build (not suppressed).
-    pub fn violations(&self) -> impl Iterator<Item = &Diagnostic> {
+    fn violations(&self) -> impl Iterator<Item = &Diagnostic> {
         self.diagnostics.iter().filter(|d| !d.suppressed)
     }
 

@@ -179,12 +179,12 @@ impl ModelReport {
     }
 
     /// Total transitions executed.
-    pub fn total_steps(&self) -> u64 {
+    fn total_steps(&self) -> u64 {
         self.scenarios.iter().map(|s| s.steps).sum()
     }
 
     /// All violations across scenarios.
-    pub fn violations(&self) -> impl Iterator<Item = &Violation> {
+    fn violations(&self) -> impl Iterator<Item = &Violation> {
         self.scenarios.iter().flat_map(|s| s.violations.iter())
     }
 
@@ -540,7 +540,7 @@ impl Explorer<'_> {
 }
 
 /// Explores one scenario exhaustively under `mode`.
-pub fn explore(sc: &Scenario, mode: Mode) -> ScenarioReport {
+fn explore(sc: &Scenario, mode: Mode) -> ScenarioReport {
     let mut ex = Explorer {
         sc,
         mode,
@@ -565,7 +565,7 @@ pub fn explore(sc: &Scenario, mode: Mode) -> ScenarioReport {
 /// masking/blocking transitions, migration, and same-vector
 /// coalescing. Together they enumerate several thousand distinct
 /// schedules (the CI gate requires ≥ 1000).
-pub fn default_scenarios() -> Vec<Scenario> {
+fn default_scenarios() -> Vec<Scenario> {
     use Op::*;
     use ReceiverState::*;
     vec![

@@ -273,7 +273,8 @@ impl Actor {
 }
 
 /// Analyzes an in-memory trace (e.g. `RunReport::events`).
-pub fn analyze_events(events: &[TimedEvent]) -> RaceReport {
+#[cfg(test)]
+fn analyze_events(events: &[TimedEvent]) -> RaceReport {
     Analyzer::run(events, 0)
 }
 

@@ -1,7 +1,7 @@
 //! The declared rule table: every lint `lp-check` enforces, with its
-//! identifier (the name used in `lp-check: allow(...)` suppressions),
-//! rationale, and scope. `docs/CHECKS.md` is the prose catalogue of
-//! this table; keep the two in sync.
+//! identifier (the name used in `lp-check: allow(...)` suppressions)
+//! and scope. `docs/CHECKS.md` is the prose catalogue of this table,
+//! with each rule's rationale; keep the two in sync.
 
 /// Identifies one lint rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -66,7 +66,7 @@ impl RuleId {
 
     /// The stable identifier used in diagnostics and in
     /// `// lp-check: allow(<id>, <reason>)` suppressions.
-    pub fn id(self) -> &'static str {
+    fn id(self) -> &'static str {
         match self {
             RuleId::Nondet => "nondet",
             RuleId::ObsPair => "obs-pair",
@@ -87,79 +87,6 @@ impl RuleId {
     /// Parses a rule identifier as written in a suppression.
     pub fn parse(s: &str) -> Option<RuleId> {
         RuleId::ALL.iter().copied().find(|r| r.id() == s)
-    }
-
-    /// One-line rationale, shown in `--explain`-style output and
-    /// mirrored in `docs/CHECKS.md`.
-    pub fn rationale(self) -> &'static str {
-        match self {
-            RuleId::Nondet => {
-                "the simulation must be byte-deterministic (same seed, same JSONL); \
-                 randomized hashing, wall-clock reads, and OS sleeps silently break that"
-            }
-            RuleId::ObsPair => {
-                "every state mutation that matters is mirrored by an `_observed` event; \
-                 an event outside docs/TRACING.md's vocabulary (or a wrapper without its \
-                 plain twin) means metrics can drift from the model"
-            }
-            RuleId::UnsafeScope => {
-                "only the real-context crate lp-fibers has a reason to touch raw stacks; \
-                 unsafe anywhere else is a smell in a pure simulation"
-            }
-            RuleId::SafetyComment => {
-                "every unsafe block must state the invariant that makes it sound, where \
-                 the next reader will see it"
-            }
-            RuleId::NoPrint => {
-                "library crates report through the Observer/RunReport, never stdout; \
-                 prints belong in bins and examples"
-            }
-            RuleId::FaultRng => {
-                "fault injection is only safe to ship because it is byte-reproducible; \
-                 fault.rs seeding its own RNG (instead of the frozen streams::FAULTS \
-                 substream) would silently decouple faulty runs from the master seed"
-            }
-            RuleId::PolicyPurity => {
-                "policy decisions must be pure functions of hook arguments and policy \
-                 state (docs/POLICIES.md); a wall clock, entropy source, or environment \
-                 read inside the policy zoo would desynchronize the schedule from the \
-                 master seed and break every byte-identity guarantee downstream"
-            }
-            RuleId::RelaxedOrdering => {
-                "Relaxed atomics order nothing; a Relaxed access on a cross-thread \
-                 handoff path is exactly the class of bug `lp-check race` hunts in \
-                 traces, so every use must sit on the audited static allowlist with a \
-                 written argument for why no ordering is needed"
-            }
-            RuleId::WorkerId => {
-                "the happens-before engine assigns events to per-worker actors by \
-                 their worker id; a cross-worker event without one cannot be placed \
-                 in the causality graph and silently weakens every race verdict"
-            }
-            RuleId::RetryTransition => {
-                "the watchdog's losses/degraded/probe state is model-checked through \
-                 RetryMachine::step (lp-check model); a raw field write bypasses the \
-                 typed transition function and voids the explored guarantees"
-            }
-            RuleId::HotAlloc => {
-                "the wheel's arm/cancel/re-arm and pop/cascade paths are the per-event \
-                 cost the paper's fast timers depend on; a stray Box, map insert, or \
-                 growing collection there turns O(1) pointer moves back into allocator \
-                 traffic, so growth tokens are confined to the audited slab/overflow \
-                 sites in rules::HOT_ALLOC_ALLOWLIST"
-            }
-            RuleId::ChaosRng => {
-                "the adversarial search is only trustworthy because its cliffs replay \
-                 byte-identically from the corpus; a chaos module seeding its own RNG \
-                 (instead of the frozen streams::CHAOS substream) would decouple the \
-                 searched plans from the master seed and make every minimized cliff \
-                 unreproducible"
-            }
-            RuleId::BadAllow => {
-                "a suppression without a known rule id and a reason defeats the audit \
-                 trail suppressions exist to provide"
-            }
-        }
     }
 }
 
@@ -409,7 +336,6 @@ mod tests {
     fn ids_round_trip() {
         for r in RuleId::ALL {
             assert_eq!(RuleId::parse(r.id()), Some(r));
-            assert!(!r.rationale().is_empty());
         }
         assert_eq!(RuleId::parse("no-such-rule"), None);
     }

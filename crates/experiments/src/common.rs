@@ -175,7 +175,7 @@ pub fn run_system(
 }
 
 /// Runs one system on an explicit workload spec.
-pub fn run_system_spec(
+fn run_system_spec(
     sys: SystemUnderTest,
     wl: PaperWorkload,
     spec: WorkloadSpec,
@@ -230,7 +230,7 @@ pub fn run_system_spec(
 /// The statically profiled Shinjuku quantum per workload (§V-A:
 /// "Shinjuku needs to do careful profiling to select the right time
 /// quanta"). Values found by sweeping {5, 10, 25, 100} us offline.
-pub fn shinjuku_profiled_quantum(wl: PaperWorkload) -> SimDur {
+fn shinjuku_profiled_quantum(wl: PaperWorkload) -> SimDur {
     match wl {
         PaperWorkload::A1 | PaperWorkload::A2 => SimDur::micros(5),
         PaperWorkload::B => SimDur::micros(25),

@@ -51,7 +51,7 @@ pub fn power_table() -> Table {
 /// receiver. Under LibPreemptible the only UITT entries connect the
 /// (trusted) timer core to the workers, so a co-tenant holds zero
 /// entries. We count reachable (sender, vector) pairs.
-pub fn attack_surface(workers: usize) -> (usize, usize) {
+fn attack_surface(workers: usize) -> (usize, usize) {
     // Native: the victim shares a uintr_fd with the co-tenant (e.g. a
     // shared-memory notification channel) — the co-tenant can send on
     // every vector the fd family exposes.
@@ -156,7 +156,7 @@ pub fn min_quantum_table(rows: &[MinQuantumRow]) -> Table {
 /// X4: compare the dedicated timer core against the hardware-offloaded
 /// timer on the A1 workload at high load. Returns (timer-core p99,
 /// offload p99) in us.
-pub fn run_hw_offload(scale: Scale, seed: u64) -> (f64, f64) {
+fn run_hw_offload(scale: Scale, seed: u64) -> (f64, f64) {
     let dist = ServiceDist::workload_a1();
     let rate = dist.rate_for_utilization(0.8, 4);
     let duration = scale.point_duration();

@@ -35,7 +35,7 @@ pub struct PrecisionRow {
 /// A periodic timer re-arms from each actual expiry, so the gap
 /// between consecutive handler invocations is simply the actual period
 /// the kernel delivered (floor + slack + noise).
-pub fn kernel_gaps(target: SimDur, n: usize, seed: u64) -> Vec<f64> {
+fn kernel_gaps(target: SimDur, n: usize, seed: u64) -> Vec<f64> {
     let mut t = KernelTimer::new(KernelCosts::default(), rng(seed, 21));
     t.arm(target);
     (0..n).map(|_| t.sample_expiry().as_micros_f64()).collect()
@@ -43,7 +43,7 @@ pub fn kernel_gaps(target: SimDur, n: usize, seed: u64) -> Vec<f64> {
 
 /// Samples `n` inter-handler gaps for LibUtimer under background
 /// stress.
-pub fn utimer_gaps(target: SimDur, n: usize, seed: u64) -> Vec<f64> {
+fn utimer_gaps(target: SimDur, n: usize, seed: u64) -> Vec<f64> {
     let hw = HwCosts::default();
     let mut r = rng(seed, 22);
     // Each gap = target +- (poll quantization + delivery jitter). The

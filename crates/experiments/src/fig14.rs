@@ -34,7 +34,7 @@ pub struct Fig14Row {
 }
 
 /// The bursty schedule: base/spike per the paper's 40→110 kRPS trace.
-pub fn bursty_schedule(scale: Scale) -> (RateSchedule, SimDur, SimDur) {
+fn bursty_schedule(scale: Scale) -> (RateSchedule, SimDur, SimDur) {
     // One cycle: base then spike; several cycles per run.
     let (base_for, spike_for) = match scale {
         Scale::Quick => (SimDur::millis(60), SimDur::millis(20)),

@@ -42,7 +42,7 @@ pub struct FigAScenario {
 }
 
 /// The healthy baseline: no chaos atoms at all, default context.
-pub fn healthy_scenario() -> FigAScenario {
+fn healthy_scenario() -> FigAScenario {
     FigAScenario {
         name: "healthy".into(),
         plan: ChaosPlan::Overlay(vec![]),

@@ -23,13 +23,13 @@ pub struct OversubRow {
 
 impl OversubRow {
     /// Threads per core.
-    pub fn threads_per_core(&self) -> u64 {
+    fn threads_per_core(&self) -> u64 {
         self.threads / self.cores
     }
 
     /// Worst-case scheduler cycle: every runnable thread takes a full
     /// `slice` before the first gets CPU again.
-    pub fn scheduler_cycle(&self, slice: SimDur) -> SimDur {
+    fn scheduler_cycle(&self, slice: SimDur) -> SimDur {
         slice * self.threads_per_core()
     }
 }

@@ -15,7 +15,7 @@
 //! Libinger, `ClassQuantum` for Fig. 13-right) are not entrants.
 //!
 //! Adding a policy: implement [`SchedPolicy`], add a factory arm to
-//! [`make_policy`] and its name to [`POLICIES`] — the sweep, ranking
+//! `make_policy` and its name to [`POLICIES`] — the sweep, ranking
 //! and both renderers pick it up. See `docs/POLICIES.md`.
 
 use lp_sim::SimDur;
@@ -57,7 +57,7 @@ const WORKERS: usize = 4;
 /// is tuned exactly like the figure modules tune it (paper defaults
 /// against saturation throughput, controller period = the runtime's
 /// control period).
-pub fn make_policy(name: &str, max_load_rps: f64, control_period: SimDur) -> Box<dyn SchedPolicy> {
+fn make_policy(name: &str, max_load_rps: f64, control_period: SimDur) -> Box<dyn SchedPolicy> {
     match name {
         "adaptive-quantum" => {
             let mut a = AdaptiveConfig::paper_defaults(max_load_rps);
@@ -164,7 +164,7 @@ pub fn run_tournament(scale: Scale, seed: u64) -> Vec<LeaderboardRow> {
 /// Ranks a sweep grid: within each workload, policies place by p99
 /// (ties broken by name, so the result is total and deterministic);
 /// the final order is by mean placement, again name-tiebroken.
-pub fn rank(points: &[TournamentPoint]) -> Vec<LeaderboardRow> {
+fn rank(points: &[TournamentPoint]) -> Vec<LeaderboardRow> {
     // Per-workload placements.
     let mut placement: Vec<(&'static str, &'static str, usize)> = Vec::new();
     for &wl in &WORKLOADS {

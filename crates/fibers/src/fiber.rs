@@ -57,8 +57,6 @@ struct Inner {
     cancel: Cell<bool>,
     /// Payload of a panic that escaped the closure.
     panic: UnsafeCell<Option<Box<dyn Any + Send>>>,
-    /// Times the fiber was preempted at a safe point.
-    preemptions: Cell<u32>,
 }
 
 /// The entry function the architecture trampoline calls on the fiber's
@@ -132,20 +130,11 @@ impl Yielder<'_> {
     pub fn preempt_point(&self) -> bool {
         match self.inner.deadline.get() {
             Some(d) if Instant::now() >= d => {
-                self.inner.preemptions.set(self.inner.preemptions.get() + 1);
                 self.switch_out(CODE_PREEMPTED);
                 true
             }
             _ => false,
         }
-    }
-
-    /// Remaining time in the current slice, if a deadline is armed.
-    pub fn remaining_slice(&self) -> Option<Duration> {
-        self.inner
-            .deadline
-            .get()
-            .map(|d| d.saturating_duration_since(Instant::now()))
     }
 }
 
@@ -218,7 +207,6 @@ impl Fiber {
                 deadline: Cell::new(None),
                 cancel: Cell::new(false),
                 panic: UnsafeCell::new(None),
-                preemptions: Cell::new(0),
             }),
             stack: Some(stack),
             state: State::Fresh,
@@ -281,11 +269,6 @@ impl Fiber {
     /// is unnecessary").
     pub fn completed(&self) -> bool {
         matches!(self.state, State::Completed)
-    }
-
-    /// How many times the fiber was preempted at safe points.
-    pub fn preemptions(&self) -> u32 {
-        self.inner.preemptions.get()
     }
 
     /// Reclaims the stack of a completed fiber for pooling.
@@ -375,7 +358,6 @@ mod tests {
         // A tiny slice must produce a preemption, not completion.
         let status = f.resume(Some(Duration::from_micros(50)));
         assert_eq!(status, Status::Preempted);
-        assert!(f.preemptions() >= 1);
         // A generous slice lets it finish eventually.
         let mut guard = 0;
         while !f.completed() {
@@ -393,19 +375,6 @@ mod tests {
             }
         });
         assert_eq!(f.resume(None), Status::Completed);
-    }
-
-    #[test]
-    fn remaining_slice_visible_to_fiber() {
-        let seen = Rc::new(Cell::new(None));
-        let s = seen.clone();
-        let mut f = Fiber::new(STACK, move |y| {
-            s.set(y.remaining_slice());
-        });
-        f.resume(Some(Duration::from_millis(100)));
-        let rem = seen.get().expect("deadline visible");
-        assert!(rem <= Duration::from_millis(100));
-        assert!(rem > Duration::from_millis(50));
     }
 
     #[test]

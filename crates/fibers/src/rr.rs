@@ -48,7 +48,7 @@ impl RoundRobinRunner {
     }
 
     /// Number of tasks not yet complete.
-    pub fn pending(&self) -> usize {
+    fn pending(&self) -> usize {
         self.fibers.iter().filter(|f| !f.completed()).count()
     }
 
@@ -81,11 +81,6 @@ impl RoundRobinRunner {
             stats.completed += 1;
         }
         stats
-    }
-
-    /// Stacks currently pooled for reuse.
-    pub fn pooled_stacks(&self) -> usize {
-        self.pool.free_count()
     }
 }
 
@@ -122,7 +117,7 @@ mod tests {
         got.sort_unstable();
         assert_eq!(got, (0..8).collect::<Vec<_>>());
         // All 8 stacks recycled.
-        assert_eq!(rr.pooled_stacks(), 8);
+        assert_eq!(rr.pool.free_count(), 8);
     }
 
     #[test]
@@ -146,11 +141,11 @@ mod tests {
             rr.spawn(|_| {});
         }
         rr.run();
-        let after_first = rr.pooled_stacks();
+        let after_first = rr.pool.free_count();
         for _ in 0..4 {
             rr.spawn(|_| {});
         }
         rr.run();
-        assert_eq!(rr.pooled_stacks(), after_first.max(4));
+        assert_eq!(rr.pool.free_count(), after_first.max(4));
     }
 }

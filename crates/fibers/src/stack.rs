@@ -61,11 +61,6 @@ impl Stack {
         top
     }
 
-    /// The usable size in bytes.
-    pub fn size(&self) -> usize {
-        self.size
-    }
-
     /// `true` if the low-end canary is intact (no overflow reached the
     /// bottom of the stack).
     pub fn canary_intact(&self) -> bool {
@@ -98,7 +93,6 @@ impl Drop for Stack {
 pub struct StackPool {
     free: Vec<Stack>,
     stack_size: usize,
-    allocated: usize,
 }
 
 impl StackPool {
@@ -107,16 +101,14 @@ impl StackPool {
         StackPool {
             free: Vec::new(),
             stack_size,
-            allocated: 0,
         }
     }
 
     /// Takes a stack from the free list, allocating if empty.
     pub fn take(&mut self) -> Stack {
-        self.free.pop().unwrap_or_else(|| {
-            self.allocated += 1;
-            Stack::new(self.stack_size)
-        })
+        self.free
+            .pop()
+            .unwrap_or_else(|| Stack::new(self.stack_size))
     }
 
     /// Returns a stack for reuse.
@@ -133,11 +125,6 @@ impl StackPool {
     pub fn free_count(&self) -> usize {
         self.free.len()
     }
-
-    /// Total stacks ever allocated (high-water of concurrency).
-    pub fn allocated(&self) -> usize {
-        self.allocated
-    }
 }
 
 #[cfg(test)]
@@ -148,7 +135,7 @@ mod tests {
     fn alloc_and_alignment() {
         let s = Stack::new(DEFAULT_STACK_SIZE);
         assert_eq!(s.top() as usize % 16, 0);
-        assert!(s.size() >= DEFAULT_STACK_SIZE);
+        assert!(s.size >= DEFAULT_STACK_SIZE);
         assert!(s.canary_intact());
     }
 
@@ -164,7 +151,7 @@ mod tests {
         // SAFETY: top - size is the base of the live allocation; we
         // deliberately scribble the first canary word.
         unsafe {
-            (s.top().sub(s.size()) as *mut u64).write(0);
+            (s.top().sub(s.size) as *mut u64).write(0);
         }
         assert!(!s.canary_intact());
         // Avoid the debug panic in Drop.
@@ -180,8 +167,6 @@ mod tests {
         assert_eq!(pool.free_count(), 1);
         let b = pool.take();
         assert_eq!(b.top() as usize, a_top, "stack must be recycled");
-        assert_eq!(pool.allocated(), 1);
-        let _c = pool.take();
-        assert_eq!(pool.allocated(), 2);
+        assert_eq!(pool.free_count(), 0);
     }
 }

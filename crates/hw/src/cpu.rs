@@ -1,4 +1,4 @@
-//! Cores, the TSC, and per-core time accounting.
+//! Cores and per-core time accounting.
 //!
 //! Fig. 1 (right) plots "overall CPU time spent in preemption vs.
 //! execution", so overhead accounting is a first-class feature of the
@@ -15,54 +15,6 @@ pub struct CoreId(pub usize);
 impl std::fmt::Display for CoreId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "cpu{}", self.0)
-    }
-}
-
-/// The timestamp counter: converts between simulated nanoseconds and TSC
-/// cycles at a fixed frequency (the paper pins 1.7 GHz with turbo off).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Tsc {
-    freq_ghz: f64,
-}
-
-impl Default for Tsc {
-    fn default() -> Self {
-        Tsc { freq_ghz: 1.7 }
-    }
-}
-
-impl Tsc {
-    /// A TSC at `freq_ghz` gigahertz.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the frequency is not positive and finite.
-    pub fn new(freq_ghz: f64) -> Self {
-        assert!(
-            freq_ghz.is_finite() && freq_ghz > 0.0,
-            "bad TSC frequency {freq_ghz}"
-        );
-        Tsc { freq_ghz }
-    }
-
-    /// The frequency in GHz.
-    pub fn freq_ghz(&self) -> f64 {
-        self.freq_ghz
-    }
-
-    /// TSC reading at simulated instant `t`.
-    pub fn cycles_at(&self, t: SimTime) -> u64 {
-        (t.as_nanos() as f64 * self.freq_ghz).round() as u64
-    }
-
-    /// Converts a cycle count to a duration.
-    pub fn cycles_to_dur(&self, cycles: u64) -> SimDur {
-        SimDur::nanos((cycles as f64 / self.freq_ghz).round() as u64)
-    }
-
-    /// Converts a duration to cycles.
-    pub fn dur_to_cycles(&self, d: SimDur) -> u64 {
-        (d.as_nanos() as f64 * self.freq_ghz).round() as u64
     }
 }
 
@@ -193,11 +145,6 @@ impl CoreClock {
         self.work + self.preemption + self.dispatch + self.timer_poll + self.kernel
     }
 
-    /// Idle time given the wall-clock `elapsed` on this core.
-    pub fn idle(&self, elapsed: SimTime) -> SimDur {
-        SimDur::nanos(elapsed.as_nanos()).saturating_sub(self.total_charged())
-    }
-
     /// Fraction of elapsed wall-clock spent in `class`.
     pub fn fraction(&self, class: TimeClass, elapsed: SimTime) -> f64 {
         if elapsed == SimTime::ZERO {
@@ -230,22 +177,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn tsc_roundtrip() {
-        let tsc = Tsc::default();
-        assert_eq!(tsc.freq_ghz(), 1.7);
-        let t = SimTime::from_nanos(1_000);
-        assert_eq!(tsc.cycles_at(t), 1_700);
-        assert_eq!(tsc.cycles_to_dur(1_700), SimDur::nanos(1_000));
-        assert_eq!(tsc.dur_to_cycles(SimDur::micros(1)), 1_700);
-    }
-
-    #[test]
-    #[should_panic(expected = "bad TSC frequency")]
-    fn tsc_rejects_zero() {
-        Tsc::new(0.0);
-    }
-
-    #[test]
     fn clock_accounting() {
         let mut c = CoreClock::new();
         c.charge(TimeClass::Work, SimDur::micros(70));
@@ -253,7 +184,6 @@ mod tests {
         c.charge(TimeClass::Dispatch, SimDur::micros(3));
         assert_eq!(c.charged(TimeClass::Work), SimDur::micros(70));
         assert_eq!(c.total_charged(), SimDur::micros(80));
-        assert_eq!(c.idle(SimTime::from_nanos(100_000)), SimDur::micros(20));
         assert!((c.preemption_over_work() - 0.1).abs() < 1e-9);
     }
 
@@ -310,13 +240,5 @@ mod tests {
         // A longer one extends it.
         h.begin(t(250), SimDur::nanos(200));
         assert_eq!(h.defer(t(260)), t(450));
-    }
-
-    #[test]
-    fn idle_never_negative() {
-        let mut c = CoreClock::new();
-        c.charge(TimeClass::Work, SimDur::micros(10));
-        // Elapsed less than charged (can happen transiently mid-event):
-        assert_eq!(c.idle(SimTime::from_nanos(5_000)), SimDur::ZERO);
     }
 }

@@ -9,9 +9,8 @@
 //!   kernel assist (paper §III-A, Fig. 3).
 //! * [`HwCosts`] — every latency constant, each anchored to a paper
 //!   measurement (Table IV, Fig. 1).
-//! * [`cpu`] — cores, the fixed-frequency TSC, and per-core cycle
-//!   accounting by [`TimeClass`] (powering Fig. 1-right's overhead
-//!   breakdown).
+//! * [`cpu`] — cores and per-core cycle accounting by [`TimeClass`]
+//!   (powering Fig. 1-right's overhead breakdown).
 //! * [`jitter`] — lognormal latency noise.
 //! * [`power`] — the UMWAIT timer-core power model (§V-B).
 //! * [`uintr_spec`] — the audit-by-eye reference state machine the
@@ -28,5 +27,5 @@ pub mod uintr;
 pub mod uintr_spec;
 
 pub use cost::HwCosts;
-pub use cpu::{CoreClock, CoreId, TimeClass, Tsc};
+pub use cpu::{CoreClock, CoreId, TimeClass};
 pub use power::{PollMode, PowerModel};

@@ -50,21 +50,6 @@ impl PowerModel {
         };
         first + (cores - 1) as f64 * self.additional_core_w
     }
-
-    /// Like [`timer_power_w`](Self::timer_power_w), but also publishes
-    /// the draw to the `timer_power_w` gauge so run reports carry the
-    /// §V-B power figure alongside the scheduling counters.
-    pub fn timer_power_w_observed(
-        &self,
-        cores: usize,
-        mode: PollMode,
-        obs: &mut lp_sim::obs::Observer,
-    ) -> f64 {
-        let w = self.timer_power_w(cores, mode);
-        obs.metrics_mut()
-            .set_gauge(lp_sim::obs::Gauge::TimerPowerW, w);
-        w
-    }
 }
 
 #[cfg(test)]
@@ -92,15 +77,6 @@ mod tests {
             four - one < one,
             "3 extra cores must cost less than the first"
         );
-    }
-
-    #[test]
-    fn observed_power_sets_gauge() {
-        let p = PowerModel::default();
-        let mut obs = lp_sim::obs::Observer::counters_only();
-        let w = p.timer_power_w_observed(2, PollMode::Umwait, &mut obs);
-        assert_eq!(obs.metrics().gauge(lp_sim::obs::Gauge::TimerPowerW), w);
-        assert!((w - 1.35).abs() < 1e-9);
     }
 
     #[test]

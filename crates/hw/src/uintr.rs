@@ -42,14 +42,6 @@ pub struct UpidHandle {
     gen: u32,
 }
 
-impl UpidHandle {
-    /// The UPID slot index (stable for the handle's lifetime; reused
-    /// slots get a fresh generation, not a fresh index).
-    pub fn index(&self) -> usize {
-        self.index
-    }
-}
-
 /// User Posted Interrupt Descriptor — the receiver-side mailbox.
 #[derive(Debug, Clone, Default)]
 pub struct Upid {
@@ -216,16 +208,6 @@ impl Uitt {
     /// Looks up a live entry.
     pub fn get(&self, index: usize) -> Option<UittEntry> {
         self.entries.get(index).copied().flatten()
-    }
-
-    /// Number of live entries.
-    pub fn len(&self) -> usize {
-        self.entries.iter().filter(|e| e.is_some()).count()
-    }
-
-    /// `true` when no entries are installed.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -630,7 +612,7 @@ mod tests {
         assert!(uitt.get(ia7).is_none());
         assert_eq!(uitt.get(ib).unwrap().upid, b);
         assert_eq!(uitt.purge_upid(a), 0, "purge is idempotent");
-        assert_eq!(uitt.len(), 1);
+        assert_eq!(uitt.entries.iter().flatten().count(), 1);
     }
 
     #[test]
@@ -646,7 +628,7 @@ mod tests {
         assert!(uitt.get(ia).is_none());
         let ic = uitt.register(b, 9);
         assert_eq!(ic, ia, "freed slot must be reused");
-        assert_eq!(uitt.len(), 2);
+        assert_eq!(uitt.entries.iter().flatten().count(), 2);
     }
 
     #[test]
@@ -711,7 +693,7 @@ mod tests {
         let b = dom.register_receiver();
         // The slot is reused, but under a new generation: the old
         // handle must not alias the new receiver.
-        assert_eq!(a.index(), b.index(), "freed slot must be reused");
+        assert_eq!(a.index, b.index, "freed slot must be reused");
         assert_ne!(a, b, "stale handle must not equal the new one");
         assert!(dom.upid(a).is_none());
         assert!(dom.upid(b).is_some());

@@ -10,8 +10,7 @@
 //! so the hardware/software gap of Fig. 1 (left) is an output of the
 //! reproduction rather than an input.
 
-use lp_sim::obs::{Event, Observer};
-use lp_sim::{SimDur, SimTime};
+use lp_sim::SimDur;
 use rand::rngs::SmallRng;
 
 use lp_hw::jitter::standard_normal;
@@ -56,29 +55,6 @@ impl IpcMechanism {
             IpcMechanism::UintrFdBlocked => "uintrFd (blocked)",
         }
     }
-
-    /// `true` for the hardware-assisted (kernel-bypass) paths.
-    pub fn is_user_interrupt(self) -> bool {
-        matches!(self, IpcMechanism::UintrFd | IpcMechanism::UintrFdBlocked)
-    }
-
-    /// Table IV row index — the `mech` code carried by `ipc_sampled`
-    /// events (see `docs/TRACING.md`).
-    pub fn index(self) -> u8 {
-        match self {
-            IpcMechanism::Signal => 0,
-            IpcMechanism::MessageQueue => 1,
-            IpcMechanism::Pipe => 2,
-            IpcMechanism::EventFd => 3,
-            IpcMechanism::UintrFd => 4,
-            IpcMechanism::UintrFdBlocked => 5,
-        }
-    }
-
-    /// Inverse of [`index`](Self::index).
-    pub fn from_index(idx: u8) -> Option<IpcMechanism> {
-        IpcMechanism::ALL.get(idx as usize).copied()
-    }
 }
 
 /// A `min + LogNormal` latency distribution fitted to a measured
@@ -97,7 +73,7 @@ impl ShiftedLognormal {
     /// # Panics
     ///
     /// Panics if `mean <= min` or `std <= 0`.
-    pub fn from_min_mean_std(min_ns: f64, mean_ns: f64, std_ns: f64) -> Self {
+    fn from_min_mean_std(min_ns: f64, mean_ns: f64, std_ns: f64) -> Self {
         assert!(mean_ns > min_ns, "mean must exceed min");
         assert!(std_ns > 0.0, "std must be positive");
         let e = mean_ns - min_ns;
@@ -112,14 +88,15 @@ impl ShiftedLognormal {
     }
 
     /// Draws one latency.
-    pub fn sample(&self, rng: &mut SmallRng) -> SimDur {
+    fn sample(&self, rng: &mut SmallRng) -> SimDur {
         let z = standard_normal(rng);
         let x = self.min_ns + (self.mu + self.sigma * z).exp();
         SimDur::nanos(x.round() as u64)
     }
 
     /// The distribution's theoretical mean, ns.
-    pub fn mean_ns(&self) -> f64 {
+    #[cfg(test)]
+    fn mean_ns(&self) -> f64 {
         self.min_ns + (self.mu + self.sigma * self.sigma / 2.0).exp()
     }
 }
@@ -175,26 +152,6 @@ impl IpcLatency {
                 lp_hw::jitter::sample(rng, base, self.hw.jitter_sigma)
             }
         }
-    }
-
-    /// [`sample`](Self::sample) plus an `ipc_sampled` event recording
-    /// the mechanism ([`IpcMechanism::index`]) and drawn latency.
-    pub fn sample_observed(
-        &self,
-        mech: IpcMechanism,
-        rng: &mut SmallRng,
-        at: SimTime,
-        obs: &mut Observer,
-    ) -> SimDur {
-        let d = self.sample(mech, rng);
-        obs.emit(
-            at,
-            Event::IpcSampled {
-                mech: mech.index(),
-                latency_ns: d.as_nanos(),
-            },
-        );
-        d
     }
 
     /// Per-iteration overhead *besides* the notification latency that a
@@ -307,36 +264,5 @@ mod tests {
         assert_eq!(IpcMechanism::ALL.len(), 6);
         assert_eq!(IpcMechanism::ALL[0].name(), "signal");
         assert_eq!(IpcMechanism::ALL[5].name(), "uintrFd (blocked)");
-        assert!(IpcMechanism::UintrFd.is_user_interrupt());
-        assert!(!IpcMechanism::Pipe.is_user_interrupt());
-    }
-
-    #[test]
-    fn index_round_trips_table_iv_order() {
-        for (i, mech) in IpcMechanism::ALL.iter().enumerate() {
-            assert_eq!(mech.index() as usize, i);
-            assert_eq!(IpcMechanism::from_index(mech.index()), Some(*mech));
-        }
-        assert_eq!(IpcMechanism::from_index(6), None);
-    }
-
-    #[test]
-    fn sample_observed_records_mechanism_and_latency() {
-        use lp_sim::obs::{Counter, Observer};
-        let lat = IpcLatency::default();
-        let mut r = rng(5, 0);
-        let mut obs = Observer::new(8);
-        let at = SimTime::from_nanos(42);
-        let d = lat.sample_observed(IpcMechanism::Pipe, &mut r, at, &mut obs);
-        assert_eq!(obs.metrics().get(Counter::IpcSamples), 1);
-        let te = obs.events().next().copied().unwrap();
-        assert_eq!(te.at, at);
-        assert_eq!(
-            te.ev,
-            Event::IpcSampled {
-                mech: IpcMechanism::Pipe.index(),
-                latency_ns: d.as_nanos()
-            }
-        );
     }
 }

@@ -50,7 +50,6 @@ pub struct SignalPath {
     /// Sends observed in the current congestion epoch (decays when the
     /// lock goes idle); drives hold-time dilation.
     epoch_waiters: u32,
-    delivered: u64,
 }
 
 impl SignalPath {
@@ -61,13 +60,7 @@ impl SignalPath {
             rng,
             lock_free_at: SimTime::ZERO,
             epoch_waiters: 0,
-            delivered: 0,
         }
-    }
-
-    /// Total signals delivered.
-    pub fn delivered(&self) -> u64 {
-        self.delivered
     }
 
     /// Delivers one signal initiated at `now`; serializes on the kernel
@@ -100,7 +93,6 @@ impl SignalPath {
 
         let base = jitter::sample(&mut self.rng, self.costs.signal_deliver_base, 0.15);
         let latency = self.costs.syscall + lock_wait + hold + base + self.costs.signal_handler;
-        self.delivered += 1;
         SignalDelivery {
             handler_start: now + latency,
             latency,
@@ -121,7 +113,7 @@ impl SignalPath {
     /// * [`SignalFault::ContentionBurst`] — delivery proceeds but sees
     ///   that many extra waiters in its congestion epoch, inflating the
     ///   lock hold exactly as a real runqueue-lock storm would.
-    pub fn deliver_with_fault(
+    fn deliver_with_fault(
         &mut self,
         now: SimTime,
         fault: Option<SignalFault>,
@@ -133,7 +125,7 @@ impl SignalPath {
         }
     }
 
-    /// [`deliver_with_fault`](Self::deliver_with_fault) plus, when
+    /// `deliver_with_fault` plus, when
     /// delivery actually happens, a `signal_sent` event carrying the
     /// lock wait — the per-send view behind Fig. 11's contention
     /// curves. A lost signal emits nothing here — the runtime emits the
@@ -233,7 +225,6 @@ mod tests {
         let lone = p.deliver(SimTime::from_nanos(10_000_000));
         assert_eq!(lone.lock_wait, SimDur::ZERO);
         assert!(lone.latency.as_micros_f64() < 12.0);
-        assert_eq!(p.delivered(), 17);
     }
 
     #[test]
@@ -279,10 +270,9 @@ mod tests {
         use lp_sim::fault::SignalFault;
         let mut p = path(7);
         let t = SimTime::from_nanos(1_000);
-        // A lost signal changes nothing: no delivery count, no lock
-        // state, so the next send is uncontended.
+        // A lost signal changes no lock state, so the next send is
+        // uncontended.
         assert_eq!(p.deliver_with_fault(t, Some(SignalFault::Lost)), None);
-        assert_eq!(p.delivered(), 0);
         let after = p.deliver(t);
         assert_eq!(after.lock_wait, SimDur::ZERO);
         // A contention burst dilates the hold like a real storm.

@@ -70,16 +70,6 @@ impl KernelTimer {
         self.armed = false;
     }
 
-    /// `true` if armed.
-    pub fn is_armed(&self) -> bool {
-        self.armed
-    }
-
-    /// The requested interval.
-    pub fn target(&self) -> SimDur {
-        self.target
-    }
-
     /// Samples the *actual* delay until expiry for the armed interval.
     ///
     /// # Panics
@@ -114,7 +104,7 @@ impl KernelTimer {
     /// # Panics
     ///
     /// Panics if the timer is not armed.
-    pub fn sample_expiry_with_fault(&mut self, fault: Option<TimerFault>) -> Option<SimDur> {
+    fn sample_expiry_with_fault(&mut self, fault: Option<TimerFault>) -> Option<SimDur> {
         assert!(self.armed, "sampling expiry of a disarmed timer");
         match fault {
             None | Some(TimerFault::Spurious) => Some(self.sample_expiry()),
@@ -123,7 +113,7 @@ impl KernelTimer {
         }
     }
 
-    /// [`sample_expiry_with_fault`](Self::sample_expiry_with_fault) plus,
+    /// `sample_expiry_with_fault` plus,
     /// when an expiry actually fires, a `ktimer_fired` event stamped at
     /// the sampled expiry instant. A missed expiry emits nothing here —
     /// the runtime emits the matching `fault_injected` event.
@@ -197,12 +187,12 @@ mod tests {
     #[test]
     fn arm_disarm_state() {
         let mut t = timer(4);
-        assert!(!t.is_armed());
+        assert!(!t.armed);
         t.arm(SimDur::micros(10));
-        assert!(t.is_armed());
-        assert_eq!(t.target(), SimDur::micros(10));
+        assert!(t.armed);
+        assert_eq!(t.target, SimDur::micros(10));
         t.disarm();
-        assert!(!t.is_armed());
+        assert!(!t.armed);
         assert!(!t.arm_cost().is_zero());
     }
 
@@ -258,7 +248,7 @@ mod tests {
         t.arm(SimDur::micros(60));
         // A miss never fires and leaves the timer armed for re-use.
         assert_eq!(t.sample_expiry_with_fault(Some(TimerFault::Miss)), None);
-        assert!(t.is_armed());
+        assert!(t.armed);
         // A spike is a normal expiry pushed later by exactly the spike.
         let mut u = timer(10);
         let mut v = timer(10);

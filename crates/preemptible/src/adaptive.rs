@@ -18,7 +18,6 @@
 
 use lp_sim::obs::{Event, Observer};
 use lp_sim::{SimDur, SimTime};
-use lp_stats::tail::dispersion_index;
 use lp_stats::WindowSummary;
 
 /// Hyperparameters of Algorithm 1.
@@ -100,7 +99,6 @@ impl AdaptiveConfig {
 pub struct QuantumController {
     cfg: AdaptiveConfig,
     quantum: SimDur,
-    updates: u64,
 }
 
 impl QuantumController {
@@ -108,11 +106,7 @@ impl QuantumController {
     /// `[t_min, t_max]`).
     pub fn new(cfg: AdaptiveConfig, initial: SimDur) -> Self {
         let quantum = initial.clamp(cfg.t_min, cfg.t_max);
-        QuantumController {
-            cfg,
-            quantum,
-            updates: 0,
-        }
+        QuantumController { cfg, quantum }
     }
 
     /// The current quantum.
@@ -120,20 +114,9 @@ impl QuantumController {
         self.quantum
     }
 
-    /// The configured control period.
-    pub fn period(&self) -> SimDur {
-        self.cfg.period
-    }
-
-    /// Number of control updates applied.
-    pub fn updates(&self) -> u64 {
-        self.updates
-    }
-
     /// Applies one control period's Algorithm 1 step and returns the
     /// new quantum.
     pub fn update(&mut self, s: &WindowSummary) -> SimDur {
-        self.updates += 1;
         let mut tq = self.quantum;
         // Line 5: fit the tail from past statistics. Latency
         // dispersion alone is a moving target — once preemption tames
@@ -213,9 +196,44 @@ impl QuantumController {
     }
 }
 
+/// Maps a p99/median dispersion ratio to an equivalent tail index α
+/// (Algorithm 1's "fit a tail index from past median and tail
+/// latencies"; `α < 2` counts as heavy-tailed).
+///
+/// For a Pareto(α) distribution, `p99/median = (0.01)^(-1/α) /
+/// (0.5)^(-1/α) = 50^(1/α)`, so `α = ln 50 / ln(p99/median)`. Using this
+/// inversion on arbitrary distributions yields a *dispersion-equivalent*
+/// α: light-tailed workloads (exponential: p99/median ≈ 6.6 → α ≈ 2.07)
+/// land at or above 2, while the paper's bimodal-with-500us-tail
+/// workloads land far below 2.
+///
+/// Returns `f64::INFINITY` when `p99 <= median` (no measurable tail).
+fn dispersion_index(p99: f64, median: f64) -> f64 {
+    if median <= 0.0 || p99 <= median {
+        return f64::INFINITY;
+    }
+    (50.0f64).ln() / (p99 / median).ln()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn dispersion_boundaries() {
+        assert_eq!(dispersion_index(1.0, 2.0), f64::INFINITY);
+        assert_eq!(dispersion_index(1.0, 0.0), f64::INFINITY);
+        // Pareto self-consistency: ratio = 50^(1/alpha)
+        for alpha in [0.7, 1.3, 2.0] {
+            let ratio = 50.0f64.powf(1.0 / alpha);
+            assert!((dispersion_index(ratio, 1.0) - alpha).abs() < 1e-9);
+        }
+        // Exponential: median = ln2/λ, p99 = ln100/λ, ratio ~6.64 -> ~2.07.
+        let alpha = dispersion_index(6.64, 1.0);
+        assert!(alpha > 2.0 && alpha < 2.2);
+        // Bimodal A1: median 0.5us, tail 500us -> very heavy.
+        assert!(dispersion_index(500.0, 0.5) < 1.0);
+    }
 
     fn cfg() -> AdaptiveConfig {
         let mut c = AdaptiveConfig::paper_defaults(100_000.0);
@@ -286,7 +304,6 @@ mod tests {
             c.update(&summary(1_000.0, 5.0, 33.0, 0.0));
         }
         assert_eq!(c.quantum(), SimDur::micros(50));
-        assert_eq!(c.updates(), 20);
     }
 
     #[test]

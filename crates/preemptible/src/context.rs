@@ -43,13 +43,6 @@ pub struct Context {
     pub class: u8,
 }
 
-impl Context {
-    /// `true` once the remaining work is zero.
-    pub fn is_complete(&self) -> bool {
-        self.remaining.is_zero()
-    }
-}
-
 /// Lifecycle state of each pool slot (enforced, not assumed).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SlotState {
@@ -90,8 +83,6 @@ pub struct ContextPool {
     /// Global "running list" of preempted functions, FIFO.
     running_list: std::collections::VecDeque<ContextId>,
     capacity: usize,
-    /// High-water mark of simultaneously live contexts.
-    peak_live: usize,
 }
 
 /// Error returned when the pool is exhausted.
@@ -115,7 +106,6 @@ impl ContextPool {
             free_list: Vec::new(),
             running_list: std::collections::VecDeque::new(),
             capacity,
-            peak_live: 0,
         }
     }
 
@@ -159,7 +149,6 @@ impl ContextPool {
             ContextId(self.slots.len() - 1)
         };
         self.states[id.0] = SlotState::Active;
-        self.peak_live = self.peak_live.max(self.live());
         Ok(id)
     }
 
@@ -267,16 +256,6 @@ impl ContextPool {
     /// Contexts parked on the running list.
     pub fn parked(&self) -> usize {
         self.running_list.len()
-    }
-
-    /// High-water mark of live contexts (pool sizing guidance).
-    pub fn peak_live(&self) -> usize {
-        self.peak_live
-    }
-
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Earliest arrival time among live (active or parked) contexts,
@@ -411,15 +390,5 @@ mod tests {
         let a = alloc(&mut p, 1);
         p.release(a);
         let _ = p.get(a);
-    }
-
-    #[test]
-    fn peak_live_tracks_high_water() {
-        let mut p = pool();
-        let a = alloc(&mut p, 1);
-        let _b = alloc(&mut p, 2);
-        p.release(a);
-        let _c = alloc(&mut p, 3);
-        assert_eq!(p.peak_live(), 2);
     }
 }

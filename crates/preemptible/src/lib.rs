@@ -12,7 +12,7 @@
 //! | Paper concept | Here |
 //! |---|---|
 //! | `fn_launch` / `fn_resume` / `fn_completed` + context pool | [`context::ContextPool`] (allocate / park / take_parked / release) |
-//! | LibUtimer (`utimer_init/register/arm_deadline`) | [`utimer::UtimerRegistry`], [`utimer::TimingWheel`] |
+//! | LibUtimer (`utimer_init/register/arm_deadline`) | [`utimer::UtimerRegistry`]; the timing wheel is `lp_sim::EventQueue` |
 //! | scheduling policies on the library API | [`sched::SchedPolicy`] (select_cpu / enqueue / dispatch / time_slice) and the [`policies`] zoo |
 //! | Algorithm 1 (adaptive time quantum) | [`adaptive::QuantumController`] |
 //! | the runtime: dispatcher + workers + timer core | [`runtime::run`] |

@@ -6,7 +6,7 @@ use lp_sim::obs::Observer;
 use lp_sim::{SimDur, SimTime};
 use lp_stats::WindowSummary;
 
-use crate::adaptive::{AdaptiveConfig, QuantumController};
+use crate::adaptive::QuantumController;
 use crate::sched::{Dispatch, ResumeSel, SchedCtx, SchedPolicy, TaskView};
 
 /// Adaptive-quantum scheduling: dispatch is plain preemptive FCFS, but
@@ -23,16 +23,6 @@ impl AdaptiveQuantum {
     /// Wraps an explicitly configured controller.
     pub fn new(ctl: QuantumController) -> Self {
         AdaptiveQuantum { ctl }
-    }
-
-    /// The paper's default controller tuning for a system whose
-    /// saturation throughput is `max_load_rps`, starting from
-    /// `initial` until the first window closes.
-    pub fn paper(max_load_rps: f64, initial: SimDur) -> Self {
-        AdaptiveQuantum::new(QuantumController::new(
-            AdaptiveConfig::paper_defaults(max_load_rps),
-            initial,
-        ))
     }
 
     /// The controller's current quantum.
@@ -76,10 +66,14 @@ impl SchedPolicy for AdaptiveQuantum {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adaptive::AdaptiveConfig;
 
     #[test]
     fn controller_reacts_to_windows_through_the_trait() {
-        let mut p = AdaptiveQuantum::paper(1_000_000.0, SimDur::micros(20));
+        let mut p = AdaptiveQuantum::new(QuantumController::new(
+            AdaptiveConfig::paper_defaults(1_000_000.0),
+            SimDur::micros(20),
+        ));
         assert_eq!(SchedPolicy::quantum_hint(&p, 0), SimDur::micros(20));
         // A heavy-tailed, overloaded window forces a different quantum.
         SchedPolicy::on_window(

@@ -2,7 +2,7 @@
 //! the [`Ledger`] every simulated system records request outcomes
 //! through.
 
-use lp_hw::{CoreClock, TimeClass};
+use lp_hw::CoreClock;
 use lp_sim::obs::{Counter, Event, Exemplar, MetricsSnapshot, Observer, PhaseStats, TimedEvent};
 use lp_sim::{SimDur, SimTime};
 use lp_stats::{Histogram, TimeSeries};
@@ -171,20 +171,6 @@ impl RunReport {
     /// exemplar, whose phase breakdown sums to its latency.
     pub fn worst_exemplar(&self) -> Option<Exemplar> {
         self.phases.worst()
-    }
-
-    /// Worker utilization (work only) over the run.
-    pub fn worker_utilization(&self) -> f64 {
-        if self.per_worker.is_empty() || self.duration.is_zero() {
-            return 0.0;
-        }
-        let end = SimTime::ZERO + self.duration;
-        let total: f64 = self
-            .per_worker
-            .iter()
-            .map(|c| c.fraction(TimeClass::Work, end))
-            .sum();
-        total / self.per_worker.len() as f64
     }
 }
 
@@ -387,6 +373,7 @@ impl Ledger {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lp_hw::TimeClass;
 
     fn report() -> RunReport {
         let mut latency = Histogram::new();

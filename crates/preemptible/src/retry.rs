@@ -321,11 +321,6 @@ impl RetryMachine {
         }
     }
 
-    /// Current consecutive-loss streak.
-    pub fn losses(&self) -> u32 {
-        self.losses
-    }
-
     /// Whether the worker is degraded to the kernel signal path.
     pub fn is_degraded(&self) -> bool {
         self.degraded
@@ -534,7 +529,7 @@ mod tests {
             });
         }
         assert!(m.is_degraded());
-        assert_eq!(m.losses(), 2);
+        assert_eq!(m.losses, 2);
         // Degraded sends alternate signal, probe (probe_every = 2).
         assert_eq!(m.step(RetryInput::Send { seq: 10 }), RetryOutput::Signal);
         assert_eq!(m.step(RetryInput::Send { seq: 11 }), RetryOutput::Probe);

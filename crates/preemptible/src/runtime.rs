@@ -61,7 +61,7 @@ pub enum PreemptMech {
 
 impl PreemptMech {
     /// `true` if a dedicated timer core is required.
-    pub fn needs_timer_core(self) -> bool {
+    fn needs_timer_core(self) -> bool {
         matches!(self, PreemptMech::Uintr | PreemptMech::TimerCoreSignal)
     }
 }

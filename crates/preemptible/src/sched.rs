@@ -69,16 +69,6 @@ pub struct SchedCtx<'a> {
     pub obs: &'a mut Observer,
 }
 
-impl SchedCtx<'_> {
-    /// Total tasks queued across every worker's local queue — the same
-    /// aggregate the admission gate reads (minus the dispatcher
-    /// backlog, which policies never see). Overload-aware policies use
-    /// it to cheapen decisions while the system sheds.
-    pub fn total_queued(&self) -> usize {
-        self.queue_depths.iter().sum()
-    }
-}
-
 /// Where [`SchedPolicy::enqueue`] places a newly dispatched task in its
 /// worker's local queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -20,15 +20,12 @@
 //!
 //! For "applications with large thread counts and request for higher
 //! number of timers" the paper opts into a **timing wheel** (its ref.
-//! \[64\]); [`TimingWheel`] is that interface, and since the engine's
-//! timing-wheel rebuild it is a thin adapter over the *shared*
-//! hierarchical wheel core in `lp_sim` (one wheel implementation, two
-//! call sites: the simulator's `EventQueue` and this type). The
-//! property test pinning its behaviour to the naive scan is retained
-//! unchanged.
+//! \[64\]). Here that wheel is the simulator's own event queue,
+//! `lp_sim::EventQueue`, a hierarchical timing wheel: the runtime files
+//! the timer core's next poll on it at the earliest armed deadline.
 
 use lp_sim::obs::{Event, Observer};
-use lp_sim::{EventQueue, SimTime};
+use lp_sim::SimTime;
 
 /// Identifies a registered deadline slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -109,7 +106,7 @@ impl UtimerRegistry {
     }
 
     /// Disarms `slot` (worker finished or yielded before expiry).
-    pub fn disarm(&mut self, slot: SlotId) {
+    fn disarm(&mut self, slot: SlotId) {
         if let Some(line) = self.lines.get_mut(slot.0) {
             if line.deadline.take().is_some() {
                 self.armed -= 1;
@@ -139,7 +136,7 @@ impl UtimerRegistry {
         );
     }
 
-    /// [`disarm`](Self::disarm) plus a `deadline_disarmed` event — only
+    /// `disarm` plus a `deadline_disarmed` event — only
     /// emitted when the slot was actually armed.
     pub fn disarm_observed(&mut self, slot: SlotId, at: SimTime, obs: &mut Observer) {
         let was_armed = self.deadline(slot).is_some();
@@ -155,7 +152,7 @@ impl UtimerRegistry {
     }
 
     /// The armed deadline of `slot`, if any.
-    pub fn deadline(&self, slot: SlotId) -> Option<SimTime> {
+    fn deadline(&self, slot: SlotId) -> Option<SimTime> {
         self.lines.get(slot.0).and_then(|l| l.deadline)
     }
 
@@ -206,82 +203,6 @@ impl UtimerRegistry {
     /// Number of armed slots.
     pub fn armed(&self) -> usize {
         self.armed
-    }
-}
-
-/// A hierarchical timing wheel over absolute deadlines — the
-/// high-timer-count option of §IV-A.
-///
-/// Since the engine rebuild this is a thin adapter over the shared
-/// wheel core (`lp_sim::EventQueue`): four cascading levels of 1024
-/// slots at 1 ns resolution with O(1) insert, far-future entries
-/// overflowing to a packed-key heap. One wheel implementation serves both the
-/// simulator's event loop and this deadline store; the duplicated
-/// two-level cascade that used to live here is gone.
-///
-/// [`advance`](Self::advance) fires exactly the entries with
-/// `deadline <= now`, identical to the old implementation (whose tick
-/// granularity only shaped its internal buckets, never its fire
-/// condition) — pinned by the `timing_wheel_matches_naive_scan`
-/// property test.
-#[derive(Debug)]
-pub struct TimingWheel<T> {
-    /// The requested tick resolution. The shared core always files at
-    /// exact 1 ns resolution, so this no longer steers bucket geometry;
-    /// it is kept (and validated) for interface compatibility with the
-    /// paper's `utimer`-wheel constructor.
-    tick_ns: u64,
-    q: EventQueue<T>,
-}
-
-impl<T> TimingWheel<T> {
-    /// Creates a wheel with the given tick resolution in nanoseconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tick_ns` is zero.
-    pub fn new(tick_ns: u64) -> Self {
-        assert!(tick_ns > 0, "tick must be positive");
-        TimingWheel {
-            tick_ns,
-            q: EventQueue::new(),
-        }
-    }
-
-    /// The tick resolution this wheel was constructed with.
-    pub fn tick_ns(&self) -> u64 {
-        self.tick_ns
-    }
-
-    /// Entries currently filed.
-    pub fn len(&self) -> usize {
-        self.q.live_len()
-    }
-
-    /// `true` when no entries are filed.
-    pub fn is_empty(&self) -> bool {
-        self.q.is_empty()
-    }
-
-    /// Inserts an entry firing at `deadline`.
-    ///
-    /// Deadlines at or before the current time fire on the next
-    /// [`advance`](Self::advance).
-    pub fn insert(&mut self, deadline: SimTime, value: T) {
-        self.q.push(deadline, value);
-    }
-
-    /// Advances the wheel to `now`, returning every entry whose deadline
-    /// is `<= now` (in deadline order, insertion order among ties — a
-    /// refinement of the old unordered contract, which callers treated
-    /// as simultaneous anyway).
-    pub fn advance(&mut self, now: SimTime) -> Vec<(SimTime, T)> {
-        let mut fired = Vec::new();
-        while self.q.peek_time().is_some_and(|t| t <= now) {
-            let (d, v) = self.q.pop().expect("peeked entry");
-            fired.push((d, v));
-        }
-        fired
     }
 }
 
@@ -394,73 +315,5 @@ mod tests {
     fn arming_unregistered_panics() {
         let mut r = UtimerRegistry::new();
         r.arm(SlotId(3), t(1));
-    }
-
-    #[test]
-    fn wheel_basic_fire() {
-        let mut w = TimingWheel::new(100);
-        w.insert(t(250), "a");
-        w.insert(t(950), "b");
-        assert_eq!(w.len(), 2);
-        let fired = w.advance(t(300));
-        assert_eq!(fired.len(), 1);
-        assert_eq!(fired[0].1, "a");
-        let fired = w.advance(t(1_000));
-        assert_eq!(fired.len(), 1);
-        assert_eq!(fired[0].1, "b");
-        assert!(w.is_empty());
-    }
-
-    #[test]
-    fn wheel_past_deadline_fires_immediately() {
-        let mut w = TimingWheel::new(100);
-        w.advance(t(5_000));
-        w.insert(t(1_000), 7); // already past
-        let fired = w.advance(t(5_000));
-        assert_eq!(fired, vec![(t(1_000), 7)]);
-    }
-
-    #[test]
-    fn wheel_level1_cascade() {
-        let mut w = TimingWheel::new(10);
-        // Far enough out to sit above the first wheel level; must
-        // cascade down and fire exactly on time.
-        w.insert(t(30_000), "far");
-        assert_eq!(w.advance(t(29_000)).len(), 0);
-        let fired = w.advance(t(30_000));
-        assert_eq!(fired.len(), 1, "cascaded entry must fire");
-    }
-
-    #[test]
-    fn wheel_overflow_horizon() {
-        let mut w = TimingWheel::new(10);
-        // Beyond the old two-level horizon (256*256*10 ns = 655_360 ns).
-        w.insert(t(2_000_000), "vfar");
-        assert_eq!(w.advance(t(1_999_999)).len(), 0);
-        let fired = w.advance(t(2_000_000));
-        assert_eq!(fired.len(), 1);
-    }
-
-    #[test]
-    fn wheel_same_lap_collision() {
-        let mut w = TimingWheel::new(10);
-        // Same old level-0 slot, different laps: 50ns and 50ns + 2560ns.
-        w.insert(t(50), 1);
-        w.insert(t(50 + 2_560), 2);
-        let fired = w.advance(t(60));
-        assert_eq!(fired, vec![(t(50), 1)]);
-        let fired = w.advance(t(3_000));
-        assert_eq!(fired, vec![(t(50 + 2_560), 2)]);
-    }
-
-    #[test]
-    fn wheel_far_future_overflow_to_heap() {
-        // Past the shared core's 2^40 ns wheel horizon: the entry rides
-        // the overflow heap and still fires exactly.
-        let mut w = TimingWheel::new(1);
-        let far = (1u64 << 40) + 123;
-        w.insert(t(far), "beyond-horizon");
-        assert_eq!(w.advance(t(far - 1)).len(), 0);
-        assert_eq!(w.advance(t(far)), vec![(t(far), "beyond-horizon")]);
     }
 }

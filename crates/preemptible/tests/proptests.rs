@@ -2,7 +2,7 @@
 
 use libpreemptible::adaptive::{AdaptiveConfig, QuantumController};
 use libpreemptible::context::ContextPool;
-use libpreemptible::utimer::{TimingWheel, UtimerRegistry};
+use libpreemptible::utimer::UtimerRegistry;
 use lp_sim::{SimDur, SimTime};
 use lp_stats::WindowSummary;
 use proptest::prelude::*;
@@ -75,38 +75,6 @@ proptest! {
             prop_assert_eq!(pool.parked(), parked);
             prop_assert_eq!(pool.free(), cap - active.len() - parked);
         }
-    }
-
-    /// The timing wheel fires exactly the entries a naive scan would,
-    /// at any sequence of advances.
-    #[test]
-    fn timing_wheel_matches_naive_scan(
-        deadlines in proptest::collection::vec(0u64..3_000_000, 1..150),
-        advances in proptest::collection::vec(1u64..400_000, 1..30),
-        tick in prop_oneof![Just(10u64), Just(100), Just(1_000)],
-    ) {
-        let mut wheel = TimingWheel::new(tick);
-        let mut naive: Vec<(u64, usize)> = Vec::new();
-        for (i, &d) in deadlines.iter().enumerate() {
-            wheel.insert(SimTime::from_nanos(d), i);
-            naive.push((d, i));
-        }
-        let mut now = 0u64;
-        for a in advances {
-            now += a;
-            let t = SimTime::from_nanos(now);
-            let mut fired: Vec<usize> = wheel.advance(t).into_iter().map(|(_, v)| v).collect();
-            let mut expect: Vec<usize> = naive
-                .iter()
-                .filter(|(d, _)| *d <= now)
-                .map(|(_, v)| *v)
-                .collect();
-            naive.retain(|(d, _)| *d > now);
-            fired.sort_unstable();
-            expect.sort_unstable();
-            prop_assert_eq!(fired, expect, "mismatch at now={}", now);
-        }
-        prop_assert_eq!(wheel.len(), naive.len());
     }
 
     /// The utimer registry never fires early, never loses an armed

@@ -26,7 +26,6 @@ pub trait Model {
 pub struct Ctx<'a, E> {
     now: SimTime,
     queue: &'a mut EventQueue<E>,
-    stop: &'a mut bool,
 }
 
 impl<E> Ctx<'_, E> {
@@ -91,17 +90,12 @@ impl<E> Ctx<'_, E> {
     pub fn cancel(&mut self, id: EventId) {
         self.queue.cancel(id)
     }
-
-    /// Requests the simulation to stop after the current event returns.
-    pub fn stop(&mut self) {
-        *self.stop = true;
-    }
 }
 
 /// A discrete-event simulation over a [`Model`].
 ///
 /// ```
-/// use lp_sim::{Ctx, Model, SimDur, Simulation};
+/// use lp_sim::{Ctx, Model, SimDur, SimTime, Simulation};
 ///
 /// /// Counts down `n` ticks, one per microsecond.
 /// struct Countdown {
@@ -121,7 +115,7 @@ impl<E> Ctx<'_, E> {
 /// }
 ///
 /// let mut sim = Simulation::new(Countdown { n: 3 });
-/// sim.schedule_after(SimDur::ZERO, Ev::Tick);
+/// sim.schedule_at(SimTime::ZERO, Ev::Tick);
 /// sim.run();
 /// assert_eq!(sim.model().n, 0);
 /// assert_eq!(sim.now().as_nanos(), 2_000);
@@ -130,7 +124,6 @@ pub struct Simulation<M: Model> {
     model: M,
     queue: EventQueue<M::Event>,
     now: SimTime,
-    stop: bool,
     events_processed: u64,
 }
 
@@ -150,7 +143,6 @@ impl<M: Model> Simulation<M> {
             model,
             queue: EventQueue::with_capacity(capacity),
             now: SimTime::ZERO,
-            stop: false,
             events_processed: 0,
         }
     }
@@ -170,11 +162,6 @@ impl<M: Model> Simulation<M> {
         &self.model
     }
 
-    /// Exclusive access to the model (for configuration between runs).
-    pub fn model_mut(&mut self) -> &mut M {
-        &mut self.model
-    }
-
     /// Consumes the simulation and returns the model (for result
     /// extraction).
     pub fn into_model(self) -> M {
@@ -191,22 +178,9 @@ impl<M: Model> Simulation<M> {
         self.queue.push(time, event)
     }
 
-    /// Schedules an event `delay` after the current instant.
-    pub fn schedule_after(&mut self, delay: SimDur, event: M::Event) -> EventId {
-        self.queue.push(self.now + delay, event)
-    }
-
-    /// Cancels a scheduled event.
-    pub fn cancel(&mut self, id: EventId) {
-        self.queue.cancel(id)
-    }
-
     /// Processes the single earliest event. Returns `false` if the queue
-    /// was empty or a stop was requested.
-    pub fn step(&mut self) -> bool {
-        if self.stop {
-            return false;
-        }
+    /// was empty.
+    fn step(&mut self) -> bool {
         let Some((time, event)) = self.queue.pop() else {
             return false;
         };
@@ -216,36 +190,25 @@ impl<M: Model> Simulation<M> {
         let mut ctx = Ctx {
             now: self.now,
             queue: &mut self.queue,
-            stop: &mut self.stop,
         };
         self.model.handle(event, &mut ctx);
         true
     }
 
-    /// Runs until the queue drains or the model calls [`Ctx::stop`].
+    /// Runs until the queue drains.
     pub fn run(&mut self) {
         while self.step() {}
     }
 
     /// Runs until the clock would pass `deadline` (events at exactly
-    /// `deadline` still fire), the queue drains, or the model stops.
-    /// Afterwards the clock reads `min(deadline, last event time)`.
+    /// `deadline` still fire) or the queue drains. Afterwards the clock
+    /// reads `min(deadline, last event time)`.
     pub fn run_until(&mut self, deadline: SimTime) {
         // `peek_time` is non-mutating, so the bound check borrows the
         // queue only for the comparison.
-        while !self.stop {
-            match self.queue.peek_time() {
-                Some(t) if t <= deadline => {
-                    self.step();
-                }
-                _ => return,
-            }
+        while self.queue.peek_time().is_some_and(|t| t <= deadline) {
+            self.step();
         }
-    }
-
-    /// Clears a stop request so the simulation can be resumed.
-    pub fn clear_stop(&mut self) {
-        self.stop = false;
     }
 }
 
@@ -267,9 +230,6 @@ mod tests {
             self.seen.push((ctx.now().as_nanos(), ev.0));
             if self.respawn && ev.0 < 3 {
                 ctx.after(SimDur::nanos(10), Ev(ev.0 + 1));
-            }
-            if ev.0 == 99 {
-                ctx.stop();
             }
         }
     }
@@ -308,27 +268,6 @@ mod tests {
         assert_eq!(s.model().seen, vec![(0, 0), (10, 1)]);
         s.run();
         assert_eq!(s.model().seen.len(), 4);
-    }
-
-    #[test]
-    fn stop_halts_run() {
-        let mut s = sim(false);
-        s.schedule_at(SimTime::from_nanos(1), Ev(99));
-        s.schedule_at(SimTime::from_nanos(2), Ev(1));
-        s.run();
-        assert_eq!(s.model().seen, vec![(1, 99)]);
-        s.clear_stop();
-        s.run();
-        assert_eq!(s.model().seen, vec![(1, 99), (2, 1)]);
-    }
-
-    #[test]
-    fn cancel_from_outside() {
-        let mut s = sim(false);
-        let id = s.schedule_at(SimTime::from_nanos(5), Ev(7));
-        s.cancel(id);
-        s.run();
-        assert!(s.model().seen.is_empty());
     }
 
     #[test]

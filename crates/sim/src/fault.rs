@@ -79,25 +79,8 @@ impl FaultKind {
         FaultKind::CoreHog,
     ];
 
-    /// Stable snake_case label (used in reports and docs).
-    pub const fn name(self) -> &'static str {
-        match self {
-            FaultKind::IpiDrop => "ipi_drop",
-            FaultKind::IpiDelay => "ipi_delay",
-            FaultKind::IpiDuplicate => "ipi_duplicate",
-            FaultKind::StuckSn => "stuck_sn",
-            FaultKind::StaleNdst => "stale_ndst",
-            FaultKind::TimerMiss => "timer_miss",
-            FaultKind::TimerSpike => "timer_spike",
-            FaultKind::TimerSpurious => "timer_spurious",
-            FaultKind::SignalLost => "signal_lost",
-            FaultKind::SignalContention => "signal_contention",
-            FaultKind::CoreHog => "core_hog",
-        }
-    }
-
     /// The injection site this kind belongs to.
-    pub const fn site(self) -> Site {
+    const fn site(self) -> Site {
         match self {
             FaultKind::IpiDrop
             | FaultKind::IpiDelay
@@ -108,11 +91,6 @@ impl FaultKind {
             FaultKind::SignalLost | FaultKind::SignalContention => Site::Signal,
             FaultKind::CoreHog => Site::Core,
         }
-    }
-
-    /// Inverse of the `u8` wire value; `None` for unknown codes.
-    pub fn from_u8(v: u8) -> Option<FaultKind> {
-        FaultKind::ALL.get(v as usize).copied()
     }
 }
 
@@ -130,20 +108,9 @@ pub enum Site {
 }
 
 impl Site {
-    /// Every site, in the frozen index order used by reports and the
-    /// injector's internal arrays. JSON exports iterate this array, so
-    /// per-site counters always serialize in the same byte order.
+    /// Every site, in the frozen index order of the injector's internal
+    /// arrays.
     pub const ALL: [Site; 4] = [Site::Ipi, Site::Timer, Site::Signal, Site::Core];
-
-    /// Stable snake_case label (the JSON key of per-site counters).
-    pub const fn name(self) -> &'static str {
-        match self {
-            Site::Ipi => "ipi",
-            Site::Timer => "timer",
-            Site::Signal => "signal",
-            Site::Core => "core",
-        }
-    }
 }
 
 /// A time-bounded rate boost: while `from_ns <= now < until_ns`, `rate`
@@ -168,7 +135,7 @@ pub struct FaultWindow {
 
 impl FaultWindow {
     /// Whether the window is open at `now_ns`.
-    pub fn open_at(&self, now_ns: u64) -> bool {
+    fn open_at(&self, now_ns: u64) -> bool {
         self.from_ns <= now_ns && now_ns < self.until_ns
     }
 }
@@ -278,7 +245,8 @@ impl FaultPlan {
 
     /// A plan injecting only `kind`, at `rate`, inside
     /// `[from_ns, until_ns)` of sim time.
-    pub fn windowed(kind: FaultKind, rate: f64, from_ns: u64, until_ns: u64) -> Self {
+    #[cfg(test)]
+    fn windowed(kind: FaultKind, rate: f64, from_ns: u64, until_ns: u64) -> Self {
         let mut p = FaultPlan::default();
         p.windows.push(FaultWindow {
             kind,
@@ -304,17 +272,17 @@ impl FaultPlan {
     }
 
     /// Sum of the base (always-on) rates of `site`'s kinds.
-    pub fn site_rate_total(&self, site: Site) -> f64 {
+    fn site_rate_total(&self, site: Site) -> f64 {
         Self::site_kinds(site).iter().map(|&k| self.rate(k)).sum()
     }
 
     /// Whether the schedule mentions `site`.
-    pub fn site_scheduled(&self, site: Site) -> bool {
+    fn site_scheduled(&self, site: Site) -> bool {
         self.schedule.iter().any(|s| s.kind.site() == site)
     }
 
     /// Whether any window with a positive rate targets `site`.
-    pub fn site_windowed(&self, site: Site) -> bool {
+    fn site_windowed(&self, site: Site) -> bool {
         self.windows
             .iter()
             .any(|w| w.kind.site() == site && w.rate > 0.0 && w.from_ns < w.until_ns)
@@ -328,7 +296,7 @@ impl FaultPlan {
     }
 
     /// The probabilistic rate configured for `kind`.
-    pub fn rate(&self, kind: FaultKind) -> f64 {
+    fn rate(&self, kind: FaultKind) -> f64 {
         match kind {
             FaultKind::IpiDrop => self.ipi_drop,
             FaultKind::IpiDelay => self.ipi_delay,
@@ -491,10 +459,6 @@ pub struct FaultInjector {
     /// Per-site "the plan has windows for this site" flags; the common
     /// windowless plan never touches the window list on a decision.
     windowed: [bool; 4],
-    /// Per-kind injection counts, indexed by the `u8` wire value —
-    /// exported in frozen [`FaultKind::ALL`] order so corpus diffs are
-    /// byte-stable.
-    injected: [u64; FaultKind::ALL.len()],
 }
 
 const fn site_index(site: Site) -> usize {
@@ -528,13 +492,7 @@ impl FaultInjector {
             totals,
             scheduled,
             windowed,
-            injected: [0; FaultKind::ALL.len()],
         }
-    }
-
-    /// The plan this injector samples.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
     }
 
     /// Decide the fate of the next `SENDUIPI` at sim time `now_ns`.
@@ -609,7 +567,6 @@ impl FaultInjector {
                 .iter()
                 .find(|s| s.kind.site() == site && s.occurrence == n)
             {
-                self.injected[s.kind as usize] += 1;
                 return Some(s.kind);
             }
         }
@@ -643,50 +600,10 @@ impl FaultInjector {
                     .sum::<f64>();
             }
             if x < acc {
-                self.injected[k as usize] += 1;
                 return Some(k);
             }
         }
         None
-    }
-
-    /// Per-site decision counts in frozen [`Site::ALL`] order.
-    pub fn site_decisions(&self) -> [(&'static str, u64); 4] {
-        [
-            (Site::Ipi.name(), self.ipi_n),
-            (Site::Timer.name(), self.timer_n),
-            (Site::Signal.name(), self.signal_n),
-            (Site::Core.name(), self.core_n),
-        ]
-    }
-
-    /// Per-kind injection counts in frozen [`FaultKind::ALL`] (wire)
-    /// order.
-    pub fn injected_counts(&self) -> [(&'static str, u64); FaultKind::ALL.len()] {
-        let mut out = [("", 0u64); FaultKind::ALL.len()];
-        for (i, &k) in FaultKind::ALL.iter().enumerate() {
-            out[i] = (k.name(), self.injected[k as usize]);
-        }
-        out
-    }
-
-    /// One JSON object with the per-site decision counts and per-kind
-    /// injection counts, keys in frozen declaration order — never map
-    /// order — so replay reports diff byte-for-byte.
-    pub fn occurrences_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("{\"sites\":{");
-        for (i, (name, n)) in self.site_decisions().iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            let _ = write!(out, "{sep}\"{name}\":{n}");
-        }
-        out.push_str("},\"injected\":{");
-        for (i, (name, n)) in self.injected_counts().iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            let _ = write!(out, "{sep}\"{name}\":{n}");
-        }
-        out.push_str("}}");
-        out
     }
 }
 
@@ -698,14 +615,7 @@ mod tests {
     fn kind_codes_round_trip() {
         for (i, &k) in FaultKind::ALL.iter().enumerate() {
             assert_eq!(k as u8, i as u8, "{k:?} code drifted");
-            assert_eq!(FaultKind::from_u8(i as u8), Some(k));
-            assert!(!k.name().is_empty());
         }
-        assert_eq!(FaultKind::from_u8(200), None);
-        let mut names: Vec<_> = FaultKind::ALL.iter().map(|k| k.name()).collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), FaultKind::ALL.len(), "duplicate kind names");
     }
 
     #[test]
@@ -846,33 +756,6 @@ mod tests {
             assert_eq!(a.ipi_at(0), b.ipi_at(i * 1_000));
             assert_eq!(a.signal_at(0), b.signal_at(i * 7_777));
         }
-    }
-
-    #[test]
-    fn occurrence_export_is_fixed_order() {
-        let mut plan = FaultPlan::only(FaultKind::IpiDrop, 1.0);
-        plan.core_hog = 1.0;
-        let mut inj = FaultInjector::new(plan, 4);
-        for _ in 0..3 {
-            inj.ipi_at(0);
-        }
-        inj.core_at(0);
-        inj.timer_at(0);
-        let sites = inj.site_decisions();
-        assert_eq!(sites[0], ("ipi", 3));
-        assert_eq!(sites[1], ("timer", 1));
-        assert_eq!(sites[2], ("signal", 0));
-        assert_eq!(sites[3], ("core", 1));
-        let injected = inj.injected_counts();
-        assert_eq!(injected[0], ("ipi_drop", 3));
-        assert_eq!(injected[10], ("core_hog", 1));
-        // The JSON export iterates the frozen arrays, so its bytes are
-        // a pure function of the counts — never map order.
-        let json = inj.occurrences_json();
-        assert!(json.starts_with(
-            "{\"sites\":{\"ipi\":3,\"timer\":1,\"signal\":0,\"core\":1},\"injected\":{\"ipi_drop\":3,"
-        ));
-        assert!(json.ends_with("\"core_hog\":1}}"));
     }
 
     #[test]

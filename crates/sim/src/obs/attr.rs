@@ -91,11 +91,9 @@ pub const PHASE_HIST_BUCKETS: usize = 64;
 ///
 /// Bucket 0 holds exact zeros; bucket `i >= 1` holds values in
 /// `[2^(i-1), 2^i)`; the last bucket is open-ended. No allocation,
-/// ever — recording is a shift and two adds — and [`merge`] is a
-/// plain element-wise sum, so merged histograms are deterministic in
-/// any merge order.
-///
-/// [`merge`]: PhaseHistogram::merge
+/// ever — recording is a shift and two adds — and merging is a plain
+/// element-wise sum, so merged histograms are deterministic in any
+/// merge order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PhaseHistogram {
     counts: [u64; PHASE_HIST_BUCKETS],
@@ -121,7 +119,7 @@ impl PhaseHistogram {
 
     /// The bucket index of `ns`.
     #[inline]
-    pub fn bucket_index(ns: u64) -> usize {
+    fn bucket_index(ns: u64) -> usize {
         if ns == 0 {
             0
         } else {
@@ -130,7 +128,7 @@ impl PhaseHistogram {
     }
 
     /// The inclusive `[lo, hi]` nanosecond range of bucket `i`.
-    pub fn bucket_bounds(i: usize) -> (u64, u64) {
+    fn bucket_bounds(i: usize) -> (u64, u64) {
         match i {
             0 => (0, 0),
             _ if i >= PHASE_HIST_BUCKETS - 1 => (1 << (PHASE_HIST_BUCKETS - 2), u64::MAX),
@@ -139,8 +137,8 @@ impl PhaseHistogram {
     }
 
     /// Records one duration.
-    #[inline]
-    pub fn record(&mut self, ns: u64) {
+    #[cfg(test)]
+    fn record(&mut self, ns: u64) {
         self.counts[Self::bucket_index(ns)] += 1;
         self.count += 1;
         self.sum_ns = self.sum_ns.saturating_add(ns);
@@ -158,9 +156,7 @@ impl PhaseHistogram {
     }
 
     /// Records an exact zero: bucket 0 directly, no shift, no sum add.
-    /// The completion-heavy hot path calls this for the (typically
-    /// four) phases a healthy request never enters.
-    #[inline]
+    #[cfg(test)]
     fn record_zero(&mut self) {
         self.counts[0] += 1;
         self.count += 1;
@@ -169,7 +165,7 @@ impl PhaseHistogram {
     /// Element-wise sum: afterwards `self` is exactly the histogram of
     /// both sample sets. Associative and commutative, so any merge
     /// tree over the same runs yields the same bytes.
-    pub fn merge(&mut self, other: &PhaseHistogram) {
+    fn merge(&mut self, other: &PhaseHistogram) {
         for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
             *a = a.saturating_add(*b);
         }
@@ -187,21 +183,16 @@ impl PhaseHistogram {
         self.count == 0
     }
 
-    /// Exact sum of all recorded durations (saturating at `u64::MAX`
-    /// nanoseconds, roughly 584 years of accumulated phase time).
-    pub fn sum_ns(&self) -> u128 {
-        u128::from(self.sum_ns)
-    }
-
     /// Exact mean (integer division), or 0 when empty.
-    pub fn mean_ns(&self) -> u64 {
+    #[cfg(test)]
+    fn mean_ns(&self) -> u64 {
         self.sum_ns.checked_div(self.count).unwrap_or(0)
     }
 
     /// Upper bound of the bucket containing the nearest-rank `q`
     /// quantile (`0 < q <= 1`), or 0 when empty. Quantized to the
     /// bucket boundary — within 2x of the true value by construction.
-    pub fn quantile_ns(&self, q: f64) -> u64 {
+    fn quantile_ns(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
@@ -219,24 +210,6 @@ impl PhaseHistogram {
     /// Convenience: bucketized p99.
     pub fn p99_ns(&self) -> u64 {
         self.quantile_ns(0.99)
-    }
-
-    /// Convenience: bucketized p99.9.
-    pub fn p999_ns(&self) -> u64 {
-        self.quantile_ns(0.999)
-    }
-
-    /// `(bucket_lo, bucket_hi, count)` for every non-empty bucket, in
-    /// increasing value order.
-    pub fn buckets(&self) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| {
-                let (lo, hi) = Self::bucket_bounds(i);
-                (lo, hi, c)
-            })
     }
 }
 
@@ -296,7 +269,8 @@ impl PhaseStats {
     /// Records one completed request's breakdown and considers it for
     /// an exemplar slot (kept iff among the worst seen so far;
     /// strictly-greater replaces, so ties keep the earliest).
-    pub fn record(&mut self, ex: Exemplar) {
+    #[cfg(test)]
+    fn record(&mut self, ex: Exemplar) {
         for p in Phase::ALL {
             let ns = ex.phase(p);
             let h = &mut self.per_phase[p as usize];
@@ -408,7 +382,8 @@ impl PhaseStats {
     }
 
     /// Number of completions recorded.
-    pub fn completions(&self) -> u64 {
+    #[cfg(test)]
+    fn completions(&self) -> u64 {
         self.end_to_end.count()
     }
 
@@ -587,13 +562,9 @@ impl Attribution {
         self.enabled = on;
     }
 
-    /// Whether the accountant is recording.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// The aggregated stats so far (seals deferred zero records first).
-    pub fn stats(&mut self) -> &PhaseStats {
+    #[cfg(test)]
+    fn stats(&mut self) -> &PhaseStats {
         self.flush();
         &self.stats
     }
@@ -829,11 +800,12 @@ mod tests {
         b.record(1_000_000);
         a.merge(&b);
         assert_eq!(a.count(), 100);
-        assert_eq!(a.sum_ns(), 99 * 1_000 + 1_000_000);
+        assert_eq!(a.mean_ns(), (99 * 1_000 + 1_000_000) / 100);
         // p99 lands in the 1µs bucket, p99.9+ in the 1ms tail bucket.
         assert!(a.p99_ns() < 2_048, "{}", a.p99_ns());
-        assert!(a.p999_ns() >= 1_000_000, "{}", a.p999_ns());
-        assert_eq!(a.quantile_ns(1.0), a.p999_ns());
+        let p999 = a.quantile_ns(0.999);
+        assert!(p999 >= 1_000_000, "{p999}");
+        assert_eq!(a.quantile_ns(1.0), p999);
         // Merge is element-wise: merging in the other order gives the
         // same bytes.
         let mut c = PhaseHistogram::new();
@@ -852,7 +824,6 @@ mod tests {
         assert!(h.is_empty());
         assert_eq!(h.p99_ns(), 0);
         assert_eq!(h.mean_ns(), 0);
-        assert_eq!(h.buckets().count(), 0);
     }
 
     #[test]

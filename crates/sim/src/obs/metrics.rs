@@ -104,7 +104,7 @@ impl Counter {
     ];
 
     /// Stable snake_case name (the JSONL/snapshot key).
-    pub const fn name(self) -> &'static str {
+    const fn name(self) -> &'static str {
         match self {
             Counter::UipiSent => "uipi_sent",
             Counter::UipiDelivered => "uipi_delivered",
@@ -164,7 +164,7 @@ impl Gauge {
     pub const ALL: [Gauge; 2] = [Gauge::QuantumNs, Gauge::TimerPowerW];
 
     /// Stable snake_case name.
-    pub const fn name(self) -> &'static str {
+    const fn name(self) -> &'static str {
         match self {
             Gauge::QuantumNs => "quantum_ns",
             Gauge::TimerPowerW => "timer_power_w",
@@ -197,7 +197,7 @@ impl Metrics {
 
     /// Increments `c` by one.
     #[inline]
-    pub fn bump(&mut self, c: Counter) {
+    fn bump(&mut self, c: Counter) {
         self.counters[c as usize] += 1;
     }
 
@@ -316,14 +316,6 @@ impl MetricsSnapshot {
             .unwrap_or(0)
     }
 
-    /// Gauge value by name.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, v)| *v)
-    }
-
     /// One JSON object with all counters and gauges, keys in snapshot
     /// order (deterministic bytes).
     pub fn to_jsonl(&self) -> String {
@@ -410,8 +402,7 @@ mod tests {
         let s = m.snapshot();
         assert_eq!(s.counter("preemptions"), 1);
         assert_eq!(s.counter("not_a_counter"), 0);
-        assert_eq!(s.gauge("timer_power_w"), Some(1.2));
-        assert_eq!(s.gauge("nope"), None);
+        assert_eq!(s.gauges[1], ("timer_power_w", 1.2));
         assert_eq!(s.counters.len(), Counter::ALL.len());
     }
 

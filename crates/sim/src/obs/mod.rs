@@ -85,11 +85,6 @@ impl Observer {
         self.ring.push(TimedEvent { at, ev });
     }
 
-    /// The tail-attribution accountant's aggregated stats so far.
-    pub fn phases(&mut self) -> &PhaseStats {
-        self.attr.stats()
-    }
-
     /// Drains the accountant's aggregated stats for a report, leaving
     /// an empty accountant behind.
     pub fn take_phases(&mut self) -> PhaseStats {

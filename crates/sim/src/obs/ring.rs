@@ -52,16 +52,6 @@ impl EventRing {
         }
     }
 
-    /// `true` when events are being kept.
-    pub fn is_enabled(&self) -> bool {
-        self.capacity > 0
-    }
-
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Appends an event, overwriting the oldest when full. Never
     /// allocates: the buffer was reserved in [`new`](Self::new).
     #[inline]
@@ -166,7 +156,6 @@ mod tests {
     #[test]
     fn zero_capacity_is_disabled() {
         let mut r = EventRing::new(0);
-        assert!(!r.is_enabled());
         r.push(marker(1));
         assert!(r.is_empty());
         assert_eq!(r.overwritten(), 0);

@@ -41,7 +41,7 @@ thread_local! {
 
 /// `true` when called from inside an [`ordered_map`] worker. Nested
 /// fan-outs use this to degrade to the serial path.
-pub fn in_pool() -> bool {
+fn in_pool() -> bool {
     IN_POOL.with(Cell::get)
 }
 

@@ -58,12 +58,6 @@ impl EventId {
     fn gen(self) -> u32 {
         (self.0 >> 32) as u32
     }
-
-    /// The raw handle bits, useful in traces. Opaque: encodes a reused
-    /// slot index plus its generation, not a sequence number.
-    pub fn as_u64(self) -> u64 {
-        self.0
-    }
 }
 
 /// A place in the queue's `(time, seq)` tie-break order, taken by
@@ -184,7 +178,8 @@ impl<E> EventQueue<E> {
 
     /// Live events *plus* not-yet-drained cancelled overflow entries.
     /// An upper bound on tracked entries.
-    pub fn len_upper_bound(&self) -> usize {
+    #[cfg(test)]
+    fn len_upper_bound(&self) -> usize {
         self.wheel.len_upper_bound()
     }
 

@@ -49,11 +49,6 @@ impl SimTime {
         self.0
     }
 
-    /// Microseconds since simulation start, with fractional part.
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / 1_000.0
-    }
-
     /// Seconds since simulation start, with fractional part.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1_000_000_000.0
@@ -76,11 +71,6 @@ impl SimTime {
     /// is actually later.
     pub fn saturating_since(self, earlier: SimTime) -> SimDur {
         SimDur(self.0.saturating_sub(earlier.0))
-    }
-
-    /// Adds a duration, saturating at [`SimTime::MAX`].
-    pub fn saturating_add(self, d: SimDur) -> SimTime {
-        SimTime(self.0.saturating_add(d.0))
     }
 }
 
@@ -169,26 +159,6 @@ impl SimDur {
     pub fn mul_f64(self, k: f64) -> SimDur {
         debug_assert!(k >= 0.0, "SimDur::mul_f64: negative factor {k}");
         SimDur::from_micros_f64(self.as_micros_f64() * k)
-    }
-
-    /// The smaller of two spans.
-    pub fn min(self, other: SimDur) -> SimDur {
-        SimDur(self.0.min(other.0))
-    }
-
-    /// The larger of two spans.
-    pub fn max(self, other: SimDur) -> SimDur {
-        SimDur(self.0.max(other.0))
-    }
-
-    /// Clamps the span into `[lo, hi]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo > hi`.
-    pub fn clamp(self, lo: SimDur, hi: SimDur) -> SimDur {
-        assert!(lo <= hi, "SimDur::clamp: lo > hi");
-        SimDur(self.0.clamp(lo.0, hi.0))
     }
 }
 
@@ -347,7 +317,6 @@ mod tests {
             SimTime::from_nanos(5).saturating_since(SimTime::from_nanos(9)),
             SimDur::ZERO
         );
-        assert_eq!(SimTime::MAX.saturating_add(SimDur::secs(1)), SimTime::MAX);
         assert_eq!(
             SimDur::nanos(3).saturating_sub(SimDur::nanos(10)),
             SimDur::ZERO
@@ -432,21 +401,6 @@ mod tests {
         assert_eq!(SimDur::micros(5).mul_f64(0.5), SimDur::nanos(2_500));
         let total: SimDur = [SimDur::micros(1), SimDur::micros(2)].into_iter().sum();
         assert_eq!(total, SimDur::micros(3));
-    }
-
-    #[test]
-    fn clamp_min_max() {
-        let d = SimDur::micros(7);
-        assert_eq!(
-            d.clamp(SimDur::micros(1), SimDur::micros(5)),
-            SimDur::micros(5)
-        );
-        assert_eq!(
-            d.clamp(SimDur::micros(10), SimDur::micros(20)),
-            SimDur::micros(10)
-        );
-        assert_eq!(d.min(SimDur::micros(3)), SimDur::micros(3));
-        assert_eq!(d.max(SimDur::micros(3)), d);
     }
 
     #[test]

@@ -1,7 +1,7 @@
-//! The hierarchical timing-wheel core shared by [`crate::EventQueue`]
-//! (and, through it, LibUtimer's `TimingWheel`): slab-allocated event
-//! nodes filed into cascading wheel levels, with a packed-`u128` binary
-//! heap as the far-future overflow.
+//! The hierarchical timing-wheel core of [`crate::EventQueue`], which
+//! is also LibUtimer's timing wheel: slab-allocated event nodes filed
+//! into cascading wheel levels, with a packed-`u128` binary heap as the
+//! far-future overflow.
 //!
 //! # Geometry
 //!
@@ -355,6 +355,7 @@ impl<E> TimerWheel<E> {
     /// Live events plus not-yet-drained cancelled heap entries — an
     /// upper bound on tracked entries, mirroring the old heap's lazy
     /// count.
+    #[cfg(test)]
     pub(crate) fn len_upper_bound(&self) -> usize {
         self.live + self.heap_dead
     }

@@ -54,7 +54,7 @@ impl Histogram {
     /// # Panics
     ///
     /// Panics if `precision_bits` is 0 or greater than 16.
-    pub fn with_precision(precision_bits: u32) -> Self {
+    fn with_precision(precision_bits: u32) -> Self {
         assert!(
             (1..=16).contains(&precision_bits),
             "precision_bits must be in 1..=16"

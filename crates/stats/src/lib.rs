@@ -5,8 +5,6 @@
 //! * [`Histogram`] — log-bucketed latency histogram with ~1% relative
 //!   error, exact min/max/mean, and the paper's tail metrics (p99,
 //!   p99.9, SLO-violation fractions).
-//! * [`tail`] — tail-index estimation (Hill estimator and the
-//!   p99/median dispersion proxy used online by Algorithm 1).
 //! * [`TimeSeries`] / [`WindowStats`] — time-bucketed recordings for the
 //!   over-time plots (Figs. 9, 14) and the per-control-period summaries
 //!   consumed by the adaptive quantum controller.
@@ -22,7 +20,6 @@
 mod histogram;
 mod series;
 mod table;
-pub mod tail;
 
 pub use histogram::{Histogram, DEFAULT_PRECISION_BITS};
 pub use series::{Frame, TimeSeries, WindowStats, WindowSummary};

@@ -53,11 +53,6 @@ impl Frame {
             self.sum / self.count as f64
         }
     }
-
-    /// Observations per time unit (e.g. QPS when the unit is seconds).
-    pub fn rate(&self, frame_width: u64) -> f64 {
-        self.count as f64 / frame_width as f64
-    }
 }
 
 impl TimeSeries {
@@ -100,11 +95,6 @@ impl TimeSeries {
     /// All frames from time zero through the last recorded observation.
     pub fn frames(&self) -> &[Frame] {
         &self.frames
-    }
-
-    /// The configured frame width.
-    pub fn frame_width(&self) -> u64 {
-        self.frame_width
     }
 }
 
@@ -219,11 +209,6 @@ impl WindowStats {
         self.window_start = now_ns;
         summary
     }
-
-    /// Read-only access to the in-window latency histogram.
-    pub fn latency(&self) -> &Histogram {
-        &self.latency
-    }
 }
 
 /// One control-period summary handed to the adaptive quantum controller.
@@ -271,17 +256,6 @@ mod tests {
         assert_eq!(f[2].start, 20);
         assert_eq!(f[3].count, 1);
         assert_eq!(f[3].start, 30);
-    }
-
-    #[test]
-    fn frame_rate() {
-        let mut ts = TimeSeries::new(1_000_000_000); // 1 s frames in ns
-        for i in 0..500 {
-            ts.record(i * 2_000_000, 1.0);
-        }
-        let f = &ts.frames()[0];
-        // 500 events in a 1 s frame => 500/1e9 events per ns.
-        assert!((f.rate(ts.frame_width()) - 500.0 / 1e9).abs() < 1e-12);
     }
 
     #[test]

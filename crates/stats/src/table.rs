@@ -47,13 +47,6 @@ impl Table {
         self
     }
 
-    /// Appends a row of displayable values.
-    pub fn row_display<D: std::fmt::Display>(&mut self, cells: &[D]) -> &mut Self {
-        self.rows
-            .push(cells.iter().map(|c| c.to_string()).collect());
-        self
-    }
-
     /// Number of data rows.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -185,10 +178,10 @@ mod tests {
     }
 
     #[test]
-    fn row_display_and_len() {
+    fn len_counts_rows() {
         let mut t = Table::new(&["x"]);
         assert!(t.is_empty());
-        t.row_display(&[42]);
+        t.row(&["42".into()]);
         assert_eq!(t.len(), 1);
     }
 

@@ -104,11 +104,6 @@ impl ArrivalGen {
         ArrivalGen { schedule, rng }
     }
 
-    /// The schedule driving this generator.
-    pub fn schedule(&self) -> &RateSchedule {
-        &self.schedule
-    }
-
     /// Draws the next arrival instant strictly after `now`
     /// (exponential inter-arrival at the instantaneous rate; rates are
     /// re-sampled per arrival, which is accurate for schedules that

@@ -171,12 +171,6 @@ impl ServiceDist {
         }
     }
 
-    /// Offered load fraction at `rate_rps` requests/second across
-    /// `workers` cores: lambda x mean-service / n.
-    pub fn utilization(&self, rate_rps: f64, workers: usize) -> f64 {
-        rate_rps * self.mean().as_secs_f64() / workers as f64
-    }
-
     /// The arrival rate that produces utilization `rho` on `workers`
     /// cores.
     pub fn rate_for_utilization(&self, rho: f64, workers: usize) -> f64 {
@@ -280,7 +274,6 @@ mod tests {
         let rate = d.rate_for_utilization(0.8, 4);
         // 0.8 * 4 / 5us = 640k rps
         assert!((rate - 640_000.0).abs() < 1.0);
-        assert!((d.utilization(rate, 4) - 0.8).abs() < 1e-9);
     }
 
     #[test]

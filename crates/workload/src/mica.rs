@@ -59,7 +59,7 @@ pub struct MicaModel {
 impl MicaModel {
     /// The paper's configuration: zipfian 0.99 skew, 5/95 SET/GET,
     /// ~1 us median.
-    pub fn paper_config(keys: u64) -> Self {
+    fn paper_config(keys: u64) -> Self {
         MicaModel {
             zipf: Zipf::new(keys, 0.99),
             get_frac: 0.95,
@@ -108,7 +108,7 @@ impl Default for ZlibModel {
 
 impl ZlibModel {
     /// §V-C's configuration: 25 kB chunks, 100 us median.
-    pub fn paper_config() -> Self {
+    fn paper_config() -> Self {
         ZlibModel {
             median: SimDur::micros(100),
             sigma: 0.25,
@@ -160,7 +160,8 @@ impl ColocatedWorkload {
     }
 
     /// Mean service time of the mixture (for load calculations).
-    pub fn mean_service(&self) -> SimDur {
+    #[cfg(test)]
+    fn mean_service(&self) -> SimDur {
         // Estimate analytically: MICA mean ~ hot/miss mix; zlib mean =
         // median * exp(sigma^2/2).
         let zlib_mean = self

@@ -46,7 +46,7 @@ impl PhasedService {
     }
 
     /// The distribution active at `t`.
-    pub fn dist_at(&self, t: SimTime) -> &ServiceDist {
+    fn dist_at(&self, t: SimTime) -> &ServiceDist {
         let mut elapsed = SimDur::ZERO;
         for (dur, dist) in &self.phases {
             elapsed = elapsed.saturating_add(*dur);
@@ -60,16 +60,6 @@ impl PhasedService {
     /// Samples a service time for a request arriving at `t`.
     pub fn sample(&self, t: SimTime, rng: &mut SmallRng) -> SimDur {
         self.dist_at(t).sample(rng)
-    }
-
-    /// The maximum phase mean — useful for sizing a load sweep so no
-    /// phase saturates unintentionally.
-    pub fn max_mean(&self) -> SimDur {
-        self.phases
-            .iter()
-            .map(|(_, d)| d.mean())
-            .max()
-            .expect("non-empty")
     }
 }
 
@@ -115,12 +105,6 @@ mod tests {
             p.sample(SimTime::ZERO + SimDur::secs(2), &mut r),
             SimDur::micros(9)
         );
-    }
-
-    #[test]
-    fn max_mean() {
-        let c = PhasedService::workload_c(SimDur::secs(4));
-        assert_eq!(c.max_mean(), ServiceDist::workload_b().mean());
     }
 
     #[test]

@@ -23,7 +23,6 @@ pub struct Zipf {
     alpha: f64,
     zetan: f64,
     eta: f64,
-    zeta2: f64,
 }
 
 impl Zipf {
@@ -49,7 +48,6 @@ impl Zipf {
             alpha,
             zetan,
             eta,
-            zeta2,
         }
     }
 
@@ -75,11 +73,6 @@ impl Zipf {
         self.n
     }
 
-    /// The skew parameter.
-    pub fn theta(&self) -> f64 {
-        self.theta
-    }
-
     /// Draws a rank in `0..n`; rank 0 is the most popular.
     pub fn sample(&self, rng: &mut SmallRng) -> u64 {
         let u: f64 = rng.gen_range(0.0..1.0);
@@ -94,16 +87,12 @@ impl Zipf {
         rank.min(self.n - 1)
     }
 
-    /// Theoretical probability of rank `k`.
-    pub fn prob(&self, k: u64) -> f64 {
+    /// Theoretical probability of rank `k`, the oracle the tests hold
+    /// [`sample`](Self::sample) to.
+    #[cfg(test)]
+    fn prob(&self, k: u64) -> f64 {
         assert!(k < self.n);
         1.0 / ((k + 1) as f64).powf(self.theta) / self.zetan
-    }
-
-    /// Probability mass of the two hottest keys (used by cache-hit
-    /// modeling).
-    pub fn hot_mass(&self) -> f64 {
-        (1.0 + self.zeta2 - 1.0) / self.zetan
     }
 }
 

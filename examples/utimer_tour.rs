@@ -6,9 +6,9 @@
 //! cargo run --release --example utimer_tour
 //! ```
 
-use libpreemptible::utimer::{TimingWheel, UtimerRegistry};
+use libpreemptible::utimer::UtimerRegistry;
 use lp_hw::uintr::{ReceiverState, SendOutcome, UintrDomain, Uitt};
-use lp_sim::SimTime;
+use lp_sim::{EventQueue, SimTime};
 
 fn main() {
     // --- LibUtimer deadline slots (utimer_register / arm_deadline) ---
@@ -37,16 +37,22 @@ fn main() {
     assert_eq!(fired.len(), 4);
 
     // --- Timing wheel for large thread counts (§IV-A, [64]) ---
-    let mut wheel = TimingWheel::new(1_000); // 1 us ticks
+    // The simulator's event queue is a hierarchical timing wheel.
+    let mut wheel = EventQueue::new();
     for i in 0..1_000u64 {
-        wheel.insert(SimTime::from_nanos(1_000 * (i % 97 + 1)), i);
+        wheel.push(SimTime::from_nanos(1_000 * (i % 97 + 1)), i);
     }
-    let due = wheel.advance(SimTime::from_nanos(50_000));
+    let horizon = SimTime::from_nanos(50_000);
+    let mut due = 0;
+    while wheel.peek_time().is_some_and(|t| t <= horizon) {
+        wheel.pop();
+        due += 1;
+    }
     println!(
-        "timing wheel: {} of 1000 deadlines due within 50 us, {} still filed",
-        due.len(),
-        wheel.len()
+        "timing wheel: {due} of 1000 deadlines due within 50 us, {} still filed",
+        wheel.live_len()
     );
+    assert_eq!(due + wheel.live_len(), 1_000);
 
     // --- The UINTR state machine underneath (§III-A, Fig. 3) ---
     let mut dom = UintrDomain::new();
